@@ -5,7 +5,7 @@ the cross-validation suites, ``orbits`` lists orbits computed by enumeration,
 ``witness`` constructs strings with prescribed orbit behavior.  Output is
 deterministic; counts are rendered as full decimal strings (also inside
 JSON).  Exit codes: 0 pass/success, 1 verification failure, 2 usage error or
-refusal.
+refusal, 3 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import formulas, oracle, verify
 from .formulas import GAMMA, LAMBDA
@@ -97,96 +98,66 @@ def _human(value: str) -> str:
     return value if value else "ε"
 
 
-def _render_table_plain(which: str, max_n: int, out: list[str]) -> None:
-    labels, rows = table_rows(which, max_n)
-    header = ["n"] + labels
-    matrix = [list(range(1, max_n + 1))] + rows
-    label_width = max(len(name) for name in header)
-    col_widths = [max(len(str(matrix[r][c])) for r in range(len(matrix))) for c in range(max_n)]
-    for name, row in zip(header, matrix):
-        cells = "  ".join(str(v).rjust(w) for v, w in zip(row, col_widths))
-        out.append(f"{name.ljust(label_width)}  {cells}")
+def _emit(
+    args: argparse.Namespace,
+    parameters: dict,
+    result: dict,
+    plain: Callable[[], list[str]],
+    columns: list[str] | None = None,
+    records: list[dict] | None = None,
+) -> int:
+    """Print a command's output: the JSON envelope, one CSV row per record, or its plain layout.
+
+    ``plain`` is called only for plain output, so JSON and CSV do not pay for the plain layout.
+    """
+    if args.format == JSON:
+        text = json.dumps({"command": args.command, "parameters": parameters, "result": result}, indent=2)
+    elif args.format == CSV:
+        # records hold their values in column order; an edge (a pair of strings,
+        # a list in JSON) is one cell, u-v
+        rows = [",".join([v if type(v) is str else "-".join(v) for v in r.values()]) for r in records]
+        text = "\n".join([",".join(columns)] + rows)
+    else:
+        text = "\n".join(plain())
+    print(text)
+    return 0
 
 
-def _render_table_csv(which: str, max_n: int, out: list[str]) -> None:
-    labels, rows = table_rows(which, max_n)
-    out.append(",".join(["n"] + labels))
-    for idx, n in enumerate(range(1, max_n + 1)):
-        out.append(",".join([str(n)] + [str(row[idx]) for row in rows]))
-
-
-def _render_table_json(which: str, max_n: int, out: list[str]) -> None:
-    labels, rows = table_rows(which, max_n)
-    records = []
-    for idx, n in enumerate(range(1, max_n + 1)):
-        record: dict[str, str] = {"n": str(n)}
-        for label, row in zip(labels, rows):
-            record[label] = str(row[idx])
-        records.append(record)
-    payload = {
-        "command": "table",
-        "parameters": {"table": which, "max": max_n},
-        "result": {"rows": records},
-    }
-    out.append(json.dumps(payload, indent=2))
+def _plain_table(columns: list[str], records: list[dict]) -> list[str]:
+    # one line per column label, one right-aligned cell per n
+    label_width = max(len(name) for name in columns)
+    widths = [max(len(value) for value in record.values()) for record in records]
+    return [
+        f"{name.ljust(label_width)}  " + "  ".join(r[name].rjust(w) for r, w in zip(records, widths))
+        for name in columns
+    ]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     max_n = args.max if args.max is not None else TABLE_DEFAULT_MAX[args.which]
-    out: list[str] = []
-    if args.format == PLAIN:
-        _render_table_plain(args.which, max_n, out)
-    elif args.format == CSV:
-        _render_table_csv(args.which, max_n, out)
-    else:
-        _render_table_json(args.which, max_n, out)
-    print("\n".join(out))
-    return 0
+    labels, rows = table_rows(args.which, max_n)
+    columns = ["n"] + labels
+    records = [dict(zip(columns, map(str, values))) for values in zip(range(1, max_n + 1), *rows)]
+    parameters = {"table": args.which, "max": max_n}
+    return _emit(args, parameters, {"rows": records}, lambda: _plain_table(columns, records), columns, records)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
+    vertices = args.ground == oracle.VERTICES
     graph = oracle.build(args.n, args.cube)
-    if args.ground == oracle.VERTICES:
-        partition = oracle.vertex_orbits(graph)
-    else:
-        partition = oracle.edge_orbits(graph)
+    partition = oracle.vertex_orbits(graph) if vertices else oracle.edge_orbits(graph)
+    records = [{"representative": orbit[0], "size": str(len(orbit))} for orbit in partition.orbits]
 
-    def rep_plain(element) -> str:
-        if args.ground == oracle.VERTICES:
-            return _human(element)
-        return f"{_human(element[0])}-{_human(element[1])}"
+    def plain() -> list[str]:
+        lines = [f"{args.cube} n={args.n} {args.ground}: {len(records)} orbits"]
+        for r in records:
+            rep = _human(r["representative"]) if vertices else "-".join(map(_human, r["representative"]))
+            lines.append(f"{rep}  {r['size']}")
+        return lines
 
-    def rep_machine(element):
-        if args.ground == oracle.VERTICES:
-            return element
-        return list(element)
-
-    if args.format == JSON:
-        payload = {
-            "command": "orbits",
-            "parameters": {"cube": args.cube, "n": args.n, "ground": args.ground},
-            "result": {
-                "orbit_count": str(len(partition.orbits)),
-                "orbits": [
-                    {"representative": rep_machine(orbit[0]), "size": str(len(orbit))}
-                    for orbit in partition.orbits
-                ],
-            },
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    if args.format == CSV:
-        lines = ["representative,size"]
-        for orbit in partition.orbits:
-            rep = orbit[0] if args.ground == oracle.VERTICES else f"{orbit[0][0]}-{orbit[0][1]}"
-            lines.append(f"{rep},{len(orbit)}")
-        print("\n".join(lines))
-        return 0
-    lines = [f"{args.cube} n={args.n} {args.ground}: {len(partition.orbits)} orbits"]
-    for orbit in partition.orbits:
-        lines.append(f"{rep_plain(orbit[0])}  {len(orbit)}")
-    print("\n".join(lines))
-    return 0
+    parameters = {"cube": args.cube, "n": args.n, "ground": args.ground}
+    result = {"orbit_count": str(len(records)), "orbits": records}
+    return _emit(args, parameters, result, plain, ["representative", "size"], records)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -197,17 +168,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
             raise ValueError("witness vertex-orbit-size requires a target size k")
         witness = vertex_orbit_witness(args.n, args.k)
     size = len(dihedral_orbit(witness))
-    if args.format == JSON:
-        payload = {
-            "command": "witness",
-            "parameters": {"kind": args.kind, "n": args.n, "k": args.k},
-            "result": {"witness": witness, "orbit_size": str(size)},
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"witness: {witness}")
-    print(f"orbit size: {size} (recomputed by orbit enumeration)")
-    return 0
+    plain = [f"witness: {witness}", f"orbit size: {size} (recomputed by orbit enumeration)"]
+    parameters = {"kind": args.kind, "n": args.n, "k": args.k}
+    return _emit(args, parameters, {"witness": witness, "orbit_size": str(size)}, lambda: plain)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -299,9 +262,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        # a broken internal invariant (an inexact exact division, a graph size mismatch)
+        print(f"internal error: {exc} (this is a bug)", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

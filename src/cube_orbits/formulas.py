@@ -188,13 +188,12 @@ def lambda_vertex_orbit_total(n: int) -> int:
     """Number of vertex orbits of the Lucas cube under its automorphism group.
 
     Half of (necklace count + number of reversal-invariant configurations);
-    the second summand comes from the cycle-index evaluation.
+    the second summand comes from the cycle-index evaluation, where the
+    reflections fix on average F(floor(n/2) + 2) Lucas strings each.
     """
     if n < 1:
         raise ValueError(f"lambda_vertex_orbit_total requires n >= 1, got {n}")
-    half = n // 2
-    reflective = sum(binomial(half - (a + 1) // 2, a // 2) for a in range(half + 1))
-    return _exact_div(necklace_count(n) + reflective, 2)
+    return _exact_div(necklace_count(n) + fib(n // 2 + 2), 2)
 
 
 def lucas_string_classes(n: int) -> StringClassCounts:

@@ -150,8 +150,7 @@ def is_symmetric(u: str) -> bool:
     """
     if not u:
         raise ValueError("symmetry is undefined for the empty string")
-    root = u[: period(u)]
-    return root[::-1] in root + root
+    return decompose(u).symmetric
 
 
 def orbit_size(u: str) -> int:

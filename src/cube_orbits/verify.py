@@ -1,35 +1,35 @@
 """Verification suites: closed forms against identities and brute force.
 
-Each suite returns a list of CheckResult records; the CLI renders them and
-turns them into an exit status.  Suites that need graph enumeration refuse
+Every check is one row of ``CHECKS``: a suite, a name, the first n it covers
+and a ``case(n)`` that returns a counterexample or None.  One runner evaluates
+a row over ``n in [lo, min(max, cap)]`` and keeps the first counterexample;
+the suites are the rows grouped by suite name.  The CLI renders the results
+and turns them into an exit status.  Suites that need graph enumeration refuse
 ranges beyond their hard bounds instead of silently truncating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import bijections, formulas, oracle, strings
 from .formulas import GAMMA, LAMBDA
-from .oracle import VERTICES
+from .oracle import EDGES, VERTICES
 from .strings import Dihedral, apply
 
 PASS = "PASS"
 FAIL = "FAIL"
 REFUSED = "REFUSED"
 
-SUITE_DEFAULT_MAX = {
-    "formulas": 200,
-    "oracle-vs-formula": 14,
-    "bijections": 16,
-    "automorphisms": 8,
-}
+FORMULAS = "formulas"
+ORACLE = "oracle-vs-formula"
+BIJECTIONS = "bijections"
+AUTOMORPHISMS = "automorphisms"
 
-SUITE_HARD_BOUND = {
-    "oracle-vs-formula": oracle.BUILD_LIMIT,
-    "bijections": 18,
-    "automorphisms": 8,
-}
+SUITE_DEFAULT_MAX = {FORMULAS: 200, ORACLE: 14, BIJECTIONS: 16, AUTOMORPHISMS: 8}
+
+SUITE_HARD_BOUND = {ORACLE: oracle.BUILD_LIMIT, BIJECTIONS: 18, AUTOMORPHISMS: 8}
 
 
 @dataclass
@@ -40,447 +40,294 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name: str, scope: str, failure: str | None) -> CheckResult:
-    if failure is None:
-        return CheckResult(name, scope, PASS)
-    return CheckResult(name, scope, FAIL, failure)
+@dataclass(frozen=True)
+class Check:
+    """One identity, evaluated for each n from ``lo`` to the suite's max (or ``cap``).
+
+    ``scope`` is formatted with ``lo`` and the effective upper end ``hi``.
+    """
+
+    suite: str
+    name: str
+    lo: int
+    case: Callable[[int], str | None]
+    cap: int | None = None
+    scope: str = "n in [{lo}, {hi}]"
 
 
-def _nonzero(hist: dict[int, int]) -> dict[int, int]:
-    return {k: v for k, v in hist.items() if v}
+def run_check(check: Check, max_n: int) -> CheckResult:
+    """Evaluate one check up to ``max_n`` and report its first counterexample."""
+    hi = max_n if check.cap is None else min(max_n, check.cap)
+    scope = check.scope.format(lo=check.lo, hi=hi)
+    for n in range(check.lo, hi + 1):
+        failure = check.case(n)
+        if failure is not None:
+            return CheckResult(check.name, scope, FAIL, failure)
+    return CheckResult(check.name, scope, PASS)
 
 
-# ---------------------------------------------------------------------------
-# formulas suite: identities that need no graph enumeration
+def _mismatch(n: int, what: str, got: object, want: object) -> str | None:
+    """Counterexample when ``got`` (one route) differs from ``want`` (the other)."""
+    return None if got == want else f"n={n}: {what} {got} != {want}"
 
 
-def _fib_binomial_identity(max_n: int) -> str | None:
-    for n in range(-1, max_n + 1):
-        total = sum(formulas.binomial(n - k, k) for k in range(0, n // 2 + 1))
-        if total != formulas.fib(n + 1):
-            return f"n={n}: sum {total} != fib({n + 1})"
+# --- formulas suite: identities that need no graph enumeration
+
+
+def _lucas_binomial_identity(n: int) -> str | None:
+    total = 0
+    for k in range(0, n // 2 + 1):
+        term = n * formulas.binomial(n - k, k)
+        if term % (n - k) != 0:
+            return f"n={n}, k={k}: non-integral term"
+        total += term // (n - k)
+    return _mismatch(n, "binomial sum", total, formulas.lucas(n))
+
+
+def _histogram_sums(n: int, summary: formulas.OrbitSummary, count: int) -> str | None:
+    """Orbit sizes weighted by their counts cover ``count`` elements; the counts add up to the total."""
+    if sum(k * c for k, c in summary.by_size.items()) != count:
+        return f"n={n}: weighted sum mismatch"
+    return _mismatch(n, "orbit total", sum(summary.by_size.values()), summary.total)
+
+
+def _gamma_vertex_sums(n: int) -> str | None:
+    summary = formulas.gamma_vertex_orbits(n)
+    if sorted(summary.by_size) != [1, 2]:
+        return f"n={n}: histogram keys {sorted(summary.by_size)}"
+    return _histogram_sums(n, summary, formulas.fib(n + 2))
+
+
+def _asymmetric_boundary(n: int) -> str | None:
+    a = formulas.lucas_string_classes(n).asymmetric
+    if (n <= 8 and a != 0) or (n >= 9 and a <= 0):
+        return f"n={n}: asymmetric count {a}"
     return None
 
 
-def _lucas_binomial_identity(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        total = 0
-        for k in range(0, n // 2 + 1):
-            term = n * formulas.binomial(n - k, k)
-            if term % (n - k) != 0:
-                return f"n={n}, k={k}: non-integral term"
-            total += term // (n - k)
-        if total != formulas.lucas(n):
-            return f"n={n}: sum {total} != lucas({n})"
+# --- oracle-vs-formula suite: closed forms against explicit enumeration
+
+
+def _orbits(n: int, kind: str, ground: str) -> oracle.OrbitPartition:
+    graph = oracle.build(n, kind)
+    return oracle.vertex_orbits(graph) if ground == VERTICES else oracle.edge_orbits(graph)
+
+
+def _oracle_vs_formula(n: int, partition: oracle.OrbitPartition, by_size: dict[int, int]) -> str | None:
+    return _mismatch(n, "oracle", oracle.histogram(partition), {k: v for k, v in by_size.items() if v})
+
+
+def _lambda_vertex_vs_oracle(n: int) -> str | None:
+    partition = _orbits(n, LAMBDA, VERTICES)
+    total = _mismatch(n, "orbit total", len(partition.orbits), formulas.lambda_vertex_orbit_total(n))
+    return _oracle_vs_formula(n, partition, formulas.lambda_vertex_orbit_histogram(n)) or total
+
+
+def _lambda_edge_size_set(n: int) -> str | None:
+    observed = set(_orbits(n, LAMBDA, EDGES).sizes())
+    if not observed <= {n, 2 * n}:
+        return f"n={n}: sizes {sorted(observed)} escape {{n, 2n}}"
+    if (observed == {n, 2 * n}) != (n >= 5):
+        return f"n={n}: equality with {{n, 2n}} fails the n >= 5 boundary"
     return None
 
 
-def _convolution_identity(max_n: int) -> str | None:
-    for n in range(0, max_n + 1):
-        total = sum(formulas.fib(i) * formulas.lucas(n - i) for i in range(n + 1))
-        if total != (n + 1) * formulas.fib(n):
-            return f"n={n}: convolution {total} != {(n + 1) * formulas.fib(n)}"
+def _necklaces_vs_oracle(n: int) -> str | None:
+    lucas_strings = strings.enumerate_strings(n, strings.LUCAS)
+    rotation_classes = {min(u[i:] + u[:i] for i in range(n)) for u in lucas_strings}
+    return _mismatch(n, "rotation classes", len(rotation_classes), formulas.necklace_count(n))
+
+
+def _string_classes_vs_oracle(n: int) -> str | None:
+    lucas_strings = strings.enumerate_strings(n, strings.LUCAS)
+    primitive = [d for d in map(strings.decompose, lucas_strings) if d.exponent == 1]
+    asymmetric = sum(strings.orbit_size(u) == 2 * n for u in lucas_strings)
+    got = (len(primitive), sum(d.symmetric for d in primitive), asymmetric)
+    return _mismatch(n, "classified", got, tuple(formulas.lucas_string_classes(n)))
+
+
+def _reflection_fix_sum(d: int) -> str | None:
+    graph = oracle.build(d, LAMBDA)
+    total = sum(len(oracle.fixed_points(Dihedral(j, True), graph, VERTICES)) for j in range(d))
+    return _mismatch(d, "fixed-point sum", total, d * formulas.fib(d // 2 + 2))
+
+
+def _fib_palindromes_vs_oracle(n: int) -> str | None:
+    palindromes = [u for u in strings.enumerate_strings(n, strings.FIBONACCI) if u == u[::-1]]
+    got = (len(palindromes), sum(u[0] == "0" for u in palindromes), sum(u[0] == "1" for u in palindromes))
+    want = tuple(formulas.fib_palindrome_fix(n, variant) for variant in ("all", "starts0", "starts1"))
+    return _mismatch(n, "enumeration", got, want)
+
+
+def _edges_have_primitive_endpoint(n: int) -> str | None:
+    for u, v in oracle.build(n, LAMBDA).edge_strings():
+        if strings.decompose(u).exponent != 1 and strings.decompose(v).exponent != 1:
+            return f"n={n}: edge ({u}, {v}) has no primitive endpoint"
     return None
 
 
-def _lucas_from_fib(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        if formulas.lucas(n) != formulas.fib(n - 1) + formulas.fib(n + 1):
-            return f"n={n}"
+# --- bijections suite
+
+
+def _tiling_round_trip(n: int) -> str | None:
+    """Strings of length n, and tilings of the 2 x (n + 1) rectangle."""
+    for u in strings.enumerate_strings(n, strings.FIBONACCI):
+        if bijections.tiling_to_string(bijections.string_to_tiling(u)) != u:
+            return f"string {u}"
+    for t in bijections.enumerate_tilings(n + 1):
+        if bijections.string_to_tiling(bijections.tiling_to_string(t)) != t:
+            return f"tiling {t}"
     return None
 
 
-def _primitive_divisor_sum(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        total = sum(formulas.lucas_string_classes(d).primitive for d in formulas.divisors(n))
-        if total != formulas.lucas(n):
-            return f"n={n}: divisor sum {total} != lucas({n})"
+def _palindrome_reflection(n: int) -> str | None:
+    for u in strings.enumerate_strings(n, strings.FIBONACCI):
+        t = bijections.string_to_tiling(u)
+        if (u == u[::-1]) != (t == t[::-1]):
+            return f"string {u}, tiling {t}"
     return None
 
 
-def _gamma_vertex_sums(max_n: int) -> str | None:
-    for n in range(2, max_n + 1):
-        total, hist = formulas.gamma_vertex_orbits(n)
-        if sorted(hist) != [1, 2]:
-            return f"n={n}: histogram keys {sorted(hist)}"
-        if sum(k * c for k, c in hist.items()) != formulas.fib(n + 2):
-            return f"n={n}: weighted sum mismatch"
-        if sum(hist.values()) != total:
-            return f"n={n}: orbit total mismatch"
+def _tiling_counts(m: int) -> str | None:
+    if m == 2:
+        return None if bijections.distinct_tilings(2) == 1 else "m=2: expected exactly 1 distinct tiling"
+    tilings = bijections.distinct_tilings(m)
+    partitions = bijections.distinct_partitions(m)
+    expected = formulas.gamma_vertex_orbits(m - 1).total
+    if not tilings == partitions == expected:
+        return f"m={m}: tilings {tilings}, partitions {partitions}, formula {expected}"
     return None
 
 
-def _gamma_edge_sums(max_n: int) -> str | None:
-    for n in range(0, max_n + 1):
-        total, hist = formulas.gamma_edge_orbits(n)
-        edges = formulas.graph_counts(n, GAMMA).edges
-        if sum(k * c for k, c in hist.items()) != edges:
-            return f"n={n}: weighted sum mismatch"
-        if sum(hist.values()) != total:
-            return f"n={n}: orbit total mismatch"
+def _edge_map_well_defined(n: int) -> str | None:
+    for u, v in oracle.build(n, LAMBDA).edge_strings():
+        base = bijections.lambda_edge_to_gamma_vertex((u, v))
+        base_rep = min(base, base[::-1])
+        for g in Dihedral.full_group(n):
+            image = bijections.lambda_edge_to_gamma_vertex((apply(g, u), apply(g, v)))
+            if min(image, image[::-1]) != base_rep:
+                return f"n={n}: edge ({u}, {v}) under {g}"
     return None
 
 
-def _lambda_vertex_sums(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        hist = formulas.lambda_vertex_orbit_histogram(n)
-        if sum(k * c for k, c in hist.items()) != formulas.lucas(n):
-            return f"n={n}: weighted sum != lucas({n})"
-        if sum(hist.values()) != formulas.lambda_vertex_orbit_total(n):
-            return f"n={n}: orbit total mismatch"
+def _edge_map_surjective(n: int) -> str | None:
+    for w in strings.enumerate_strings(n - 3, strings.FIBONACCI):
+        edge = ("010" + w, "000" + w)
+        if not (strings.is_lucas(edge[0]) and strings.is_lucas(edge[1])):
+            return f"n={n}: constructed pair for {w} is not an edge"
+        if bijections.lambda_edge_to_gamma_vertex(edge) != w:
+            return f"n={n}: preimage construction fails for {w}"
     return None
 
 
-def _lambda_edge_sums(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        total, hist = formulas.lambda_edge_orbits(n)
-        if sum(k * c for k, c in hist.items()) != n * formulas.fib(n - 1):
-            return f"n={n}: weighted sum mismatch"
-        if sum(hist.values()) != total:
-            return f"n={n}: orbit total mismatch"
+# --- automorphisms suite
+
+
+def _gamma_automorphisms(n: int) -> str | None:
+    graph = oracle.build(n, GAMMA)
+    autos = oracle.automorphism_group(graph)
+    if len(autos) != 2:
+        return f"n={n}: found {len(autos)} automorphisms"
+    if n >= 2:
+        identity = tuple(range(len(graph.vertices)))
+        reversal = oracle.dihedral_vertex_permutation(graph, Dihedral.reflection())
+        if set(autos) != {identity, reversal}:
+            return f"n={n}: automorphisms are not id and reversal"
     return None
 
 
-def _lambda_edge_total_shift(max_n: int) -> str | None:
-    for n in range(5, max_n + 1):
-        if formulas.lambda_edge_orbits(n).total != formulas.gamma_vertex_orbits(n - 3).total:
-            return f"n={n}"
+def _lambda_automorphisms(n: int) -> str | None:
+    graph = oracle.build(n, LAMBDA)
+    autos = set(oracle.automorphism_group(graph))
+    if len(autos) != 2 * n:
+        return f"n={n}: found {len(autos)} automorphisms, expected {2 * n}"
+    if autos != {oracle.dihedral_vertex_permutation(graph, g) for g in Dihedral.full_group(n)}:
+        return f"n={n}: automorphisms differ from dihedral string maps"
     return None
 
 
-def _histogram_support(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        support = {k for k, c in formulas.lambda_vertex_orbit_histogram(n).items() if c > 0}
-        if support != formulas.lambda_vertex_orbit_size_set(n):
-            return f"n={n}: support {sorted(support)}"
-    return None
+TINY_AUTOMORPHISM_COUNTS = {(GAMMA, 0): 1, (LAMBDA, 0): 1, (LAMBDA, 1): 1, (LAMBDA, 2): 2}
 
 
-def _asymmetric_boundary(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        a = formulas.lucas_string_classes(n).asymmetric
-        if (n <= 8 and a != 0) or (n >= 9 and a <= 0):
-            return f"n={n}: asymmetric count {a}"
-    return None
-
-
-def suite_formulas(max_n: int) -> list[CheckResult]:
-    return [
-        _check("fibonacci binomial-sum identity", f"n in [-1, {max_n}]", _fib_binomial_identity(max_n)),
-        _check("lucas binomial-sum identity", f"n in [1, {max_n}]", _lucas_binomial_identity(max_n)),
-        _check("fibonacci-lucas convolution identity", f"n in [0, {max_n}]", _convolution_identity(max_n)),
-        _check("lucas from fibonacci neighbors", f"n in [1, {max_n}]", _lucas_from_fib(max_n)),
-        _check("primitive counts sum to lucas over divisors", f"n in [1, {max_n}]", _primitive_divisor_sum(max_n)),
-        _check("gamma vertex histogram sums", f"n in [2, {max_n}]", _gamma_vertex_sums(max_n)),
-        _check("gamma edge histogram sums", f"n in [0, {max_n}]", _gamma_edge_sums(max_n)),
-        _check("lambda vertex histogram sums", f"n in [1, {max_n}]", _lambda_vertex_sums(max_n)),
-        _check("lambda edge histogram sums", f"n in [1, {max_n}]", _lambda_edge_sums(max_n)),
-        _check("lambda edge total equals gamma vertex total shifted", f"n in [5, {max_n}]", _lambda_edge_total_shift(max_n)),
-        _check("lambda vertex histogram support equals size set", f"n in [1, {max_n}]", _histogram_support(max_n)),
-        _check("asymmetric strings appear exactly from length 9", f"n in [1, {max_n}]", _asymmetric_boundary(max_n)),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# oracle-vs-formula suite: closed forms against explicit enumeration
-
-
-def _gamma_vertex_vs_oracle(max_n: int) -> str | None:
-    for n in range(2, max_n + 1):
-        observed = oracle.histogram(oracle.vertex_orbits(oracle.build(n, GAMMA)))
-        expected = _nonzero(formulas.gamma_vertex_orbits(n).by_size)
-        if observed != expected:
-            return f"n={n}: oracle {observed} != formula {expected}"
-    return None
-
-
-def _gamma_edge_vs_oracle(max_n: int) -> str | None:
-    for n in range(0, max_n + 1):
-        observed = oracle.histogram(oracle.edge_orbits(oracle.build(n, GAMMA)))
-        expected = _nonzero(formulas.gamma_edge_orbits(n).by_size)
-        if observed != expected:
-            return f"n={n}: oracle {observed} != formula {expected}"
-    return None
-
-
-def _lambda_vertex_vs_oracle(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        partition = oracle.vertex_orbits(oracle.build(n, LAMBDA))
-        observed = oracle.histogram(partition)
-        expected = _nonzero(formulas.lambda_vertex_orbit_histogram(n))
-        if observed != expected:
-            return f"n={n}: oracle {observed} != formula {expected}"
-        if len(partition.orbits) != formulas.lambda_vertex_orbit_total(n):
-            return f"n={n}: totals differ"
-    return None
-
-
-def _lambda_edge_vs_oracle(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        observed = oracle.histogram(oracle.edge_orbits(oracle.build(n, LAMBDA)))
-        expected = _nonzero(formulas.lambda_edge_orbits(n).by_size)
-        if observed != expected:
-            return f"n={n}: oracle {observed} != formula {expected}"
-    return None
-
-
-def _lambda_vertex_size_set(max_n: int) -> str | None:
-    for n in range(3, max_n + 1):
-        partition = oracle.vertex_orbits(oracle.build(n, LAMBDA))
-        observed = {len(orbit) for orbit in partition.orbits}
-        expected = formulas.lambda_vertex_orbit_size_set(n)
-        if observed != expected:
-            return f"n={n}: oracle {sorted(observed)} != {sorted(expected)}"
-    return None
-
-
-def _lambda_edge_size_set(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        partition = oracle.edge_orbits(oracle.build(n, LAMBDA))
-        observed = {len(orbit) for orbit in partition.orbits}
-        if not observed <= {n, 2 * n}:
-            return f"n={n}: sizes {sorted(observed)} escape {{n, 2n}}"
-        if (observed == {n, 2 * n}) != (n >= 5):
-            return f"n={n}: equality with {{n, 2n}} fails the n >= 5 boundary"
-    return None
-
-
-def _necklaces_vs_oracle(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        lucas_strings = strings.enumerate_strings(n, strings.LUCAS)
-        rotation_classes = {
-            min(u[i:] + u[:i] for i in range(n)) for u in lucas_strings
-        }
-        if len(rotation_classes) != formulas.necklace_count(n):
-            return f"n={n}: {len(rotation_classes)} rotation classes"
-    return None
-
-
-def _string_classes_vs_oracle(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        primitive = symmetric = asymmetric = 0
-        for u in strings.enumerate_strings(n, strings.LUCAS):
-            d = strings.decompose(u)
-            if d.exponent == 1:
-                primitive += 1
-                if d.symmetric:
-                    symmetric += 1
-            if strings.orbit_size(u) == 2 * n:
-                asymmetric += 1
-        expected = formulas.lucas_string_classes(n)
-        if (primitive, symmetric, asymmetric) != tuple(expected):
-            return (
-                f"n={n}: classified {(primitive, symmetric, asymmetric)}"
-                f" != formula {tuple(expected)}"
-            )
-    return None
-
-
-def _reflection_fix_sum(max_n: int) -> str | None:
-    for d in range(1, max_n + 1):
-        graph = oracle.build(d, LAMBDA)
-        total = sum(
-            len(oracle.fixed_points(Dihedral(j, True), graph, VERTICES)) for j in range(d)
-        )
-        if total != d * formulas.fib(d // 2 + 2):
-            return f"d={d}: fixed-point sum {total}"
-    return None
-
-
-def _fib_palindromes_vs_oracle(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        all_strings = strings.enumerate_strings(n, strings.FIBONACCI)
-        palindromes = [u for u in all_strings if u == u[::-1]]
-        got = (
-            len(palindromes),
-            sum(1 for u in palindromes if u[0] == "0"),
-            sum(1 for u in palindromes if u[0] == "1"),
-        )
-        want = tuple(
-            formulas.fib_palindrome_fix(n, variant) for variant in ("all", "starts0", "starts1")
-        )
-        if got != want:
-            return f"n={n}: enumeration {got} != formula {want}"
-    return None
-
-
-def _edges_have_primitive_endpoint(max_n: int) -> str | None:
-    for n in range(5, max_n + 1):
-        graph = oracle.build(n, LAMBDA)
-        for u, v in graph.edge_strings():
-            if strings.decompose(u).exponent != 1 and strings.decompose(v).exponent != 1:
-                return f"n={n}: edge ({u}, {v}) has no primitive endpoint"
-    return None
-
-
-def suite_oracle_vs_formula(max_n: int) -> list[CheckResult]:
-    return [
-        _check("gamma vertex orbits: formula equals enumeration", f"n in [2, {max_n}]", _gamma_vertex_vs_oracle(max_n)),
-        _check("gamma edge orbits: formula equals enumeration", f"n in [0, {max_n}]", _gamma_edge_vs_oracle(max_n)),
-        _check("lambda vertex orbits: formula equals enumeration", f"n in [1, {max_n}]", _lambda_vertex_vs_oracle(max_n)),
-        _check("lambda edge orbits: formula equals enumeration", f"n in [1, {max_n}]", _lambda_edge_vs_oracle(max_n)),
-        _check("lambda vertex orbit sizes match the size set", f"n in [3, {max_n}]", _lambda_vertex_size_set(max_n)),
-        _check("lambda edge orbit sizes within {n, 2n}, equal iff n >= 5", f"n in [1, {max_n}]", _lambda_edge_size_set(max_n)),
-        _check("necklace count equals rotation classes", f"n in [1, {max_n}]", _necklaces_vs_oracle(max_n)),
-        _check("string class counts equal exhaustive classification", f"n in [1, {max_n}]", _string_classes_vs_oracle(max_n)),
-        _check("reflection fixed-point sum identity", f"n in [1, {max_n}]", _reflection_fix_sum(max_n)),
-        _check("palindrome counts equal enumeration", f"n in [1, {max_n}]", _fib_palindromes_vs_oracle(max_n)),
-        _check("every lucas edge has a primitive endpoint", f"n in [5, {max_n}]", _edges_have_primitive_endpoint(max_n)),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# bijections suite
-
-
-def _tiling_round_trip(max_len: int) -> str | None:
-    for n in range(0, max_len + 1):
-        for u in strings.enumerate_strings(n, strings.FIBONACCI):
-            if bijections.tiling_to_string(bijections.string_to_tiling(u)) != u:
-                return f"string {u}"
-    for m in range(1, max_len + 2):
-        for t in bijections.enumerate_tilings(m):
-            if bijections.string_to_tiling(bijections.tiling_to_string(t)) != t:
-                return f"tiling {t}"
-    return None
-
-
-def _palindrome_reflection(max_len: int) -> str | None:
-    for n in range(0, max_len + 1):
-        for u in strings.enumerate_strings(n, strings.FIBONACCI):
-            t = bijections.string_to_tiling(u)
-            if (u == u[::-1]) != (t == t[::-1]):
-                return f"string {u}, tiling {t}"
-    return None
-
-
-def _tiling_counts(max_m: int) -> str | None:
-    if bijections.distinct_tilings(2) != 1:
-        return "m=2: expected exactly 1 distinct tiling"
-    for m in range(3, max_m + 1):
-        tilings = bijections.distinct_tilings(m)
-        partitions = bijections.distinct_partitions(m)
-        expected = formulas.gamma_vertex_orbits(m - 1).total
-        if not tilings == partitions == expected:
-            return f"m={m}: tilings {tilings}, partitions {partitions}, formula {expected}"
-    return None
-
-
-def _edge_map_well_defined(max_n: int) -> str | None:
-    for n in range(5, max_n + 1):
-        graph = oracle.build(n, LAMBDA)
-        for u, v in graph.edge_strings():
-            base = bijections.lambda_edge_to_gamma_vertex((u, v))
-            base_rep = min(base, base[::-1])
-            for g in Dihedral.full_group(n):
-                image = bijections.lambda_edge_to_gamma_vertex((apply(g, u), apply(g, v)))
-                if min(image, image[::-1]) != base_rep:
-                    return f"n={n}: edge ({u}, {v}) under {g}"
-    return None
-
-
-def _edge_map_surjective(max_n: int) -> str | None:
-    for n in range(5, max_n + 1):
-        for w in strings.enumerate_strings(n - 3, strings.FIBONACCI):
-            edge = ("010" + w, "000" + w)
-            if not (strings.is_lucas(edge[0]) and strings.is_lucas(edge[1])):
-                return f"n={n}: constructed pair for {w} is not an edge"
-            if bijections.lambda_edge_to_gamma_vertex(edge) != w:
-                return f"n={n}: preimage construction fails for {w}"
-    return None
-
-
-def _edge_orbit_bijection(max_n: int) -> str | None:
-    for n in range(5, max_n + 1):
-        if not bijections.verify_edge_orbit_bijection(n):
-            return f"n={n}"
-    return None
-
-
-def suite_bijections(max_n: int) -> list[CheckResult]:
-    rt_len = min(max_n, 16)
-    pal_len = min(max_n, 14)
-    wd_max = min(max_n, 12)
-    sur_max = min(max_n, 14)
-    return [
-        _check("tiling round trips both directions", f"lengths <= {rt_len}", _tiling_round_trip(rt_len)),
-        _check("palindromes match reflection-invariant tilings", f"lengths <= {pal_len}", _palindrome_reflection(pal_len)),
-        _check("distinct tilings and partitions match orbit totals", f"m in [2, {max_n}]", _tiling_counts(max_n)),
-        _check("edge map constant on orbits", f"n in [5, {wd_max}]", _edge_map_well_defined(wd_max)),
-        _check("edge map surjective", f"n in [5, {sur_max}]", _edge_map_surjective(sur_max)),
-        _check("edge orbit bijection holds", f"n in [5, {max_n}]", _edge_orbit_bijection(max_n)),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# automorphisms suite
-
-
-def _gamma_automorphisms(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        graph = oracle.build(n, GAMMA)
-        autos = oracle.automorphism_group(graph)
-        if len(autos) != 2:
-            return f"n={n}: found {len(autos)} automorphisms"
-        if n >= 2:
-            identity = tuple(range(len(graph.vertices)))
-            reversal = oracle.dihedral_vertex_permutation(graph, Dihedral.reflection())
-            if set(autos) != {identity, reversal}:
-                return f"n={n}: automorphisms are not id and reversal"
-    return None
-
-
-def _lambda_automorphisms(max_n: int) -> str | None:
-    for n in range(3, max_n + 1):
-        graph = oracle.build(n, LAMBDA)
-        autos = set(oracle.automorphism_group(graph))
-        if len(autos) != 2 * n:
-            return f"n={n}: found {len(autos)} automorphisms, expected {2 * n}"
-        dihedral = {
-            oracle.dihedral_vertex_permutation(graph, g) for g in Dihedral.full_group(n)
-        }
-        if autos != dihedral:
-            return f"n={n}: automorphisms differ from dihedral string maps"
-    return None
-
-
-def _tiny_graph_automorphisms() -> str | None:
-    expected = {(GAMMA, 0): 1, (LAMBDA, 0): 1, (LAMBDA, 1): 1, (LAMBDA, 2): 2}
-    for (kind, n), size in expected.items():
-        count = len(oracle.automorphism_group(oracle.build(n, kind)))
+def _tiny_graph_automorphisms(_: int) -> str | None:
+    """All tiny cubes in one case: this domain does not grow with the suite's max."""
+    for (kind, dim), size in TINY_AUTOMORPHISM_COUNTS.items():
+        count = len(oracle.automorphism_group(oracle.build(dim, kind)))
         if count != size:
-            return f"{kind} n={n}: found {count} automorphisms, expected {size}"
+            return f"{kind} n={dim}: found {count} automorphisms, expected {size}"
     return None
 
 
-def _automorphisms_preserve_weight(max_n: int) -> str | None:
+def _automorphisms_preserve_weight(n: int) -> str | None:
     # gamma starts at 2: the exceptional automorphism of the 1-cube swaps
     # the two vertices, which differ in weight
-    for kind, start in ((GAMMA, 2), (LAMBDA, 1)):
-        for n in range(start, max_n + 1):
-            graph = oracle.build(n, kind)
-            for perm in oracle.automorphism_group(graph):
-                for i, j in enumerate(perm):
-                    if strings.weight(graph.vertices[i]) != strings.weight(graph.vertices[j]):
-                        return f"{kind} n={n}: weight not preserved"
+    for kind in (GAMMA, LAMBDA) if n >= 2 else (LAMBDA,):
+        graph = oracle.build(n, kind)
+        for perm in oracle.automorphism_group(graph):
+            for i, j in enumerate(perm):
+                if strings.weight(graph.vertices[i]) != strings.weight(graph.vertices[j]):
+                    return f"{kind} n={n}: weight not preserved"
     return None
 
 
-def suite_automorphisms(max_n: int) -> list[CheckResult]:
-    return [
-        _check("fibonacci cubes have exactly 2 automorphisms", f"n in [1, {max_n}]", _gamma_automorphisms(max_n)),
-        _check("lucas cubes have exactly 2n automorphisms, all dihedral", f"n in [3, {max_n}]", _lambda_automorphisms(max_n)),
-        _check("tiny cubes have the expected groups", "gamma n=0; lambda n in [0, 2]", _tiny_graph_automorphisms()),
-        _check("automorphisms preserve weight", f"gamma n in [2, {max_n}], lambda n in [1, {max_n}]", _automorphisms_preserve_weight(max_n)),
-    ]
+CHECKS = (
+    Check(FORMULAS, "fibonacci binomial-sum identity", -1, lambda n: _mismatch(
+        n, "binomial sum", sum(formulas.binomial(n - k, k) for k in range(n // 2 + 1)), formulas.fib(n + 1))),
+    Check(FORMULAS, "lucas binomial-sum identity", 1, _lucas_binomial_identity),
+    Check(FORMULAS, "fibonacci-lucas convolution identity", 0, lambda n: _mismatch(
+        n, "convolution", sum(formulas.fib(i) * formulas.lucas(n - i) for i in range(n + 1)),
+        (n + 1) * formulas.fib(n))),
+    Check(FORMULAS, "lucas from fibonacci neighbors", 1, lambda n: _mismatch(
+        n, "lucas", formulas.lucas(n), formulas.fib(n - 1) + formulas.fib(n + 1))),
+    Check(FORMULAS, "primitive counts sum to lucas over divisors", 1, lambda n: _mismatch(
+        n, "divisor sum", sum(formulas.lucas_string_classes(d).primitive for d in formulas.divisors(n)),
+        formulas.lucas(n))),
+    Check(FORMULAS, "gamma vertex histogram sums", 2, _gamma_vertex_sums),
+    Check(FORMULAS, "gamma edge histogram sums", 0, lambda n: _histogram_sums(
+        n, formulas.gamma_edge_orbits(n), formulas.graph_counts(n, GAMMA).edges)),
+    Check(FORMULAS, "lambda vertex histogram sums", 1, lambda n: _histogram_sums(n, formulas.OrbitSummary(
+        formulas.lambda_vertex_orbit_total(n), formulas.lambda_vertex_orbit_histogram(n)), formulas.lucas(n))),
+    Check(FORMULAS, "lambda edge histogram sums", 1, lambda n: _histogram_sums(
+        n, formulas.lambda_edge_orbits(n), n * formulas.fib(n - 1))),
+    Check(FORMULAS, "lambda edge total equals gamma vertex total shifted", 5, lambda n: _mismatch(
+        n, "orbit total", formulas.lambda_edge_orbits(n).total, formulas.gamma_vertex_orbits(n - 3).total)),
+    Check(FORMULAS, "lambda vertex histogram support equals size set", 1, lambda n: _mismatch(
+        n, "support", {k for k, c in formulas.lambda_vertex_orbit_histogram(n).items() if c > 0},
+        formulas.lambda_vertex_orbit_size_set(n))),
+    Check(FORMULAS, "asymmetric strings appear exactly from length 9", 1, _asymmetric_boundary),
+    Check(ORACLE, "gamma vertex orbits: formula equals enumeration", 2, lambda n: _oracle_vs_formula(
+        n, _orbits(n, GAMMA, VERTICES), formulas.gamma_vertex_orbits(n).by_size)),
+    Check(ORACLE, "gamma edge orbits: formula equals enumeration", 0, lambda n: _oracle_vs_formula(
+        n, _orbits(n, GAMMA, EDGES), formulas.gamma_edge_orbits(n).by_size)),
+    Check(ORACLE, "lambda vertex orbits: formula equals enumeration", 1, _lambda_vertex_vs_oracle),
+    Check(ORACLE, "lambda edge orbits: formula equals enumeration", 1, lambda n: _oracle_vs_formula(
+        n, _orbits(n, LAMBDA, EDGES), formulas.lambda_edge_orbits(n).by_size)),
+    Check(ORACLE, "lambda vertex orbit sizes match the size set", 3, lambda n: _mismatch(
+        n, "oracle sizes", set(_orbits(n, LAMBDA, VERTICES).sizes()), formulas.lambda_vertex_orbit_size_set(n))),
+    Check(ORACLE, "lambda edge orbit sizes within {n, 2n}, equal iff n >= 5", 1, _lambda_edge_size_set),
+    Check(ORACLE, "necklace count equals rotation classes", 1, _necklaces_vs_oracle),
+    Check(ORACLE, "string class counts equal exhaustive classification", 1, _string_classes_vs_oracle),
+    Check(ORACLE, "reflection fixed-point sum identity", 1, _reflection_fix_sum),
+    Check(ORACLE, "palindrome counts equal enumeration", 1, _fib_palindromes_vs_oracle),
+    Check(ORACLE, "every lucas edge has a primitive endpoint", 5, _edges_have_primitive_endpoint),
+    Check(BIJECTIONS, "tiling round trips both directions", 0, _tiling_round_trip, 16, "lengths <= {hi}"),
+    Check(BIJECTIONS, "palindromes match reflection-invariant tilings", 0, _palindrome_reflection, 14,
+          "lengths <= {hi}"),
+    Check(BIJECTIONS, "distinct tilings and partitions match orbit totals", 2, _tiling_counts,
+          scope="m in [{lo}, {hi}]"),
+    Check(BIJECTIONS, "edge map constant on orbits", 5, _edge_map_well_defined, 12),
+    Check(BIJECTIONS, "edge map surjective", 5, _edge_map_surjective, 14),
+    Check(BIJECTIONS, "edge orbit bijection holds", 5, lambda n: _mismatch(
+        n, "orbit bijection holds", bijections.verify_edge_orbit_bijection(n), True)),
+    Check(AUTOMORPHISMS, "fibonacci cubes have exactly 2 automorphisms", 1, _gamma_automorphisms),
+    Check(AUTOMORPHISMS, "lucas cubes have exactly 2n automorphisms, all dihedral", 3, _lambda_automorphisms),
+    Check(AUTOMORPHISMS, "tiny cubes have the expected groups", 0, _tiny_graph_automorphisms, 0,
+          "gamma n=0; lambda n in [0, 2]"),
+    Check(AUTOMORPHISMS, "automorphisms preserve weight", 1, _automorphisms_preserve_weight,
+          scope="gamma n in [2, {hi}], lambda n in [1, {hi}]"),
+)
 
-
-SUITES = {
-    "formulas": suite_formulas,
-    "oracle-vs-formula": suite_oracle_vs_formula,
-    "bijections": suite_bijections,
-    "automorphisms": suite_automorphisms,
-}
+SUITES = {suite: [check for check in CHECKS if check.suite == suite] for suite in SUITE_DEFAULT_MAX}
 
 
 def run_suite(name: str, max_n: int | None) -> tuple[str, int | None, list[CheckResult]]:
@@ -488,11 +335,6 @@ def run_suite(name: str, max_n: int | None) -> tuple[str, int | None, list[Check
     effective = SUITE_DEFAULT_MAX[name] if max_n is None else max_n
     bound = SUITE_HARD_BOUND.get(name)
     if bound is not None and effective > bound:
-        refusal = CheckResult(
-            name="suite refused",
-            scope=f"max {effective}",
-            status=REFUSED,
-            detail=f"max {effective} exceeds the enumeration bound {bound} for this suite",
-        )
-        return name, effective, [refusal]
-    return name, effective, SUITES[name](effective)
+        detail = f"max {effective} exceeds the enumeration bound {bound} for this suite"
+        return name, effective, [CheckResult("suite refused", f"max {effective}", REFUSED, detail)]
+    return name, effective, [run_check(check, effective) for check in SUITES[name]]

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cube_orbits import formulas
 from cube_orbits.cli import main, table_rows
 
 
@@ -178,3 +179,35 @@ def test_module_invocation():
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "n,L_n,p_n,s_n,a_n"
     assert result.stdout.splitlines()[4] == "4,7,4,4,0"
+
+
+def test_verify_fail_path(capsys, monkeypatch):
+    total = formulas.lambda_vertex_orbit_total
+    monkeypatch.setattr(formulas, "lambda_vertex_orbit_total", lambda n: total(n) + (n == 7))
+    code, out, _ = run_cli(capsys, "verify", "formulas", "--max", "20")
+    assert code == 1
+    lines = out.splitlines()
+    failed = lines.index("  FAIL  lambda vertex histogram sums  [n in [1, 20]]")
+    assert lines[failed + 1].startswith("         counterexample: n=7:")
+    assert sum(line.startswith("  FAIL") for line in lines) == 1
+    assert lines[-1] == "result: FAIL (12 checks run)"
+
+
+def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
+    counts = formulas.graph_counts
+    monkeypatch.setattr(formulas, "graph_counts", lambda n, kind: counts(n, kind)._replace(edges=-1))
+    code, out, err = run_cli(capsys, "orbits", "gamma", "4", "vertices")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: graph construction mismatch for gamma n=4")
+    assert err.rstrip().endswith("(this is a bug)")
+
+    def inexact(n, kind):
+        raise ArithmeticError("division 7/5 is not exact")
+
+    monkeypatch.setattr(formulas, "graph_counts", inexact)
+    code, out, err = run_cli(capsys, "table", "gamma-e", "--max", "3")
+    assert code == 3
+    assert err == "internal error: division 7/5 is not exact (this is a bug)\n"
+    # a bad value from outside stays a usage error
+    assert run_cli(capsys, "witness", "asymmetric", "8")[0] == 2

@@ -122,6 +122,15 @@ def test_lambda_vertex_orbit_total_examples():
         lambda_vertex_orbit_total(0)
 
 
+def test_lambda_vertex_orbit_total_reflective_binomial_sum():
+    # the reflective term was once this binomial sum; it equals F(floor(n/2) + 2)
+    for n in range(1, 401):
+        half = n // 2
+        reflective = sum(binomial(half - (a + 1) // 2, a // 2) for a in range(half + 1))
+        assert reflective == fib(half + 2), n
+        assert lambda_vertex_orbit_total(n) == (necklace_count(n) + reflective) // 2, n
+
+
 def test_necklace_count_examples():
     assert necklace_count(1) == 1
     assert necklace_count(2) == 2
