@@ -4,95 +4,7 @@ Closed-form counts live in :mod:`cube_orbits.formulas`, the string machinery
 (dihedral action, periods, witnesses) in :mod:`cube_orbits.strings`, the
 brute-force graph oracle in :mod:`cube_orbits.oracle`, the structural
 bijections in :mod:`cube_orbits.bijections`, and the CLI in
-:mod:`cube_orbits.cli`.
+:mod:`cube_orbits.cli`.  Import each name from the module that defines it.
 """
 
-from .formulas import (
-    GAMMA,
-    LAMBDA,
-    GraphCounts,
-    OrbitSummary,
-    StringClassCounts,
-    binomial,
-    divisors,
-    euler_phi,
-    fib,
-    fib_palindrome_fix,
-    gamma_edge_orbits,
-    gamma_vertex_orbits,
-    graph_counts,
-    lambda_edge_orbits,
-    lambda_vertex_orbit_count,
-    lambda_vertex_orbit_histogram,
-    lambda_vertex_orbit_size_set,
-    lambda_vertex_orbit_total,
-    lucas,
-    lucas_string_classes,
-    mobius,
-    necklace_count,
-)
-from .strings import (
-    FIBONACCI,
-    LUCAS,
-    Dihedral,
-    PeriodDecomposition,
-    apply,
-    asymmetric_witness,
-    canonical_rep,
-    decompose,
-    dihedral_orbit,
-    enumerate_strings,
-    is_fibonacci,
-    is_lucas,
-    is_symmetric,
-    orbit_size,
-    period,
-    rotate,
-    vertex_orbit_witness,
-    weight,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GAMMA",
-    "LAMBDA",
-    "FIBONACCI",
-    "LUCAS",
-    "Dihedral",
-    "GraphCounts",
-    "OrbitSummary",
-    "PeriodDecomposition",
-    "StringClassCounts",
-    "apply",
-    "asymmetric_witness",
-    "binomial",
-    "canonical_rep",
-    "decompose",
-    "dihedral_orbit",
-    "divisors",
-    "enumerate_strings",
-    "euler_phi",
-    "fib",
-    "fib_palindrome_fix",
-    "gamma_edge_orbits",
-    "gamma_vertex_orbits",
-    "graph_counts",
-    "is_fibonacci",
-    "is_lucas",
-    "is_symmetric",
-    "lambda_edge_orbits",
-    "lambda_vertex_orbit_count",
-    "lambda_vertex_orbit_histogram",
-    "lambda_vertex_orbit_size_set",
-    "lambda_vertex_orbit_total",
-    "lucas",
-    "lucas_string_classes",
-    "mobius",
-    "necklace_count",
-    "orbit_size",
-    "period",
-    "rotate",
-    "vertex_orbit_witness",
-    "weight",
-]

@@ -13,32 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import formulas, oracle, verify
 from .formulas import GAMMA, LAMBDA
-from .strings import dihedral_orbit, asymmetric_witness, vertex_orbit_witness
+from .strings import asymmetric_witness, vertex_orbit_witness
 
 PLAIN = "plain"
 CSV = "csv"
 JSON = "json"
-
-TABLE_DEFAULT_MAX = {
-    "gamma-v": 15,
-    "gamma-e": 14,
-    "lucas-classes": 16,
-    "lambda-v": 18,
-    "lambda-e": 16,
-}
-
-TABLE_LABELS = {
-    "gamma-v": ["|V(Gamma_n)|", "o_V(Gamma_n)", "o_V(Gamma_n,1)", "o_V(Gamma_n,2)"],
-    "gamma-e": ["|E(Gamma_n)|", "o_E(Gamma_n)", "o_E(Gamma_n,1)", "o_E(Gamma_n,2)"],
-    "lucas-classes": ["L_n", "p_n", "s_n", "a_n"],
-    "lambda-v": ["o_V(Lambda_n)", "o_V(Lambda_n,n)", "o_V(Lambda_n,2n)"],
-    "lambda-e": ["o_E(Lambda_n)", "o_E(Lambda_n,n)", "o_E(Lambda_n,2n)"],
-}
-
 
 def _gamma_v_column(n: int) -> list[int]:
     if n >= 2:
@@ -72,23 +55,29 @@ def _lambda_e_column(n: int) -> list[int]:
     return [total, hist[n], hist[2 * n]]
 
 
-TABLE_COLUMNS = {
-    "gamma-v": _gamma_v_column,
-    "gamma-e": _gamma_e_column,
-    "lucas-classes": _lucas_classes_column,
-    "lambda-v": _lambda_v_column,
-    "lambda-e": _lambda_e_column,
+class Table(NamedTuple):
+    default_max: int
+    labels: list[str]
+    column: Callable[[int], list[int]]
+
+
+TABLES = {
+    "gamma-v": Table(15, ["|V(Gamma_n)|", "o_V(Gamma_n)", "o_V(Gamma_n,1)", "o_V(Gamma_n,2)"], _gamma_v_column),
+    "gamma-e": Table(14, ["|E(Gamma_n)|", "o_E(Gamma_n)", "o_E(Gamma_n,1)", "o_E(Gamma_n,2)"], _gamma_e_column),
+    "lucas-classes": Table(16, ["L_n", "p_n", "s_n", "a_n"], _lucas_classes_column),
+    "lambda-v": Table(18, ["o_V(Lambda_n)", "o_V(Lambda_n,n)", "o_V(Lambda_n,2n)"], _lambda_v_column),
+    "lambda-e": Table(16, ["o_E(Lambda_n)", "o_E(Lambda_n,n)", "o_E(Lambda_n,2n)"], _lambda_e_column),
 }
 
 
 def table_rows(which: str, max_n: int) -> tuple[list[str], list[list[int]]]:
     """Row labels and row values (one row per label, columns n = 1..max_n)."""
-    if which not in TABLE_LABELS:
+    if which not in TABLES:
         raise ValueError(f"unknown table {which!r}")
     if max_n < 1:
         raise ValueError(f"table range must start at n = 1, got max {max_n}")
-    labels = TABLE_LABELS[which]
-    columns = [TABLE_COLUMNS[which](n) for n in range(1, max_n + 1)]
+    _, labels, column = TABLES[which]
+    columns = [column(n) for n in range(1, max_n + 1)]
     rows = [[col[r] for col in columns] for r in range(len(labels))]
     return labels, rows
 
@@ -134,7 +123,7 @@ def _plain_table(columns: list[str], records: list[dict]) -> list[str]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    max_n = args.max if args.max is not None else TABLE_DEFAULT_MAX[args.which]
+    max_n = args.max if args.max is not None else TABLES[args.which].default_max
     labels, rows = table_rows(args.which, max_n)
     columns = ["n"] + labels
     records = [dict(zip(columns, map(str, values))) for values in zip(range(1, max_n + 1), *rows)]
@@ -160,6 +149,16 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return _emit(args, parameters, result, plain, ["representative", "size"], records)
 
 
+def _orbit_size(u: str) -> int:
+    """Orbit size of a length-n string u, enumerating its 2n dihedral images one at a time.
+
+    By orbit-stabilizer it is 2n over the number of images equal to u; no image is stored.
+    """
+    doubled, reversed_doubled = u + u, u[::-1] * 2
+    fixed = sum(doubled.startswith(u, i) + reversed_doubled.startswith(u, i) for i in range(len(u)))
+    return 2 * len(u) // fixed
+
+
 def cmd_witness(args: argparse.Namespace) -> int:
     if args.kind == "asymmetric":
         witness = asymmetric_witness(args.n)
@@ -167,7 +166,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         if args.k is None:
             raise ValueError("witness vertex-orbit-size requires a target size k")
         witness = vertex_orbit_witness(args.n, args.k)
-    size = len(dihedral_orbit(witness))
+    size = _orbit_size(witness)
     plain = [f"witness: {witness}", f"orbit size: {size} (recomputed by orbit enumeration)"]
     parameters = {"kind": args.kind, "n": args.n, "k": args.k}
     return _emit(args, parameters, {"witness": witness, "orbit_size": str(size)}, lambda: plain)
@@ -187,8 +186,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 any_refused = True
                 lines.append(f"  REFUSED  {result.detail}")
                 continue
-            checks_run += 1
             lines.append(f"  {result.status}  {result.name}  [{result.scope}]")
+            checks_run += result.status != verify.SKIP
             if result.status == verify.FAIL:
                 any_fail = True
                 lines.append(f"         counterexample: {result.detail}")
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="reproduce a published count table")
-    p_table.add_argument("which", choices=sorted(TABLE_DEFAULT_MAX))
+    p_table.add_argument("which", choices=sorted(TABLES))
     p_table.add_argument("--max", type=_positive, default=None, help="largest n column")
     p_table.add_argument("--format", choices=(PLAIN, CSV, JSON), default=PLAIN)
     p_table.set_defaults(func=cmd_table)

@@ -38,28 +38,26 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _recurrence(first: int, second: int, n: int) -> int:
+    """Term n >= -1 of the sequence first, second, first + second, ... (term 0 is first)."""
+    a, b = second - first, first  # terms -1 and 0
+    for _ in range(n):
+        a, b = b, a + b
+    return b if n >= 0 else a
+
+
 def fib(n: int) -> int:
     """n-th Fibonacci number; F(0)=0, F(1)=1, and F(-1)=1 by the recurrence."""
     if n < -1:
         raise ValueError(f"fib requires n >= -1, got {n}")
-    if n == -1:
-        return 1
-    a, b = 1, 0
-    for _ in range(n):
-        a, b = b, a + b
-    return b
+    return _recurrence(0, 1, n)
 
 
 def lucas(n: int) -> int:
     """n-th Lucas number; L(0)=2, L(1)=1."""
     if n < 0:
         raise ValueError(f"lucas requires n >= 0, got {n}")
-    if n == 0:
-        return 2
-    a, b = 2, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return b
+    return _recurrence(2, 1, n)
 
 
 def divisors(n: int) -> list[int]:
@@ -162,7 +160,7 @@ def gamma_vertex_orbits(n: int) -> OrbitSummary:
     """
     if n < 2:
         raise ValueError(f"gamma_vertex_orbits requires n >= 2, got {n}")
-    fixed = fib((n - (-1) ** n) // 2 + 2)
+    fixed = fib_palindrome_fix(n)  # reversal fixes exactly the palindromes
     paired = _exact_div(fib(n + 2) - fixed, 2)
     return OrbitSummary(fixed + paired, {1: fixed, 2: paired})
 

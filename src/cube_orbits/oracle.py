@@ -57,7 +57,6 @@ class OrbitPartition:
     member, so orbit[0] is the canonical representative.
     """
 
-    ground: str
     orbits: tuple[tuple, ...]
 
     def representatives(self) -> list:
@@ -104,9 +103,7 @@ def _string_generators(graph: CubeGraph) -> list[tuple[int, ...]]:
 
 
 def _generators(graph: CubeGraph) -> list[tuple[int, ...]]:
-    if graph.kind == GAMMA and graph.n >= 2:
-        return _string_generators(graph)
-    if graph.kind == LAMBDA and graph.n >= 3:
+    if graph.n >= (2 if graph.kind == GAMMA else 3):
         return _string_generators(graph)
     # tiny graphs: the string action misses automorphisms, search exhaustively
     return automorphism_group(graph)
@@ -137,7 +134,7 @@ def vertex_orbits(graph: CubeGraph) -> OrbitPartition:
     """Vertex orbits under the automorphism group, sorted by representative."""
     groups = _union_find_orbits(len(graph.vertices), _generators(graph))
     orbits = tuple(tuple(graph.vertices[i] for i in grp) for grp in groups)
-    return OrbitPartition(ground=VERTICES, orbits=orbits)
+    return OrbitPartition(orbits)
 
 
 def edge_orbits(graph: CubeGraph) -> OrbitPartition:
@@ -156,7 +153,7 @@ def edge_orbits(graph: CubeGraph) -> OrbitPartition:
         tuple((verts[i], verts[j]) for i, j in (graph.edges[eid] for eid in grp))
         for grp in groups
     )
-    return OrbitPartition(ground=EDGES, orbits=orbits)
+    return OrbitPartition(orbits)
 
 
 def histogram(partition: OrbitPartition) -> dict[int, int]:

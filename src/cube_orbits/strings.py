@@ -38,20 +38,13 @@ def enumerate_strings(n: int, kind: str) -> list[str]:
         raise ValueError(f"length must be nonnegative, got {n}")
     if kind not in (FIBONACCI, LUCAS):
         raise ValueError(f"unknown string kind {kind!r}")
-    out: list[str] = []
-
-    def emit(prefix: str, rem: int) -> None:
-        if rem == 0:
-            out.append(prefix)
-            return
-        emit(prefix + "0", rem - 1)
-        if rem == 1:
-            out.append(prefix + "1")
-        else:
-            emit(prefix + "10", rem - 2)
-
-    emit("", n)
-    if kind == LUCAS and n >= 1:
+    if n == 0:
+        return [""]
+    # length k: "0" before each string of length k-1, then "10" before each of length k-2
+    shorter, out = [""], ["0", "1"]
+    for _ in range(n - 1):
+        shorter, out = out, ["0" + u for u in out] + ["10" + u for u in shorter]
+    if kind == LUCAS:
         out = [u for u in out if u[0] == "0" or u[-1] == "0"]
     return out
 

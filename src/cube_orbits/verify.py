@@ -2,10 +2,11 @@
 
 Every check is one row of ``CHECKS``: a suite, a name, the first n it covers
 and a ``case(n)`` that returns a counterexample or None.  One runner evaluates
-a row over ``n in [lo, min(max, cap)]`` and keeps the first counterexample;
-the suites are the rows grouped by suite name.  The CLI renders the results
-and turns them into an exit status.  Suites that need graph enumeration refuse
-ranges beyond their hard bounds instead of silently truncating.
+a row over ``n in [lo, min(max, cap)]`` and keeps the first counterexample,
+or reports SKIP when that range is empty; the suites are the rows grouped by
+suite name.  The CLI renders the results and turns them into an exit status.
+Suites that need graph enumeration refuse ranges beyond their hard bounds
+instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .strings import Dihedral, apply
 PASS = "PASS"
 FAIL = "FAIL"
 REFUSED = "REFUSED"
+SKIP = "SKIP"
 
 FORMULAS = "formulas"
 ORACLE = "oracle-vs-formula"
@@ -56,9 +58,11 @@ class Check:
 
 
 def run_check(check: Check, max_n: int) -> CheckResult:
-    """Evaluate one check up to ``max_n`` and report its first counterexample."""
+    """Evaluate one check up to ``max_n`` and report its first counterexample (SKIP on no case)."""
     hi = max_n if check.cap is None else min(max_n, check.cap)
     scope = check.scope.format(lo=check.lo, hi=hi)
+    if hi < check.lo:
+        return CheckResult(check.name, scope, SKIP)
     for n in range(check.lo, hi + 1):
         failure = check.case(n)
         if failure is not None:

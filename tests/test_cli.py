@@ -1,13 +1,16 @@
 """CLI behavior: formats, determinism, exit codes, bounds."""
 
+import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from cube_orbits import formulas
-from cube_orbits.cli import main, table_rows
+from cube_orbits.cli import _orbit_size, main, table_rows
+from cube_orbits.strings import dihedral_orbit
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +131,27 @@ def test_witness(capsys):
     code, out, _ = run_cli(capsys, "witness", "asymmetric", "9", "--format", "json")
     payload = json.loads(out)
     assert payload["result"] == {"witness": "101001000", "orbit_size": "18"}
+
+
+def test_witness_orbit_size_counts_images():
+    for n in range(1, 11):
+        for bits in itertools.product("01", repeat=n):
+            u = "".join(bits)
+            assert _orbit_size(u) == len(dihedral_orbit(u)), u
+
+
+def test_witness_memory_is_linear(capsys):
+    # the orbit of a length-5000 witness has 10000 images of 5000 characters;
+    # counting them one at a time must not store them (about 50 MB)
+    tracemalloc.start()
+    try:
+        code = main(["witness", "asymmetric", "5000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "orbit size: 10000 (recomputed by orbit enumeration)" in capsys.readouterr().out
+    assert peak < 2 * 1024 * 1024
 
 
 def test_witness_errors(capsys):

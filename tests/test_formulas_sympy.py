@@ -1,0 +1,20 @@
+"""Closed-form building blocks against sympy's independent implementations."""
+
+import sympy
+
+from cube_orbits.formulas import divisors, euler_phi, fib, lucas, mobius
+
+LARGE = (2**40, 999999999989, 10**12)  # a power of two, a prime, a smooth composite
+
+
+def test_fib_and_lucas_match_sympy():
+    for n in range(1001):
+        assert fib(n) == sympy.fibonacci(n), n
+        assert lucas(n) == sympy.lucas(n), n
+
+
+def test_divisor_functions_match_sympy():
+    for n in [*range(1, 2001), *LARGE]:
+        assert divisors(n) == sympy.divisors(n), n
+        assert mobius(n) == sympy.mobius(n), n
+        assert euler_phi(n) == sympy.totient(n), n
