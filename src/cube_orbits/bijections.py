@@ -139,16 +139,15 @@ def verify_edge_orbit_bijection(n: int) -> bool:
     """
     if not 5 <= n <= 18:
         raise ValueError(f"verify_edge_orbit_bijection requires 5 <= n <= 18, got {n}")
-    edge_partition = oracle.edge_orbits(oracle.build(n, LAMBDA))
-    vertex_partition = oracle.vertex_orbits(oracle.build(n - 3, GAMMA))
-    orbit_of_rep = {orbit[0]: k for k, orbit in enumerate(vertex_partition.orbits)}
+    lucas_cube, fibonacci_cube = oracle.build(n, LAMBDA), oracle.build(n - 3, GAMMA)
+    edge_partition = oracle.edge_orbits(lucas_cube)
+    vertex_partition = oracle.vertex_orbits(fibonacci_cube)
+    orbit_of_rep = {fibonacci_cube.decode(orbit[0]): k for k, orbit in enumerate(vertex_partition.orbits)}
 
     image_ids = []
     for orbit in edge_partition.orbits:
-        targets = {
-            orbit_of_rep[min(w, w[::-1])]
-            for w in (lambda_edge_to_gamma_vertex(e) for e in orbit)
-        }
+        edges = (tuple(map(lucas_cube.decode, e)) for e in orbit)
+        targets = {orbit_of_rep[min(w, w[::-1])] for w in map(lambda_edge_to_gamma_vertex, edges)}
         if len(targets) != 1:
             return False  # not constant on an edge orbit
         image_ids.append(targets.pop())

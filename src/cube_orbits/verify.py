@@ -164,7 +164,9 @@ def _fib_palindromes_vs_oracle(n: int) -> str | None:
 
 
 def _edges_have_primitive_endpoint(n: int) -> str | None:
-    for u, v in oracle.build(n, LAMBDA).edge_strings():
+    graph = oracle.build(n, LAMBDA)
+    for edge in graph.edges:
+        u, v = map(graph.decode, edge)
         if strings.decompose(u).exponent != 1 and strings.decompose(v).exponent != 1:
             return f"n={n}: edge ({u}, {v}) has no primitive endpoint"
     return None
@@ -204,7 +206,9 @@ def _tiling_counts(m: int) -> str | None:
 
 
 def _edge_map_well_defined(n: int) -> str | None:
-    for u, v in oracle.build(n, LAMBDA).edge_strings():
+    graph = oracle.build(n, LAMBDA)
+    for edge in graph.edges:
+        u, v = map(graph.decode, edge)
         base = bijections.lambda_edge_to_gamma_vertex((u, v))
         base_rep = min(base, base[::-1])
         for g in Dihedral.full_group(n):
@@ -267,9 +271,10 @@ def _automorphisms_preserve_weight(n: int) -> str | None:
     # the two vertices, which differ in weight
     for kind in (GAMMA, LAMBDA) if n >= 2 else (LAMBDA,):
         graph = oracle.build(n, kind)
+        weights = [strings.weight(graph.decode(x)) for x in graph.vertices]
         for perm in oracle.automorphism_group(graph):
             for i, j in enumerate(perm):
-                if strings.weight(graph.vertices[i]) != strings.weight(graph.vertices[j]):
+                if weights[i] != weights[j]:
                     return f"{kind} n={n}: weight not preserved"
     return None
 

@@ -18,6 +18,12 @@ from cube_orbits.formulas import GAMMA, LAMBDA
 from cube_orbits.strings import Dihedral, FIBONACCI, apply, enumerate_strings
 
 
+def lucas_edge_strings(n):
+    """The edges of the n-th Lucas cube as pairs of strings, ascending."""
+    graph = oracle.build(n, LAMBDA)
+    return [(graph.decode(u), graph.decode(v)) for u, v in graph.edges]
+
+
 def test_codec_examples():
     assert string_to_tiling("10") == "HV"
     assert string_to_tiling("") == "V"
@@ -104,7 +110,7 @@ def test_edge_map_rejections():
 
 def test_edge_map_is_endpoint_independent():
     for n in range(5, 9):
-        for u, v in oracle.build(n, LAMBDA).edge_strings():
+        for u, v in lucas_edge_strings(n):
             i = next(p for p in range(n) if u[p] != v[p])
             reads = set()
             for src in (u, v):
@@ -117,7 +123,7 @@ def test_edge_map_is_endpoint_independent():
 
 def test_edge_map_constant_on_orbits():
     for n in range(5, 10):
-        for u, v in oracle.build(n, LAMBDA).edge_strings():
+        for u, v in lucas_edge_strings(n):
             base = lambda_edge_to_gamma_vertex((u, v))
             rep = min(base, base[::-1])
             for g in Dihedral.full_group(n):
@@ -127,7 +133,7 @@ def test_edge_map_constant_on_orbits():
 
 def test_edge_map_surjective():
     for n in range(5, 11):
-        edges = set(oracle.build(n, LAMBDA).edge_strings())
+        edges = set(lucas_edge_strings(n))
         for w in enumerate_strings(n - 3, FIBONACCI):
             edge = tuple(sorted(("010" + w, "000" + w)))
             assert edge in edges

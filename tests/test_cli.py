@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -118,6 +119,21 @@ def test_orbits_bound_refusal(capsys):
     code, _, err = run_cli(capsys, "orbits", "gamma", "31", "vertices")
     assert code == 2
     assert "exceeds the enumeration bound" in err
+    # the refusal names the size of the graph it would have built
+    code, out, err = run_cli(capsys, "orbits", "gamma", "27", "edges")
+    assert (code, out) == (2, "")
+    assert err == "error: dimension 27 exceeds the enumeration bound 26 (514229 vertices, 3916061 edges)\n"
+
+
+def test_orbits_bound_refusal_is_immediate(capsys):
+    # above NAMED_SIZE_LIMIT the refusal computes no counts: at n = 10^6 they
+    # would take 10^6 big-integer steps and exceed Python's 4300-digit str limit
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "orbits", "gamma", "1000000", "vertices")
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (2, "")
+    assert err == "error: dimension 1000000 exceeds the enumeration bound 26\n"
+    assert elapsed < 0.1
 
 
 def test_witness(capsys):
@@ -152,6 +168,17 @@ def test_witness_memory_is_linear(capsys):
     assert code == 0
     assert "orbit size: 10000 (recomputed by orbit enumeration)" in capsys.readouterr().out
     assert peak < 2 * 1024 * 1024
+
+
+def test_witness_time_is_linear(capsys):
+    # the witness 0^320000 is fixed by every one of its 640000 dihedral images;
+    # comparing the images one by one took 6.7 s
+    started = time.perf_counter()
+    code = main(["witness", "vertex-orbit-size", "320000", "1"])
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert capsys.readouterr().out.endswith("orbit size: 1 (recomputed by orbit enumeration)\n")
+    assert elapsed < 0.5
 
 
 def test_witness_errors(capsys):

@@ -5,7 +5,9 @@ check table and the shared renderer replaced the hand-written suites and
 per-command formatters; every later change must reproduce them exactly.  One
 entry was recorded again on purpose since: ``verify all --max 4``, where the
 five checks that start at n = 5 now report SKIP instead of PASS and the
-result line counts 28 checks instead of 33.
+result line counts 28 checks instead of 33.  A second one was edited by hand
+when the measured graph bound fell from 30 to 26: the oracle-vs-formula
+refusal line of ``verify all --max 40``, and nothing else in that capture.
 To record them again (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
