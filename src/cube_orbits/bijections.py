@@ -130,26 +130,25 @@ def lambda_edge_to_gamma_vertex(edge: tuple[str, str]) -> str:
     return image
 
 
-def verify_edge_orbit_bijection(n: int) -> bool:
-    """Check that the edge map induces a bijection between orbit sets.
+def verify_edge_orbit_bijection(n: int) -> str | None:
+    """First counterexample to the edge map inducing a bijection between orbit sets, or None.
 
     Compares Lucas-cube edge orbits with Fibonacci-cube vertex orbits three
-    dimensions down, both computed by enumeration.  True iff the induced map
-    is well defined on orbits, injective, and surjective.
+    dimensions down, both computed by enumeration.  The counterexample names an
+    edge orbit whose images do not lie in one vertex orbit, or gives the orbit
+    counts when the map is not injective or not surjective.
     """
-    if not 5 <= n <= 18:
-        raise ValueError(f"verify_edge_orbit_bijection requires 5 <= n <= 18, got {n}")
     lucas_cube, fibonacci_cube = oracle.build(n, LAMBDA), oracle.build(n - 3, GAMMA)
-    edge_partition = oracle.edge_orbits(lucas_cube)
-    vertex_partition = oracle.vertex_orbits(fibonacci_cube)
-    orbit_of_rep = {fibonacci_cube.decode(orbit[0]): k for k, orbit in enumerate(vertex_partition.orbits)}
-
-    image_ids = []
-    for orbit in edge_partition.orbits:
-        edges = (tuple(map(lucas_cube.decode, e)) for e in orbit)
-        targets = {orbit_of_rep[min(w, w[::-1])] for w in map(lambda_edge_to_gamma_vertex, edges)}
-        if len(targets) != 1:
-            return False  # not constant on an edge orbit
-        image_ids.append(targets.pop())
-    distinct = set(image_ids)
-    return len(distinct) == len(image_ids) == len(vertex_partition.orbits)
+    edge_orbits = oracle.edge_orbits(lucas_cube).orbits
+    vertex_orbits = oracle.vertex_orbits(fibonacci_cube).orbits
+    orbit_of = {fibonacci_cube.decode(x): k for k, orbit in enumerate(vertex_orbits) for x in orbit}
+    images = set()
+    for orbit in edge_orbits:
+        edges = [tuple(map(lucas_cube.decode, e)) for e in orbit]
+        targets = {orbit_of.get(lambda_edge_to_gamma_vertex(e)) for e in edges}
+        if len(targets) != 1 or None in targets:
+            return f"n={n}: the edge orbit of {'-'.join(edges[0])} does not map into one vertex orbit"
+        images |= targets
+    if not len(images) == len(edge_orbits) == len(vertex_orbits):
+        return f"n={n}: {len(edge_orbits)} edge orbits map onto {len(images)} of {len(vertex_orbits)} vertex orbits"
+    return None

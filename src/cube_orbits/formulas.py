@@ -152,14 +152,15 @@ def fib_palindrome_fix(n: int, variant: str = "all") -> int:
 
 
 def gamma_vertex_orbits(n: int) -> OrbitSummary:
-    """Vertex orbits of the Fibonacci cube under its automorphism group, n >= 2.
+    """Vertex orbits of the Fibonacci cube under its automorphism group, n >= 1.
 
-    Orbits have size 1 (palindromes) or 2; for n <= 1 the nontrivial
-    automorphism is not the string reversal, so those cases belong to the
-    exhaustive oracle rather than this closed form.
+    Orbits have size 1 (palindromes) or 2.  The 1-cube is the exception: its
+    nontrivial automorphism swaps its two vertices, which reversal fixes.
     """
-    if n < 2:
-        raise ValueError(f"gamma_vertex_orbits requires n >= 2, got {n}")
+    if n < 1:
+        raise ValueError(f"gamma_vertex_orbits requires n >= 1, got {n}")
+    if n == 1:
+        return OrbitSummary(1, {1: 0, 2: 1})
     fixed = fib_palindrome_fix(n)  # reversal fixes exactly the palindromes
     paired = _exact_div(fib(n + 2) - fixed, 2)
     return OrbitSummary(fixed + paired, {1: fixed, 2: paired})

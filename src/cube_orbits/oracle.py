@@ -95,9 +95,6 @@ class OrbitPartition:
 
     orbits: tuple[tuple, ...]
 
-    def representatives(self) -> list:
-        return [orbit[0] for orbit in self.orbits]
-
     def sizes(self) -> list[int]:
         return [len(orbit) for orbit in self.orbits]
 
@@ -292,11 +289,6 @@ def dihedral_vertex_permutation(graph: CubeGraph, g: Dihedral) -> tuple[int, ...
     return tuple(images)
 
 
-def fixed_points(g: Dihedral, graph: CubeGraph, ground: str) -> set:
-    """Vertices (or edges, as string pairs) fixed by one dihedral string map."""
-    if ground == VERTICES:
-        return {u for u in map(graph.decode, graph.vertices) if apply(g, u) == u}
-    if ground == EDGES:
-        pairs = ((graph.decode(u), graph.decode(v)) for u, v in graph.edges)
-        return {(u, v) for u, v in pairs if {apply(g, u), apply(g, v)} == {u, v}}
-    raise ValueError(f"unknown ground set {ground!r}")
+def fixed_points(g: Dihedral, graph: CubeGraph) -> set[str]:
+    """Vertices, as strings, fixed by one dihedral string map."""
+    return {u for u in map(graph.decode, graph.vertices) if apply(g, u) == u}

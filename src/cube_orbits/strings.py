@@ -49,11 +49,6 @@ def enumerate_strings(n: int, kind: str) -> list[str]:
     return out
 
 
-def weight(u: str) -> int:
-    """Number of 1s in u."""
-    return u.count("1")
-
-
 def rotate(u: str, j: int) -> str:
     """Rotate right by j positions: the last j characters move to the front."""
     n = len(u)
@@ -73,18 +68,6 @@ class Dihedral:
 
     shift: int
     reflected: bool = False
-
-    @classmethod
-    def identity(cls) -> "Dihedral":
-        return cls(0, False)
-
-    @classmethod
-    def rotation(cls, j: int = 1) -> "Dihedral":
-        return cls(j, False)
-
-    @classmethod
-    def reflection(cls, j: int = 0) -> "Dihedral":
-        return cls(j, True)
 
     @classmethod
     def full_group(cls, n: int) -> list["Dihedral"]:
@@ -109,8 +92,10 @@ def period(u: str) -> int:
     n = len(u)
     if n == 0:
         raise ValueError("the empty string has no period")
+    # rotating by d fixes u iff u occurs at offset d of u + u, compared in place
+    doubled = u + u
     for d in divisors(n):
-        if u == u[:d] * (n // d):
+        if doubled.startswith(u, d):
             return d
     raise AssertionError("unreachable: every string is fixed by a full rotation")
 
@@ -119,7 +104,7 @@ class PeriodDecomposition(NamedTuple):
     period: int
     exponent: int
     root: str
-    symmetric: bool  # symmetry class of the root
+    symmetric: bool  # the root's reversal is one of its rotations
 
 
 def decompose(u: str) -> PeriodDecomposition:
@@ -135,19 +120,11 @@ def decompose(u: str) -> PeriodDecomposition:
     return PeriodDecomposition(p, n // p, root, root[::-1] in root + root)
 
 
-def is_symmetric(u: str) -> bool:
-    """True iff the orbit of u under rotation+reversal has size period(u).
-
-    Decided on the primitive root: the root's reversal must occur among its
-    rotations.  When that fails the orbit has size 2*period(u) instead.
-    """
-    if not u:
-        raise ValueError("symmetry is undefined for the empty string")
-    return decompose(u).symmetric
-
-
 def orbit_size(u: str) -> int:
-    """Size of the orbit of u under all rotations and reversals; divides 2*len(u)."""
+    """Size of the orbit of u under all rotations and reversals; divides 2*len(u).
+
+    It is period(u) when the primitive root is symmetric and 2*period(u) otherwise.
+    """
     d = decompose(u)
     return d.period if d.symmetric else 2 * d.period
 
@@ -161,11 +138,6 @@ def dihedral_orbit(u: str) -> set[str]:
     rev = u[::-1]
     rev_doubled = rev + rev
     return {doubled[i : i + n] for i in range(n)} | {rev_doubled[i : i + n] for i in range(n)}
-
-
-def canonical_rep(u: str) -> str:
-    """Lexicographically least element of the orbit of u under rotation+reversal."""
-    return min(dihedral_orbit(u))
 
 
 def asymmetric_witness(n: int) -> str:

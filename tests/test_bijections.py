@@ -2,7 +2,7 @@
 
 import pytest
 
-from cube_orbits import formulas, oracle
+from cube_orbits import bijections, formulas, oracle
 from cube_orbits.bijections import (
     distinct_partitions,
     distinct_tilings,
@@ -141,11 +141,24 @@ def test_edge_map_surjective():
 
 
 def test_verify_edge_orbit_bijection():
-    assert verify_edge_orbit_bijection(5)
-    assert verify_edge_orbit_bijection(9)
+    assert verify_edge_orbit_bijection(5) is None
+    assert verify_edge_orbit_bijection(9) is None
     assert len(oracle.edge_orbits(oracle.build(9, LAMBDA)).orbits) == 12
     assert len(oracle.vertex_orbits(oracle.build(6, GAMMA)).orbits) == 12
+    # below 5 the edge map is undefined; above the graph bound neither cube is built
     with pytest.raises(ValueError):
         verify_edge_orbit_bijection(4)
-    with pytest.raises(ValueError):
-        verify_edge_orbit_bijection(19)
+    with pytest.raises(ValueError, match="exceeds the enumeration bound"):
+        verify_edge_orbit_bijection(oracle.BUILD_LIMIT + 1)
+
+
+def test_verify_edge_orbit_bijection_counterexamples(monkeypatch):
+    # the first two positions of the lower endpoint: constant on the orbit of 00000-00001 only
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda edge: edge[0][:2])
+    assert verify_edge_orbit_bijection(5) == "n=5: the edge orbit of 00001-00101 does not map into one vertex orbit"
+    # a string outside the Fibonacci cube of dimension n - 3
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda edge: "11")
+    assert verify_edge_orbit_bijection(5) == "n=5: the edge orbit of 00000-00001 does not map into one vertex orbit"
+    # constant on orbits but not injective
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda edge: "0" * (len(edge[0]) - 3))
+    assert verify_edge_orbit_bijection(6) == "n=6: 4 edge orbits map onto 1 of 4 vertex orbits"

@@ -1,17 +1,18 @@
 """CLI behavior: formats, determinism, exit codes, bounds."""
 
-import itertools
 import json
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from cube_orbits import formulas
-from cube_orbits.cli import _orbit_size, main, table_rows
-from cube_orbits.strings import dihedral_orbit
+from cube_orbits import bijections, formulas, oracle
+from cube_orbits.cli import TABLES, WITNESS_LIMIT, main, table_rows
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +34,17 @@ def test_table_rows_gamma_v():
         table_rows("gamma-x", 5)
     with pytest.raises(ValueError):
         table_rows("gamma-v", 0)
+
+
+def test_tables_build_no_graph(capsys, monkeypatch):
+    # every table comes from the closed forms alone, n = 1 included
+    def build(n, kind):
+        raise AssertionError(f"table built the {kind} cube of dimension {n}")
+
+    monkeypatch.setattr(oracle, "build", build)
+    for which in TABLES:
+        code, out, err = run_cli(capsys, "table", which)
+        assert (code, out, err) == (0, GOLDEN[f"table {which}"]["stdout"], ""), which
 
 
 def test_table_plain(capsys):
@@ -149,13 +161,6 @@ def test_witness(capsys):
     assert payload["result"] == {"witness": "101001000", "orbit_size": "18"}
 
 
-def test_witness_orbit_size_counts_images():
-    for n in range(1, 11):
-        for bits in itertools.product("01", repeat=n):
-            u = "".join(bits)
-            assert _orbit_size(u) == len(dihedral_orbit(u)), u
-
-
 def test_witness_memory_is_linear(capsys):
     # the orbit of a length-5000 witness has 10000 images of 5000 characters;
     # counting them one at a time must not store them (about 50 MB)
@@ -179,6 +184,15 @@ def test_witness_time_is_linear(capsys):
     assert code == 0
     assert capsys.readouterr().out.endswith("orbit size: 1 (recomputed by orbit enumeration)\n")
     assert elapsed < 0.5
+
+
+def test_witness_bound_refusal_is_immediate(capsys):
+    started = time.perf_counter()
+    for argv in (["asymmetric", str(WITNESS_LIMIT + 1)], ["vertex-orbit-size", str(WITNESS_LIMIT + 1), "1"]):
+        code, out, err = run_cli(capsys, "witness", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: length {WITNESS_LIMIT + 1} exceeds the witness bound {WITNESS_LIMIT}\n"
+    assert time.perf_counter() - started < 0.1
 
 
 def test_witness_errors(capsys):
@@ -242,6 +256,19 @@ def test_verify_fail_path(capsys, monkeypatch):
     assert lines[failed + 1].startswith("         counterexample: n=7:")
     assert sum(line.startswith("  FAIL") for line in lines) == 1
     assert lines[-1] == "result: FAIL (12 checks run)"
+
+
+def test_verify_bijection_counterexample(capsys, monkeypatch):
+    # an edge map that sends every edge of the 5-dimensional Lucas cube to one string
+    edge_map = bijections.lambda_edge_to_gamma_vertex
+    monkeypatch.setattr(
+        bijections, "lambda_edge_to_gamma_vertex", lambda edge: "00" if len(edge[0]) == 5 else edge_map(edge)
+    )
+    code, out, _ = run_cli(capsys, "verify", "bijections", "--max", "5")
+    assert code == 1
+    lines = out.splitlines()
+    failed = lines.index("  FAIL  edge orbit bijection holds  [n in [5, 5]]")
+    assert lines[failed + 1] == "         counterexample: n=5: 2 edge orbits map onto 1 of 2 vertex orbits"
 
 
 def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):

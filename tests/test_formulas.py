@@ -90,8 +90,10 @@ def test_gamma_vertex_orbits_examples():
     assert gamma_vertex_orbits(5) == (9, {1: 5, 2: 4})
     assert gamma_vertex_orbits(15) == (826, {1: 55, 2: 771})
     assert gamma_vertex_orbits(2) == (2, {1: 1, 2: 1})
+    # the automorphism of the 1-cube swaps its two vertices
+    assert gamma_vertex_orbits(1) == (1, {1: 0, 2: 1})
     with pytest.raises(ValueError):
-        gamma_vertex_orbits(1)
+        gamma_vertex_orbits(0)
 
 
 def test_gamma_edge_orbits_examples():

@@ -12,8 +12,6 @@ from cube_orbits import formulas
 from cube_orbits.formulas import GAMMA, LAMBDA
 from cube_orbits.oracle import (
     BUILD_LIMIT,
-    EDGES,
-    VERTICES,
     _reverse,
     automorphism_group,
     build,
@@ -23,7 +21,7 @@ from cube_orbits.oracle import (
     histogram,
     vertex_orbits,
 )
-from cube_orbits.strings import FIBONACCI, LUCAS, Dihedral, apply, enumerate_strings, weight
+from cube_orbits.strings import FIBONACCI, LUCAS, Dihedral, apply, enumerate_strings
 
 
 def vertex_strings(g):
@@ -117,12 +115,12 @@ def test_partitions_cover_and_are_closed():
             seen = [u for orbit in vp.orbits for u in orbit]
             assert sorted(seen) == sorted(g.vertices)
             assert len(seen) == len(set(seen))
-            assert vp.representatives() == sorted(vp.representatives())
+            assert [o[0] for o in vp.orbits] == sorted(o[0] for o in vp.orbits)
             ep = edge_orbits(g)
             seen_edges = [e for orbit in ep.orbits for e in orbit]
             assert sorted(seen_edges) == sorted(g.edges)
             assert sorted(e for orbit in orbit_strings(g, ep) for e in orbit) == sorted(edge_strings(g))
-            assert ep.representatives() == sorted(ep.representatives())
+            assert [o[0] for o in ep.orbits] == sorted(o[0] for o in ep.orbits)
             assert all(list(orbit) == sorted(orbit) for orbit in vp.orbits + ep.orbits)
             assert len(seen_edges) == len(set(seen_edges))
 
@@ -179,39 +177,27 @@ def test_lambda_automorphisms_are_dihedral():
 def test_dihedral_vertex_permutation_rejects_escaping_maps():
     # a plain rotation does not preserve Fibonacci validity
     with pytest.raises(ValueError):
-        dihedral_vertex_permutation(build(3, GAMMA), Dihedral.rotation(1))
+        dihedral_vertex_permutation(build(3, GAMMA), Dihedral(1))
 
 
 def test_fixed_points_examples():
     gam5 = build(5, GAMMA)
-    assert fixed_points(Dihedral.reflection(), gam5, VERTICES) == {
+    assert fixed_points(Dihedral(0, True), gam5) == {
         "00000",
         "00100",
         "01010",
         "10001",
         "10101",
     }
-    assert fixed_points(Dihedral.identity(), gam5, VERTICES) == set(vertex_strings(gam5))
-    assert fixed_points(Dihedral.rotation(1), build(3, LAMBDA), VERTICES) == {"000"}
-    with pytest.raises(ValueError):
-        fixed_points(Dihedral.identity(), gam5, "faces")
-
-
-def test_fixed_edges():
-    lam5 = build(5, LAMBDA)
-    fixed = fixed_points(Dihedral.identity(), lam5, EDGES)
-    assert fixed == set(edge_strings(lam5))
-    # reversal fixes the edge {00000, 00100} and moves {00000, 00001}
-    beta_fixed = fixed_points(Dihedral.reflection(), lam5, EDGES)
-    assert ("00000", "00100") in beta_fixed
-    assert ("00000", "00001") not in beta_fixed
+    assert fixed_points(Dihedral(0), gam5) == set(vertex_strings(gam5))
+    assert fixed_points(Dihedral(1), build(3, LAMBDA)) == {"000"}
 
 
 def test_reflection_fixed_point_sum_identity():
     for d in range(1, 11):
         g = build(d, LAMBDA)
         total = sum(
-            len(fixed_points(Dihedral(j, True), g, VERTICES)) for j in range(d)
+            len(fixed_points(Dihedral(j, True), g)) for j in range(d)
         )
         assert total == d * formulas.fib(d // 2 + 2)
 
@@ -222,7 +208,23 @@ def test_automorphisms_preserve_weight():
             g = build(n, kind)
             for perm in automorphism_group(g):
                 for i, j in enumerate(perm):
-                    assert weight(g.decode(g.vertices[i])) == weight(g.decode(g.vertices[j]))
+                    assert g.decode(g.vertices[i]).count("1") == g.decode(g.vertices[j]).count("1")
+
+
+def test_bit_count_is_string_weight():
+    # verify compares vertex weights as bit counts, without decoding
+    for kind in (GAMMA, LAMBDA):
+        for n in range(0, 11):
+            g = build(n, kind)
+            assert [x.bit_count() for x in g.vertices] == [g.decode(x).count("1") for x in g.vertices]
+
+
+def test_gamma_vertex_orbits_at_one_match_the_oracle():
+    # the oracle-vs-formula check starts at n = 2; the closed form's n = 1 case is checked here
+    total, by_size = formulas.gamma_vertex_orbits(1)
+    partition = vertex_orbits(build(1, GAMMA))
+    assert {k: v for k, v in by_size.items() if v} == histogram(partition) == {2: 1}
+    assert total == len(partition.orbits)
 
 
 def test_oracle_matches_formulas_small():
@@ -250,7 +252,7 @@ def string_side_orbits(kind, n):
         group = Dihedral.full_group(n)
         names = enumerate_strings(n, LUCAS)
     else:
-        group = [Dihedral.identity(), Dihedral.reflection()]
+        group = [Dihedral(0), Dihedral(0, True)]
         names = enumerate_strings(n, FIBONACCI)
     edges = [(u, v) for u in names for v in names if u < v and sum(a != b for a, b in zip(u, v)) == 1]
     vertex_orbits = {tuple(sorted({apply(d, u) for d in group})) for u in names}
