@@ -19,18 +19,6 @@ from .formulas import GAMMA, LAMBDA
 from .strings import is_fibonacci, is_lucas
 
 
-def tiling_width(t: str) -> int:
-    """Number of columns covered by a tiling given as a V/H string."""
-    _check_tiling(t)
-    return t.count("V") + 2 * t.count("H")
-
-
-def _check_tiling(t: str) -> None:
-    bad = set(t) - {"V", "H"}
-    if bad:
-        raise ValueError(f"tiling may only contain V and H, found {sorted(bad)}")
-
-
 def string_to_tiling(u: str) -> str:
     """Tiling of the 2 x (len(u)+1) rectangle coded by the Fibonacci string u.
 
@@ -54,7 +42,9 @@ def string_to_tiling(u: str) -> str:
 
 def tiling_to_string(t: str) -> str:
     """Inverse of string_to_tiling: decode pieces and drop the trailing 0."""
-    _check_tiling(t)
+    bad = set(t) - {"V", "H"}
+    if bad:
+        raise ValueError(f"tiling may only contain V and H, found {sorted(bad)}")
     v = "".join("0" if piece == "V" else "10" for piece in t)
     if not v.endswith("0"):
         raise ValueError("decoded string does not end in 0")

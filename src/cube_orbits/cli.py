@@ -167,6 +167,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if args.n > WITNESS_LIMIT:
         raise ValueError(f"length {args.n} exceeds the witness bound {WITNESS_LIMIT}")
     if args.kind == "asymmetric":
+        if args.k is not None:
+            raise ValueError(f"witness asymmetric takes no target size k, got {args.k}")
         witness = asymmetric_witness(args.n)
     else:
         if args.k is None:
@@ -212,18 +214,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+def _integer(least: int) -> Callable[[str], int]:
+    """An argparse type for integers >= least (0 or 1); every other text gets the same message."""
+    what = ("nonnegative", "positive")[least]
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1  # not an integer: refused with the message of an out-of-range one
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text}")
+        return value
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,26 +239,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="reproduce a published count table")
     p_table.add_argument("which", choices=sorted(TABLES))
-    p_table.add_argument("--max", type=_positive, default=None, help="largest n column")
+    p_table.add_argument("--max", type=_integer(1), default=None, help="largest n column")
     p_table.add_argument("--format", choices=(PLAIN, CSV, JSON), default=PLAIN)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p_verify.add_argument("--max", type=_positive, default=None, help="largest n to check")
+    p_verify.add_argument("--max", type=_integer(1), default=None, help="largest n to check")
     p_verify.set_defaults(func=cmd_verify)
 
     p_orbits = sub.add_parser("orbits", help="list orbits computed by enumeration")
     p_orbits.add_argument("cube", choices=(GAMMA, LAMBDA))
-    p_orbits.add_argument("n", type=_nonnegative)
+    p_orbits.add_argument("n", type=_integer(0))
     p_orbits.add_argument("ground", choices=(oracle.VERTICES, oracle.EDGES))
     p_orbits.add_argument("--format", choices=(PLAIN, CSV, JSON), default=PLAIN)
     p_orbits.set_defaults(func=cmd_orbits)
 
     p_witness = sub.add_parser("witness", help="construct a string with prescribed orbit size")
     p_witness.add_argument("kind", choices=("asymmetric", "vertex-orbit-size"))
-    p_witness.add_argument("n", type=_positive)
-    p_witness.add_argument("k", type=_positive, nargs="?", default=None)
+    p_witness.add_argument("n", type=_integer(1))
+    p_witness.add_argument("k", type=_integer(1), nargs="?", default=None)
     p_witness.add_argument("--format", choices=(PLAIN, JSON), default=PLAIN)
     p_witness.set_defaults(func=cmd_witness)
 

@@ -18,7 +18,9 @@ on Fibonacci cubes for n >= 2, the full dihedral group on Lucas cubes for
 n >= 3), the images are taken under those maps, applied with bit operations.
 The remaining tiny cases use the exhaustive automorphism search, because there
 the graph has symmetries the string action does not show (e.g. the single edge
-swap of the 1-dimensional Fibonacci cube).
+swap of the 1-dimensional Fibonacci cube).  These maps are the oracle's only
+group action: ``group_permutations`` turns them into vertex permutations, so
+the automorphism search checks exactly the maps that orbit enumeration applies.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import formulas
 from .formulas import GAMMA, LAMBDA
-from .strings import Dihedral, apply, enumerate_strings, FIBONACCI, LUCAS
+from .strings import enumerate_strings, FIBONACCI, LUCAS
 
 # The largest n whose `orbits <cube> n edges --format plain` stays within the
 # budget of 30 s and 1 GB peak RSS on a 2-CPU machine (README "Bounds"):
@@ -139,7 +141,11 @@ def _reverse(x: int, n: int) -> int:
 
 
 def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
-    """Images of a vertex under every automorphism, listed in one fixed order of the group."""
+    """Images of a vertex under every automorphism, listed in one fixed order of the group.
+
+    The order is identity then reversal on Fibonacci cubes (n >= 2); that of ``Dihedral.full_group(n)``,
+    rotations then rotations after reversal, on Lucas cubes (n >= 3); the searched group's on the tiny cubes.
+    """
     n, vertices = graph.n, graph.vertices
     if n < (2 if graph.kind == GAMMA else 3):
         # tiny graphs: the string action misses automorphisms, so take the whole searched group
@@ -162,6 +168,15 @@ def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
         return out
 
     return dihedral
+
+
+def group_permutations(graph: CubeGraph) -> list[tuple[int | None, ...]]:
+    """One vertex-index permutation per group element, in the order of ``_images``.
+
+    An image outside the graph is None, so a broken map is a mismatch, not an error.
+    """
+    index = {x: i for i, x in enumerate(graph.vertices)}
+    return [tuple(map(index.get, column)) for column in zip(*map(_images(graph), graph.vertices))]
 
 
 def _ascending_orbits(elements: Iterable, orbit_of: Callable[[object], tuple]) -> OrbitPartition:
@@ -212,8 +227,10 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, found by backtracking.
 
     A permutation maps vertex indices (positions in ``graph.vertices``).
-    Candidates are pruned by (degree, sorted neighbor degrees) signatures and
-    by adjacency consistency with the partial map.  Bounded to 60 vertices.
+    Vertices are mapped in ascending order, which keeps the mapped part
+    connected (every x > 0 is adjacent to x & (x - 1)).  Candidates are pruned
+    by (degree, sorted neighbor degrees) signatures and by adjacency
+    consistency with the mapped neighbors.  Bounded to 60 vertices.
     """
     count = len(graph.vertices)
     if count > AUTOMORPHISM_VERTEX_LIMIT:
@@ -234,61 +251,27 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
     for v in range(count):
         candidates.setdefault(sig[v], []).append(v)
 
-    # order vertices so each one touches as much of the mapped part as possible
-    order: list[int] = []
-    placed_mask = 0
-    remaining = set(range(count))
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda v: (-(adj[v] & placed_mask).bit_count(), len(candidates[sig[v]]), v),
-        )
-        order.append(best)
-        placed_mask |= 1 << best
-        remaining.remove(best)
-
     results: list[tuple[int, ...]] = []
     mapping = [-1] * count
     used = 0
 
-    def backtrack(pos: int) -> None:
+    def backtrack(v: int) -> None:
         nonlocal used
-        if pos == count:
+        if v == count:
             results.append(tuple(mapping))
             return
-        v = order[pos]
+        # the vertices below v are the mapped ones
         required = 0
-        for u in _bit_indices(adj[v]):
-            if mapping[u] != -1:
-                required |= 1 << mapping[u]
+        for u in _bit_indices(adj[v] & ((1 << v) - 1)):
+            required |= 1 << mapping[u]
         for w in candidates[sig[v]]:
             bit = 1 << w
             if used & bit or (adj[w] & used) != required:
                 continue
             mapping[v] = w
             used |= bit
-            backtrack(pos + 1)
-            mapping[v] = -1
+            backtrack(v + 1)
             used &= ~bit
 
     backtrack(0)
     return sorted(results)
-
-
-def dihedral_vertex_permutation(graph: CubeGraph, g: Dihedral) -> tuple[int, ...]:
-    """Vertex index permutation induced by a dihedral string map, if it preserves the graph."""
-    names = [graph.decode(x) for x in graph.vertices]
-    index = {u: i for i, u in enumerate(names)}
-    images = []
-    for u in names:
-        v = apply(g, u)
-        j = index.get(v)
-        if j is None:
-            raise ValueError(f"map {g} sends vertex {u} outside the graph")
-        images.append(j)
-    return tuple(images)
-
-
-def fixed_points(g: Dihedral, graph: CubeGraph) -> set[str]:
-    """Vertices, as strings, fixed by one dihedral string map."""
-    return {u for u in map(graph.decode, graph.vertices) if apply(g, u) == u}

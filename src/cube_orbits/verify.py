@@ -151,8 +151,8 @@ def _string_classes_vs_oracle(n: int) -> str | None:
 
 
 def _reflection_fix_sum(d: int) -> str | None:
-    graph = oracle.build(d, LAMBDA)
-    total = sum(len(oracle.fixed_points(Dihedral(j, True), graph)) for j in range(d))
+    reflections = [Dihedral(j, True) for j in range(d)]
+    total = sum(apply(g, u) == u for u in strings.enumerate_strings(d, strings.LUCAS) for g in reflections)
     return _mismatch(d, "fixed-point sum", total, d * formulas.fib(d // 2 + 2))
 
 
@@ -231,27 +231,20 @@ def _edge_map_surjective(n: int) -> str | None:
 # --- automorphisms suite
 
 
-def _gamma_automorphisms(n: int) -> str | None:
-    graph = oracle.build(n, GAMMA)
-    autos = oracle.automorphism_group(graph)
-    if len(autos) != 2:
-        return f"n={n}: found {len(autos)} automorphisms"
-    if n >= 2:
-        identity = tuple(range(len(graph.vertices)))
-        reversal = oracle.dihedral_vertex_permutation(graph, Dihedral(0, True))
-        if set(autos) != {identity, reversal}:
-            return f"n={n}: automorphisms are not id and reversal"
-    return None
+def _automorphisms(kind: str) -> Callable[[int], str | None]:
+    """The searched group has 2 (Fibonacci) or 2n (Lucas) elements and is the group orbit enumeration applies."""
 
+    def case(n: int) -> str | None:
+        graph = oracle.build(n, kind)
+        autos = set(oracle.automorphism_group(graph))
+        expected = 2 if kind == GAMMA else 2 * n
+        if len(autos) != expected:
+            return f"n={n}: found {len(autos)} automorphisms, expected {expected}"
+        if autos != set(oracle.group_permutations(graph)):
+            return f"n={n}: automorphisms differ from the maps orbit enumeration applies"
+        return None
 
-def _lambda_automorphisms(n: int) -> str | None:
-    graph = oracle.build(n, LAMBDA)
-    autos = set(oracle.automorphism_group(graph))
-    if len(autos) != 2 * n:
-        return f"n={n}: found {len(autos)} automorphisms, expected {2 * n}"
-    if autos != {oracle.dihedral_vertex_permutation(graph, g) for g in Dihedral.full_group(n)}:
-        return f"n={n}: automorphisms differ from dihedral string maps"
-    return None
+    return case
 
 
 TINY_AUTOMORPHISM_COUNTS = {(GAMMA, 0): 1, (LAMBDA, 0): 1, (LAMBDA, 1): 1, (LAMBDA, 2): 2}
@@ -328,8 +321,8 @@ CHECKS = (
     Check(BIJECTIONS, "edge map surjective", 5, _edge_map_surjective, 14),
     # looked up at each call, so that a wrapper later set on the module attribute is the one called
     Check(BIJECTIONS, "edge orbit bijection holds", 5, lambda n: bijections.verify_edge_orbit_bijection(n)),
-    Check(AUTOMORPHISMS, "fibonacci cubes have exactly 2 automorphisms", 1, _gamma_automorphisms),
-    Check(AUTOMORPHISMS, "lucas cubes have exactly 2n automorphisms, all dihedral", 3, _lambda_automorphisms),
+    Check(AUTOMORPHISMS, "fibonacci cubes have exactly 2 automorphisms", 1, _automorphisms(GAMMA)),
+    Check(AUTOMORPHISMS, "lucas cubes have exactly 2n automorphisms, all dihedral", 3, _automorphisms(LAMBDA)),
     Check(AUTOMORPHISMS, "tiny cubes have the expected groups", 0, _tiny_graph_automorphisms, 0,
           "gamma n=0; lambda n in [0, 2]"),
     Check(AUTOMORPHISMS, "automorphisms preserve weight", 1, _automorphisms_preserve_weight,

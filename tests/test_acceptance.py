@@ -186,10 +186,10 @@ def test_criterion_08_automorphism_validation():
         graph = oracle.build(n, LAMBDA)
         autos = set(oracle.automorphism_group(graph))
         assert len(autos) == 2 * n, n
-        dihedral_perms = {
-            oracle.dihedral_vertex_permutation(graph, g) for g in Dihedral.full_group(n)
-        }
-        assert autos == dihedral_perms, n
+        names = [graph.decode(x) for x in graph.vertices]
+        index = {u: i for i, u in enumerate(names)}
+        string_perms = {tuple(index[apply(g, u)] for u in names) for g in Dihedral.full_group(n)}
+        assert autos == string_perms == set(oracle.group_permutations(graph)), n
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"automorphism search took {elapsed:.2f}s"
     _report(8, "automorphism groups have the claimed size and realization", started)
@@ -214,10 +214,7 @@ def test_criterion_09_bijection_suite():
 def test_criterion_10_fixed_point_identity():
     started = time.perf_counter()
     for d in range(1, 15):
-        graph = oracle.build(d, LAMBDA)
-        total = sum(
-            len(oracle.fixed_points(Dihedral(j, True), graph))
-            for j in range(d)
-        )
+        reflections = [Dihedral(j, True) for j in range(d)]
+        total = sum(apply(g, u) == u for u in enumerate_strings(d, LUCAS) for g in reflections)
         assert total == d * formulas.fib(d // 2 + 2), d
     _report(10, "reflection fixed points sum to d * F(floor(d/2)+2)", started)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cube_orbits import bijections, formulas, oracle
+from cube_orbits import bijections, cli, formulas, oracle
 from cube_orbits.cli import TABLES, WITNESS_LIMIT, main, table_rows
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
@@ -206,11 +206,35 @@ def test_witness_errors(capsys):
     assert "requires a target size" in err
 
 
+def test_witness_asymmetric_refuses_a_size(capsys, monkeypatch):
+    def build(n):
+        raise AssertionError("a witness string was built")
+
+    monkeypatch.setattr(cli, "asymmetric_witness", build)
+    code, out, err = run_cli(capsys, "witness", "asymmetric", "9", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: witness asymmetric takes no target size k, got 5\n"
+
+
+def test_integer_arguments_name_no_private_function(capsys):
+    for argv, what in (
+        (["table", "gamma-v", "--max", "x"], "argument --max: expected a positive integer, got x"),
+        (["orbits", "gamma", "x", "vertices"], "argument n: expected a nonnegative integer, got x"),
+        (["witness", "vertex-orbit-size", "9", "x"], "argument k: expected a positive integer, got x"),
+        (["verify", "all", "--max", "0"], "argument --max: expected a positive integer, got 0"),
+        (["orbits", "lambda", "-2", "edges"], "argument n: expected a nonnegative integer, got -2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.rstrip().endswith(what), argv
+        assert "_positive" not in err and "_nonnegative" not in err, argv
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "formulas", "--max", "60")
     assert code == 0
     assert out.splitlines()[-1] == "result: PASS (12 checks)"
-    code, out, _ = run_cli(capsys, "verify", "oracle-vs-formula", "--max", "8")
+    code, out, _ = run_cli(capsys, "verify", "oracle-vs-formula", "--max", "14")
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "automorphisms", "--max", "7")
     assert code == 0
@@ -269,6 +293,23 @@ def test_verify_bijection_counterexample(capsys, monkeypatch):
     lines = out.splitlines()
     failed = lines.index("  FAIL  edge orbit bijection holds  [n in [5, 5]]")
     assert lines[failed + 1] == "         counterexample: n=5: 2 edge orbits map onto 1 of 2 vertex orbits"
+
+
+def test_verify_automorphisms_checks_the_enumeration_maps(capsys, monkeypatch):
+    # a reversal that does nothing leaves the searched groups twice as large as the applied ones
+    monkeypatch.setattr(oracle, "_reverse", lambda x, n: x)
+    code, out, _ = run_cli(capsys, "verify", "automorphisms", "--max", "8")
+    assert code == 1
+    lines = out.splitlines()
+    for name, scope, n in (
+        ("fibonacci cubes have exactly 2 automorphisms", "[n in [1, 8]]", 2),
+        ("lucas cubes have exactly 2n automorphisms, all dihedral", "[n in [3, 8]]", 3),
+    ):
+        failed = lines.index(f"  FAIL  {name}  {scope}")
+        assert lines[failed + 1] == (
+            f"         counterexample: n={n}: automorphisms differ from the maps orbit enumeration applies"
+        )
+    assert lines[-1] == "result: FAIL (4 checks run)"
 
 
 def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):

@@ -8,16 +8,15 @@ import random
 
 import pytest
 
-from cube_orbits import formulas
+from cube_orbits import formulas, oracle
 from cube_orbits.formulas import GAMMA, LAMBDA
 from cube_orbits.oracle import (
     BUILD_LIMIT,
     _reverse,
     automorphism_group,
     build,
-    dihedral_vertex_permutation,
     edge_orbits,
-    fixed_points,
+    group_permutations,
     histogram,
     vertex_orbits,
 )
@@ -169,36 +168,45 @@ def test_lambda_automorphisms_are_dihedral():
     for n in range(3, 7):
         g = build(n, LAMBDA)
         autos = set(automorphism_group(g))
-        dihedral = {dihedral_vertex_permutation(g, d) for d in Dihedral.full_group(n)}
-        assert autos == dihedral
+        assert autos == set(group_permutations(g))
         assert len(autos) == 2 * n
 
 
-def test_dihedral_vertex_permutation_rejects_escaping_maps():
-    # a plain rotation does not preserve Fibonacci validity
-    with pytest.raises(ValueError):
-        dihedral_vertex_permutation(build(3, GAMMA), Dihedral(1))
+def string_map_permutation(g, d):
+    """The vertex-index permutation of the dihedral string map d, on decoded vertices."""
+    index = {u: i for i, u in enumerate(vertex_strings(g))}
+    return tuple(index[apply(d, u)] for u in vertex_strings(g))
 
 
-def test_fixed_points_examples():
-    gam5 = build(5, GAMMA)
-    assert fixed_points(Dihedral(0, True), gam5) == {
-        "00000",
-        "00100",
-        "01010",
-        "10001",
-        "10101",
-    }
-    assert fixed_points(Dihedral(0), gam5) == set(vertex_strings(gam5))
-    assert fixed_points(Dihedral(1), build(3, LAMBDA)) == {"000"}
+def test_group_permutations_are_the_string_maps():
+    # the k-th bit map that orbit enumeration applies is the k-th string map of strings.apply
+    for kind, start, group in (
+        (GAMMA, 2, lambda n: [Dihedral(0), Dihedral(0, True)]),
+        (LAMBDA, 3, Dihedral.full_group),
+    ):
+        for n in range(start, 11):
+            g = build(n, kind)
+            assert group_permutations(g) == [string_map_permutation(g, d) for d in group(n)], (kind, n)
+
+
+def test_group_permutations_of_tiny_cubes_are_the_searched_group():
+    for kind, n in ((GAMMA, 0), (GAMMA, 1), (LAMBDA, 0), (LAMBDA, 1), (LAMBDA, 2)):
+        g = build(n, kind)
+        assert group_permutations(g) == automorphism_group(g), (kind, n)
+
+
+def test_group_permutations_mark_images_outside_the_graph(monkeypatch):
+    # a broken map shows as a None entry, not as an error
+    monkeypatch.setattr(oracle, "_reverse", lambda x, n: x | 1)
+    identity, broken = group_permutations(build(3, GAMMA))  # 000 001 010 100 101
+    assert identity == (0, 1, 2, 3, 4)
+    assert broken == (1, 1, None, 4, 4)
 
 
 def test_reflection_fixed_point_sum_identity():
     for d in range(1, 11):
-        g = build(d, LAMBDA)
-        total = sum(
-            len(fixed_points(Dihedral(j, True), g)) for j in range(d)
-        )
+        reflections = [Dihedral(j, True) for j in range(d)]
+        total = sum(apply(r, u) == u for u in enumerate_strings(d, LUCAS) for r in reflections)
         assert total == d * formulas.fib(d // 2 + 2)
 
 
