@@ -27,6 +27,11 @@ JSON = "json"
 # 778 MB peak RSS on a 2-CPU machine, within the 30 s / 1 GB budget (README "Bounds").
 WITNESS_LIMIT = 200_000_000
 
+# The largest table: at M = 20000 every table took at most 20.8 s and 652 MB peak RSS in any format
+# (README "Bounds"), and from M = 20558 some cell has more than the 4300 digits Python prints by default.
+TABLE_LIMIT = 20_000
+
+
 def _gamma_v_column(n: int) -> list[int]:
     total, hist = formulas.gamma_vertex_orbits(n)
     return [formulas.fib(n + 2), total, hist[1], hist[2]]
@@ -76,6 +81,8 @@ def table_rows(which: str, max_n: int) -> tuple[list[str], list[list[int]]]:
         raise ValueError(f"unknown table {which!r}")
     if max_n < 1:
         raise ValueError(f"table range must start at n = 1, got max {max_n}")
+    if max_n > TABLE_LIMIT:
+        raise ValueError(f"max {max_n} exceeds the table bound {TABLE_LIMIT}")
     _, labels, column = TABLES[which]
     columns = [column(n) for n in range(1, max_n + 1)]
     rows = [[col[r] for col in columns] for r in range(len(labels))]

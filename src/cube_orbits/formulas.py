@@ -39,11 +39,20 @@ def _exact_div(a: int, b: int) -> int:
 
 
 def _recurrence(first: int, second: int, n: int) -> int:
-    """Term n >= -1 of the sequence first, second, first + second, ... (term 0 is first)."""
-    a, b = second - first, first  # terms -1 and 0
-    for _ in range(n):
-        a, b = b, a + b
-    return b if n >= 0 else a
+    """Term n >= -1 of the sequence first, second, first + second, ... (term 0 is first).
+
+    Term n is first * F(n-1) + second * F(n), with the Fibonacci pair found by fast
+    doubling, O(log n) multiplications.
+    """
+    if n <= 0:
+        return first if n == 0 else second - first
+    # (a, b) = (F(k), F(k+1)), with k read off the bits of n - 1 from the top
+    a, b = 0, 1
+    for bit in bin(n - 1)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b  # F(2k), F(2k+1)
+        if bit == "1":
+            a, b = b, a + b
+    return first * a + second * b
 
 
 def fib(n: int) -> int:

@@ -112,8 +112,8 @@ def build(n: int, kind: str) -> CubeGraph:
     if kind not in (GAMMA, LAMBDA):
         raise ValueError(f"unknown cube kind {kind!r}")
     if n > BUILD_LIMIT:
-        # the counts have about n/5 digits and take O(n) big-integer steps, so they
-        # are named only while that is instant
+        # the counts have about n/5 digits, more than the 4300 that Python prints by
+        # default from n of about 20560, so they are named only while they fit a message
         size = ""
         if n <= NAMED_SIZE_LIMIT:
             counts = formulas.graph_counts(n, kind)

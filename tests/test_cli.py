@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cube_orbits import bijections, cli, formulas, oracle
-from cube_orbits.cli import TABLES, WITNESS_LIMIT, main, table_rows
+from cube_orbits import bijections, cli, formulas, oracle, verify
+from cube_orbits.cli import TABLE_LIMIT, TABLES, WITNESS_LIMIT, main, table_rows
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
@@ -45,6 +45,23 @@ def test_tables_build_no_graph(capsys, monkeypatch):
     for which in TABLES:
         code, out, err = run_cli(capsys, "table", which)
         assert (code, out, err) == (0, GOLDEN[f"table {which}"]["stdout"], ""), which
+
+
+def test_table_bound_refusal_is_immediate(capsys):
+    started = time.perf_counter()
+    for which in TABLES:
+        for max_n in (TABLE_LIMIT + 1, 10**50):
+            code, out, err = run_cli(capsys, "table", which, "--max", str(max_n))
+            assert (code, out) == (2, ""), which
+            assert err == f"error: max {max_n} exceeds the table bound {TABLE_LIMIT}\n", which
+    assert time.perf_counter() - started < 0.1
+
+
+def test_table_bound_cells_print():
+    # the last column holds the largest cells; each prints within Python's default
+    # limit of 4300 digits, so no accepted --max ends in a conversion error
+    for which, table in TABLES.items():
+        assert max(len(str(value)) for value in table.column(TABLE_LIMIT)) <= 4300, which
 
 
 def test_table_plain(capsys):
@@ -139,7 +156,7 @@ def test_orbits_bound_refusal(capsys):
 
 def test_orbits_bound_refusal_is_immediate(capsys):
     # above NAMED_SIZE_LIMIT the refusal computes no counts: at n = 10^6 they
-    # would take 10^6 big-integer steps and exceed Python's 4300-digit str limit
+    # would have about 209,000 digits, past Python's 4300-digit str limit
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "orbits", "gamma", "1000000", "vertices")
     elapsed = time.perf_counter() - started
@@ -250,6 +267,21 @@ def test_verify_refusal(capsys):
     assert lines[-1].startswith("result: REFUSED")
     code, out, _ = run_cli(capsys, "verify", "automorphisms", "--max", "9")
     assert code == 2
+
+
+def test_verify_formulas_bound_refusal_is_immediate(capsys):
+    # a suite refusal is a result line of the report, on stdout like every other
+    bound = verify.SUITE_HARD_BOUND[verify.FORMULAS]
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "formulas", "--max", str(bound + 1))
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (2, "")
+    assert out == (
+        f"suite formulas (max n = {bound + 1})\n"
+        f"  REFUSED  max {bound + 1} exceeds the closed-form bound {bound} for this suite\n"
+        "result: REFUSED (0 checks run, some suites skipped)\n"
+    )
+    assert elapsed < 0.1
 
 
 def test_usage_errors(capsys):

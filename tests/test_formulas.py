@@ -38,6 +38,30 @@ def test_lucas_values():
         lucas(-1)
 
 
+def test_fast_doubling_matches_the_recurrence_loop():
+    # each term against a running loop over the sequence, for both seed pairs;
+    # lucas is undefined at -1, where the sequence 2, 1, ... has term -1
+    for (first, second), closed_form in (((0, 1), fib), ((2, 1), lucas)):
+        previous, term = second - first, first  # terms -1 and 0
+        assert formulas._recurrence(first, second, -1) == previous
+        for n in range(0, 5001):
+            assert formulas._recurrence(first, second, n) == closed_form(n) == term, (first, second, n)
+            previous, term = term, previous + term
+
+
+def test_fast_doubling_at_powers_of_two():
+    # [[1, 1], [1, 0]]^m = [[F(m+1), F(m)], [F(m), F(m-1)]]: squaring it k times gives
+    # F(n) at n = 2^k - 1, 2^k and 2^k + 1, where n - 1 is 1...10, 1...1 and 10...0 in
+    # binary, the extremes of the bit walk in fast doubling
+    a, b, d = 1, 1, 0  # the symmetric matrix [[a, b], [b, d]], m = 1
+    for k in range(1, 21):
+        a, b, d = a * a + b * b, b * (a + d), b * b + d * d
+        m = 2**k
+        assert (fib(m - 1), fib(m), fib(m + 1)) == (d, b, a), k
+        # L(j) = F(j - 1) + F(j + 1)
+        assert (lucas(m - 1), lucas(m), lucas(m + 1)) == (2 * b - d, d + a, 2 * b + a), k
+
+
 def test_number_theory_helpers():
     assert mobius(1) == 1
     assert mobius(3) == -1

@@ -13,6 +13,12 @@ def test_fib_and_lucas_match_sympy():
         assert lucas(n) == sympy.lucas(n), n
 
 
+def test_fib_and_lucas_match_sympy_at_large_n():
+    for n in (10**5 + 1, 2**17 - 1, 2**17, 2**17 + 1):
+        assert fib(n) == sympy.fibonacci(n), n
+        assert lucas(n) == sympy.lucas(n), n
+
+
 def test_divisor_functions_match_sympy():
     for n in [*range(1, 2001), *LARGE]:
         assert divisors(n) == sympy.divisors(n), n
