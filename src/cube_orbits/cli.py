@@ -11,13 +11,15 @@ refusal, 3 internal error (a bug).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from . import formulas, oracle, verify
 from .formulas import GAMMA, LAMBDA
 from .strings import asymmetric_witness, orbit_size, vertex_orbit_witness
+
+_SEQUENCES = (list, tuple)
 
 PLAIN = "plain"
 CSV = "csv"
@@ -94,6 +96,92 @@ def _human(value: str) -> str:
     return value if value else "ε"
 
 
+def _scalar(value: object) -> str:
+    if type(value) is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _template(record: dict, pad: str) -> str:
+    """The record as ``_write`` writes it at indentation ``pad``, with ``%s`` in place of each scalar."""
+    out = [pad]
+    _write({key.replace("%", "%%"): value for key, value in record.items()}, pad, out, lambda _: "%s")
+    return "".join(out)
+
+
+def _write_records(records: list[dict], pad: str, out: list[str]) -> None:
+    """Append the records, each filled into the template of its shape.
+
+    A record's shape is its keys and which of its values are lists of how many scalars; the template of each shape
+    is built once.
+    """
+    templates: dict[tuple, str] = {}
+    separator = "[\n"
+    for record in records:
+        cells: list = []
+        shape = []
+        for key, value in record.items():
+            if type(value) in _SEQUENCES:
+                cells += value
+                shape.append((key, len(value)))
+            else:
+                cells.append(value)
+                shape.append(key)
+        template = templates.get(tuple(shape))
+        if template is None:
+            template = templates[tuple(shape)] = _template(record, pad)
+        try:  # the cells of every listing the CLI prints are strings
+            text = template % tuple(map(_quote, cells))
+        except TypeError:
+            text = template % tuple(map(_scalar, cells))
+        out += separator, text
+        separator = ",\n"
+
+
+def _write(value: object, pad: str, out: list[str], scalar: Callable[[object], str] = _scalar) -> None:
+    """Append the pieces of ``value`` as ``json.dumps(value, indent=2)`` writes it, inner lines indented by ``pad``."""
+    inner = pad + "  "
+    if type(value) is dict:
+        separator = "{\n"
+        for key, item in value.items():
+            out.append(f"{separator}{inner}{_quote(key)}: ")
+            _write(item, inner, out, scalar)
+            separator = ",\n"
+        out.append(f"\n{pad}}}" if value else "{}")
+    elif type(value) not in _SEQUENCES:
+        out.append(scalar(value))
+    elif not value:
+        out.append("[]")
+    else:
+        if all(type(item) is dict for item in value):
+            _write_records(value, inner, out)
+        else:
+            separator = "[\n"
+            for item in value:
+                out.append(separator + inner)
+                _write(item, inner, out, scalar)
+                separator = ",\n"
+        out.append(f"\n{pad}]")
+
+
+def _json(value: object) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it.
+
+    Values are dicts with string keys, lists, tuples, strings, ints and None.  A list of
+    dicts is a list of flat records: each value of a record is a scalar or a list of scalars, and
+    each record is written from one ``%``-template per shape, so a listing costs one fill per record.
+    Strings are escaped as json.dumps escapes them by default (``ensure_ascii``).  The pieces are
+    joined once, at the end.
+    """
+    out: list[str] = []
+    _write(value, "", out)
+    return "".join(out)
+
+
 def _emit(
     args: argparse.Namespace,
     parameters: dict,
@@ -104,10 +192,11 @@ def _emit(
 ) -> int:
     """Print a command's output: the JSON envelope, one CSV row per record, or its plain layout.
 
-    ``plain`` is called only for plain output, so JSON and CSV do not pay for the plain layout.
+    The JSON text is that of ``json.dumps(envelope, indent=2)``, written by ``_json``.  ``plain`` is
+    called only for plain output, so JSON and CSV do not pay for the plain layout.
     """
     if args.format == JSON:
-        text = json.dumps({"command": args.command, "parameters": parameters, "result": result}, indent=2)
+        text = _json({"command": args.command, "parameters": parameters, "result": result})
     elif args.format == CSV:
         # records hold their values in column order; an edge (a pair of strings,
         # a list in JSON) is one cell, u-v

@@ -11,20 +11,28 @@ prints or compares strings.  An edge is a pair (u, v) where v is u with one
 more 1, so |E| is the total weight of the vertices; edges are made on demand
 and never stored.
 
-Orbits come from one ascending pass: the first element not yet reached is its
-orbit's least member, and the orbit is its set of images.  For dimensions
-where the automorphism group is known to be realized by string maps (reversal
-on Fibonacci cubes for n >= 2, the full dihedral group on Lucas cubes for
-n >= 3), the images are taken under those maps, applied with bit operations.
-The remaining tiny cases use the exhaustive automorphism search, because there
-the graph has symmetries the string action does not show (e.g. the single edge
-swap of the 1-dimensional Fibonacci cube).  These maps are the oracle's only
-group action: ``group_permutations`` turns them into vertex permutations, so
-the automorphism search checks exactly the maps that orbit enumeration applies.
+For dimensions where the automorphism group is known to be realized by string
+maps (reversal on Fibonacci cubes for n >= 2, the full dihedral group on Lucas
+cubes for n >= 3), the images of an element are taken under those maps,
+applied with bit operations.  The remaining tiny cases use the exhaustive
+automorphism search, because there the graph has symmetries the string action
+does not show (e.g. the single edge swap of the 1-dimensional Fibonacci cube).
+These maps are the oracle's only group action: ``group_permutations`` turns
+them into vertex permutations, so the automorphism search checks exactly the
+maps that orbit enumeration applies.
+
+Orbits come from one ascending pass over the elements.  Where the group has at
+most two elements (every Fibonacci cube, and the Lucas cubes up to n = 2), an
+orbit is {x, y} with y the image of x under the group's other element (or x
+itself), so x is its orbit's least member iff x <= y and no record of reached
+elements is kept.  Elsewhere (Lucas cubes from
+n = 3, with 2n elements) the first element not yet reached is its orbit's
+least member, and the orbit is its set of images.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -33,9 +41,10 @@ from . import formulas
 from .formulas import GAMMA, LAMBDA
 from .strings import enumerate_strings, FIBONACCI, LUCAS
 
-# The largest n whose `orbits <cube> n edges --format plain` stays within the
-# budget of 30 s and 1 GB peak RSS on a 2-CPU machine (README "Bounds"):
-# gamma n = 26 took 13.4 s and 698 MB, n = 27 took 20.7 s and 1163 MB.
+# The largest n whose `orbits <cube> n edges` stays within the budget of 30 s
+# and 1 GB peak RSS on a 2-CPU machine in every format (README "Bounds"): gamma
+# n = 26 took 9.4 s and 699 MB as plain and 13.6 s and 901 MB as JSON; n = 27
+# took 17.6 s and 1166 MB as plain.
 BUILD_LIMIT = 26
 NAMED_SIZE_LIMIT = 100
 AUTOMORPHISM_VERTEX_LIMIT = 60
@@ -149,13 +158,10 @@ def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
     n, vertices = graph.n, graph.vertices
     if n < (2 if graph.kind == GAMMA else 3):
         # tiny graphs: the string action misses automorphisms, so take the whole searched group
-        maps = [dict(zip(vertices, (vertices[j] for j in perm))) for perm in automorphism_group(graph)]
+        maps = [dict(zip(vertices, (vertices[j] for j in perm))) for perm in searched_group(graph.kind, n)]
         return lambda x: [m[x] for m in maps]
     if graph.kind == GAMMA:
-        # one shared int per reversed vertex: against calling _reverse per edge end,
-        # `orbits gamma 26 edges` takes 13.4-13.9 s and 698 MB instead of 15.5-15.7 s and 760 MB
-        reverse = {x: _reverse(x, n) for x in vertices}
-        return lambda x: [x, reverse[x]]
+        return lambda x: [x, _reverse(x, n)]
     top = n - 1
 
     def dihedral(x: int) -> list[int]:
@@ -193,15 +199,39 @@ def _ascending_orbits(elements: Iterable, orbit_of: Callable[[object], tuple]) -
     return OrbitPartition(tuple(orbits))
 
 
+def _pair_orbits(elements: Iterable, image: Callable) -> OrbitPartition:
+    """One ascending pass for a group {identity, g}: x with y = g(x) is its orbit's least member iff x <= y."""
+    orbits = []
+    for x in elements:
+        y = image(x)
+        if x < y:
+            orbits.append((x, y))
+        elif x == y:
+            orbits.append((x,))
+    return OrbitPartition(tuple(orbits))
+
+
 def vertex_orbits(graph: CubeGraph) -> OrbitPartition:
     """Vertex orbits under the automorphism group, sorted by representative."""
     images = _images(graph)
+    if len(images(0)) <= 2:  # the group's order; 0 is a vertex of every cube
+        return _pair_orbits(graph.vertices, lambda x: images(x)[-1])
     return _ascending_orbits(graph.vertices, lambda x: tuple(sorted(set(images(x)))))
 
 
 def edge_orbits(graph: CubeGraph) -> OrbitPartition:
     """Edge orbits under the induced action {u,v} -> {g(u), g(v)}."""
     images = _images(graph)
+    if len(images(0)) <= 2:
+        # each vertex's image once, shared by the edges at it: against taking it per edge end,
+        # `orbits gamma 26 edges` took 8.8-9.5 s and 699 MB instead of 12.7-14.2 s and 760 MB
+        other = {x: images(x)[-1] for x in graph.vertices}
+
+        def image(edge: Edge) -> Edge:
+            a, b = other[edge[0]], other[edge[1]]
+            return (a, b) if a < b else (b, a)
+
+        return _pair_orbits(graph.edges, image)
 
     def orbit_of(edge: Edge) -> tuple[Edge, ...]:
         pairs = zip(images(edge[0]), images(edge[1]))
@@ -221,6 +251,16 @@ def _bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@functools.cache
+def searched_group(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """``automorphism_group`` of the cube of this kind and dimension, searched once per process.
+
+    A cube's group depends on its kind and n alone, and the search bound admits 18 cubes (n <= 8 of
+    each kind), so the cache holds at most 18 small groups.
+    """
+    return tuple(automorphism_group(build(n, kind)))
 
 
 def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:

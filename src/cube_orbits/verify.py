@@ -237,7 +237,7 @@ def _automorphisms(kind: str) -> Callable[[int], str | None]:
 
     def case(n: int) -> str | None:
         graph = oracle.build(n, kind)
-        autos = set(oracle.automorphism_group(graph))
+        autos = set(oracle.searched_group(kind, n))
         expected = 2 if kind == GAMMA else 2 * n
         if len(autos) != expected:
             return f"n={n}: found {len(autos)} automorphisms, expected {expected}"
@@ -254,7 +254,7 @@ TINY_AUTOMORPHISM_COUNTS = {(GAMMA, 0): 1, (LAMBDA, 0): 1, (LAMBDA, 1): 1, (LAMB
 def _tiny_graph_automorphisms(_: int) -> str | None:
     """All tiny cubes in one case: this domain does not grow with the suite's max."""
     for (kind, dim), size in TINY_AUTOMORPHISM_COUNTS.items():
-        count = len(oracle.automorphism_group(oracle.build(dim, kind)))
+        count = len(oracle.searched_group(kind, dim))
         if count != size:
             return f"{kind} n={dim}: found {count} automorphisms, expected {size}"
     return None
@@ -264,9 +264,8 @@ def _automorphisms_preserve_weight(n: int) -> str | None:
     # gamma starts at 2: the exceptional automorphism of the 1-cube swaps
     # the two vertices, which differ in weight
     for kind in (GAMMA, LAMBDA) if n >= 2 else (LAMBDA,):
-        graph = oracle.build(n, kind)
-        weights = [x.bit_count() for x in graph.vertices]
-        for perm in oracle.automorphism_group(graph):
+        weights = [x.bit_count() for x in oracle.build(n, kind).vertices]
+        for perm in oracle.searched_group(kind, n):
             for i, j in enumerate(perm):
                 if weights[i] != weights[j]:
                     return f"{kind} n={n}: weight not preserved"

@@ -97,6 +97,45 @@ def test_table_json_round_trip(capsys):
     assert json.dumps(payload, indent=2) + "\n" == out
 
 
+def test_json_writer_is_json_dumps(capsys, monkeypatch):
+    # the writer's text for the very envelope each command hands it, against json.dumps of that envelope
+    envelopes = []
+    writer = cli._json
+    monkeypatch.setattr(cli, "_json", lambda value: envelopes.append(value) or writer(value))
+    commands = (
+        [["table", which, "--max", str(m)] for which in TABLES for m in (1, 9, 40)]
+        + [["orbits", cube, str(n), ground] for cube in ("gamma", "lambda") for ground in ("vertices", "edges")
+           for n in range(11)]
+        # the witness parameters hold k = None and k = 3
+        + [["witness", "asymmetric", "9"], ["witness", "vertex-orbit-size", "6", "3"]]
+    )
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        envelope = envelopes.pop()
+        assert (code, out) == (0, json.dumps(envelope, indent=2) + "\n"), argv
+        if argv[:4] in (["orbits", "gamma", "0", "edges"], ["orbits", "lambda", "1", "edges"]):
+            assert envelope["result"]["orbits"] == [], argv
+
+
+def test_json_writer_escapes_as_json_dumps():
+    records = [
+        {"say": '"quoted"', "path": "a\\b", "lines": "one\ntwo", "empty": "", "edge": ("", "ε")},
+        {"say": "%s %d 100%", "path": "\t\u0007", "lines": "", "empty": "ε", "edge": ("0", "1")},
+        {"100%": "a key with a percent sign", "list": [], "pair": ["x", None]},
+        {},
+    ]
+    value = {
+        "records": records,
+        "parameters": {"n": 7, "k": None, "text": 'back\\slash "and" ε'},
+        "nested": [[1, "two", None], [], {}, {"inner": {"deep": ["x"]}}],
+        "empty": {},
+    }
+    assert cli._json(value) == json.dumps(value, indent=2)
+    assert cli._json(records[:2]) == json.dumps(records[:2], indent=2)
+    with pytest.raises(TypeError):
+        cli._json({"rows": [{"cell": 0.5}]})  # no JSON text is made up for a type the writer does not know
+
+
 def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "table", "gamma-e", "--format", "json")
     second = run_cli(capsys, "table", "gamma-e", "--format", "json")
@@ -342,6 +381,23 @@ def test_verify_automorphisms_checks_the_enumeration_maps(capsys, monkeypatch):
             f"         counterexample: n={n}: automorphisms differ from the maps orbit enumeration applies"
         )
     assert lines[-1] == "result: FAIL (4 checks run)"
+
+
+def test_verify_searches_each_cube_once(capsys, monkeypatch):
+    # the group checks and the weight check share one search per cube: 9 of each kind, n in [0, 8]
+    searched = []
+    search = oracle.automorphism_group
+
+    def counted(graph):
+        searched.append((graph.kind, graph.n))
+        return search(graph)
+
+    monkeypatch.setattr(oracle, "automorphism_group", counted)
+    oracle.searched_group.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "automorphisms", "--max", "8")
+    oracle.searched_group.cache_clear()
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS (4 checks)")
+    assert sorted(searched) == [(kind, n) for kind in ("gamma", "lambda") for n in range(9)]
 
 
 def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):

@@ -203,6 +203,42 @@ def test_group_permutations_mark_images_outside_the_graph(monkeypatch):
     assert broken == (1, 1, None, 4, 4)
 
 
+def closure_orbits(elements, maps):
+    """Orbits as closures: everything that the maps, applied again and again, reach from each element."""
+    orbits = set()
+    for x in elements:
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for z in map(lambda m: m(y), maps):
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        orbits.add(tuple(sorted(orbit)))
+    return tuple(sorted(orbits))
+
+
+def test_fibonacci_cube_orbits_are_reversal_closures():
+    # Fibonacci cube orbits come from the pair test, which keeps no record of
+    # reached elements; the closures here are taken on strings, under string
+    # reversal, except at n = 1, whose searched group swaps the two vertices
+    for n in range(15):
+        g = build(n, GAMMA)
+        if n == 1:
+            maps = [dict(zip(vertex_strings(g), (vertex_strings(g)[j] for j in perm))).get
+                    for perm in automorphism_group(g)]
+        else:
+            maps = [lambda u: u[::-1]]
+        vertex_closures = closure_orbits(vertex_strings(g), maps)
+        edge_closures = closure_orbits(edge_strings(g), [
+            lambda edge, m=m: tuple(sorted(map(m, edge))) for m in maps
+        ])
+        assert orbit_strings(g, vertex_orbits(g)) == vertex_closures, n
+        assert orbit_strings(g, edge_orbits(g)) == edge_closures, n
+        if n == 1:
+            assert vertex_closures == (("0", "1"),)
+
+
 def test_reflection_fixed_point_sum_identity():
     for d in range(1, 11):
         reflections = [Dihedral(j, True) for j in range(d)]
