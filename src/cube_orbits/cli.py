@@ -11,15 +11,19 @@ refusal, 3 internal error (a bug).
 from __future__ import annotations
 
 import argparse
+import json
+import re
+import signal
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import formulas, oracle, verify
 from .formulas import GAMMA, LAMBDA
 from .strings import asymmetric_witness, orbit_size, vertex_orbit_witness
 
-_SEQUENCES = (list, tuple)
+# the rows of a listing are items of the envelope's result's last value, two levels deep
+_ROW_PAD = " " * 6
 
 PLAIN = "plain"
 CSV = "csv"
@@ -96,167 +100,116 @@ def _human(value: str) -> str:
     return value if value else "ε"
 
 
-def _scalar(value: object) -> str:
-    if type(value) is str:
-        return _quote(value)
-    if value is None:
-        return "null"
-    if type(value) is int:
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _row_template(columns: list[str], row: tuple) -> str:
+    """A row as ``json.dumps(..., indent=2)`` writes it as an object of ``columns`` in the listing.
 
-
-def _template(record: dict, pad: str) -> str:
-    """The record as ``_write`` writes it at indentation ``pad``, with ``%s`` in place of each scalar."""
-    out = [pad]
-    _write({key.replace("%", "%%"): value for key, value in record.items()}, pad, out, lambda _: "%s")
-    return "".join(out)
-
-
-def _write_records(records: list[dict], pad: str, out: list[str]) -> None:
-    """Append the records, each filled into the template of its shape.
-
-    A record's shape is its keys and which of its values are lists of how many scalars; the template of each shape
-    is built once.
+    The template has ``%s`` where each cell's quoted text goes, one per string of an edge.  It comes from
+    json.dumps of the row with ``null`` for each string: in indented JSON a value ends its line, and a key,
+    quoted on one line, never does, so each ``null`` at the end of a line is a cell.
     """
-    templates: dict[tuple, str] = {}
-    separator = "[\n"
-    for record in records:
-        cells: list = []
-        shape = []
-        for key, value in record.items():
-            if type(value) in _SEQUENCES:
-                cells += value
-                shape.append((key, len(value)))
-            else:
-                cells.append(value)
-                shape.append(key)
-        template = templates.get(tuple(shape))
-        if template is None:
-            template = templates[tuple(shape)] = _template(record, pad)
-        try:  # the cells of every listing the CLI prints are strings
-            text = template % tuple(map(_quote, cells))
-        except TypeError:
-            text = template % tuple(map(_scalar, cells))
-        out += separator, text
-        separator = ",\n"
+    blank = {name: None if type(cell) is str else [None] * len(cell) for name, cell in zip(columns, row)}
+    text = json.dumps(blank, indent=2).replace("%", "%%").replace("\n", "\n" + _ROW_PAD)
+    return _ROW_PAD + re.sub(r"null(?=,?$)", "%s", text, flags=re.MULTILINE)
 
 
-def _write(value: object, pad: str, out: list[str], scalar: Callable[[object], str] = _scalar) -> None:
-    """Append the pieces of ``value`` as ``json.dumps(value, indent=2)`` writes it, inner lines indented by ``pad``."""
-    inner = pad + "  "
-    if type(value) is dict:
-        separator = "{\n"
-        for key, item in value.items():
-            out.append(f"{separator}{inner}{_quote(key)}: ")
-            _write(item, inner, out, scalar)
-            separator = ",\n"
-        out.append(f"\n{pad}}}" if value else "{}")
-    elif type(value) not in _SEQUENCES:
-        out.append(scalar(value))
-    elif not value:
-        out.append("[]")
-    else:
-        if all(type(item) is dict for item in value):
-            _write_records(value, inner, out)
-        else:
-            separator = "[\n"
-            for item in value:
-                out.append(separator + inner)
-                _write(item, inner, out, scalar)
-                separator = ",\n"
-        out.append(f"\n{pad}]")
+def _json(envelope: dict, columns: list[str] | None = None) -> None:
+    """Write ``json.dumps(envelope, indent=2)`` and a newline to stdout, the rows one by one.
 
-
-def _json(value: object) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it.
-
-    Values are dicts with string keys, lists, tuples, strings, ints and None.  A list of
-    dicts is a list of flat records: each value of a record is a scalar or a list of scalars, and
-    each record is written from one ``%``-template per shape, so a listing costs one fill per record.
-    Strings are escaped as json.dumps escapes them by default (``ensure_ascii``).  The pieces are
-    joined once, at the end.
+    When the last value of ``envelope["result"]`` is a nonempty list, it holds the rows: tuples of cells in
+    the order of ``columns``, each written as an object of its columns from one template.  The text before
+    and after the rows is json.dumps of the envelope with that list empty.  Cells are quoted as json.dumps
+    quotes strings by default (``ensure_ascii``); a cell that is not a string raises TypeError.
     """
-    out: list[str] = []
-    _write(value, "", out)
-    return "".join(out)
+    out = sys.stdout
+    result = envelope["result"]
+    key = list(result)[-1]
+    rows = result[key]
+    if type(rows) is not list or not rows:
+        out.write(json.dumps(envelope, indent=2))
+        out.write("\n")
+        return
+    head, tail = json.dumps({**envelope, "result": {**result, key: []}}, indent=2).rsplit("[]", 1)
+    template = _row_template(columns, rows[0])
+    # a cell is a string, or an edge: a tuple of strings
+    filled = (
+        template % tuple([_quote(s) for cell in row for s in ((cell,) if type(cell) is str else cell)])
+        for row in rows
+    )
+    out.write(head + "[\n" + next(filled))
+    out.writelines(map(",\n".__add__, filled))
+    # the list closes one level (two spaces) left of its rows
+    out.write(f"\n{_ROW_PAD[2:]}]{tail}\n")
 
 
 def _emit(
     args: argparse.Namespace,
     parameters: dict,
     result: dict,
-    plain: Callable[[], list[str]],
+    plain: Callable[[], Iterable[str]],
     columns: list[str] | None = None,
-    records: list[dict] | None = None,
 ) -> int:
-    """Print a command's output: the JSON envelope, one CSV row per record, or its plain layout.
+    """Write a command's output to stdout piece by piece: the JSON envelope, CSV rows, or the plain lines.
 
-    The JSON text is that of ``json.dumps(envelope, indent=2)``, written by ``_json``.  ``plain`` is
-    called only for plain output, so JSON and CSV do not pay for the plain layout.
+    The last value of ``result``, when it is a list, holds the rows: tuples of cells in the order of
+    ``columns``.  ``plain`` gives the plain lines, each with its newline; it is called only for plain output, so
+    JSON and CSV do not pay for its layout.
     """
+    out = sys.stdout
     if args.format == JSON:
-        text = _json({"command": args.command, "parameters": parameters, "result": result})
+        _json({"command": args.command, "parameters": parameters, "result": result}, columns)
     elif args.format == CSV:
-        # records hold their values in column order; an edge (a pair of strings,
-        # a list in JSON) is one cell, u-v
-        rows = [",".join([v if type(v) is str else "-".join(v) for v in r.values()]) for r in records]
-        text = "\n".join([",".join(columns)] + rows)
+        # an edge is one cell, u-v
+        out.write(",".join(columns) + "\n")
+        rows = list(result.values())[-1]
+        out.writelines(",".join([c if type(c) is str else "-".join(c) for c in row]) + "\n" for row in rows)
     else:
-        text = "\n".join(plain())
-    print(text)
+        out.writelines(plain())
     return 0
 
 
-def _plain_table(columns: list[str], records: list[dict]) -> list[str]:
+def _plain_table(columns: list[str], rows: list[tuple[str, ...]]) -> Iterator[str]:
     # one line per column label, one right-aligned cell per n
     label_width = max(len(name) for name in columns)
-    widths = [max(len(value) for value in record.values()) for record in records]
-    return [
-        f"{name.ljust(label_width)}  " + "  ".join(r[name].rjust(w) for r, w in zip(records, widths))
-        for name in columns
-    ]
+    widths = [max(map(len, row)) for row in rows]
+    for i, name in enumerate(columns):
+        yield f"{name.ljust(label_width)}  {'  '.join([row[i].rjust(w) for row, w in zip(rows, widths)])}\n"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     max_n = args.max if args.max is not None else TABLES[args.which].default_max
-    labels, rows = table_rows(args.which, max_n)
+    labels, values = table_rows(args.which, max_n)
     columns = ["n"] + labels
-    records = [dict(zip(columns, map(str, values))) for values in zip(range(1, max_n + 1), *rows)]
+    rows = [tuple(map(str, row)) for row in zip(range(1, max_n + 1), *values)]
     parameters = {"table": args.which, "max": max_n}
-    return _emit(args, parameters, {"rows": records}, lambda: _plain_table(columns, records), columns, records)
+    return _emit(args, parameters, {"rows": rows}, lambda: _plain_table(columns, rows), columns)
 
 
-def _orbit_records(cube: str, n: int, vertices: bool) -> list[dict]:
-    """One record per orbit: its representative as a string (an edge as a pair) and its size.
+def _orbit_rows(cube: str, n: int, vertices: bool) -> list[tuple]:
+    """One row per orbit: its representative as a string (an edge as a pair) and its size.
 
     The graph and the orbits, which hold bitmasks, are freed when this returns,
-    before the output is rendered.
+    before the output is written.
     """
     graph = oracle.build(n, cube)
     if vertices:
-        orbits = oracle.vertex_orbits(graph).orbits
-        return [{"representative": graph.decode(orbit[0]), "size": str(len(orbit))} for orbit in orbits]
+        return [(graph.decode(orbit[0]), str(len(orbit))) for orbit in oracle.vertex_orbits(graph).orbits]
     # the ends of edge representatives repeat from orbit to orbit: decode each vertex once
     name = {x: graph.decode(x) for x in graph.vertices}
-    orbits = oracle.edge_orbits(graph).orbits
-    return [{"representative": (name[orbit[0][0]], name[orbit[0][1]]), "size": str(len(orbit))} for orbit in orbits]
+    return [((name[orbit[0][0]], name[orbit[0][1]]), str(len(orbit))) for orbit in oracle.edge_orbits(graph).orbits]
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
     vertices = args.ground == oracle.VERTICES
-    records = _orbit_records(args.cube, args.n, vertices)
+    rows = _orbit_rows(args.cube, args.n, vertices)
 
-    def plain() -> list[str]:
-        lines = [f"{args.cube} n={args.n} {args.ground}: {len(records)} orbits"]
-        for r in records:
-            rep = _human(r["representative"]) if vertices else "-".join(map(_human, r["representative"]))
-            lines.append(f"{rep}  {r['size']}")
-        return lines
+    def plain() -> Iterator[str]:
+        yield f"{args.cube} n={args.n} {args.ground}: {len(rows)} orbits\n"
+        for rep, size in rows:
+            yield f"{_human(rep) if vertices else '-'.join(map(_human, rep))}  {size}\n"
 
     parameters = {"cube": args.cube, "n": args.n, "ground": args.ground}
-    result = {"orbit_count": str(len(records)), "orbits": records}
-    return _emit(args, parameters, result, plain, ["representative", "size"], records)
+    result = {"orbit_count": str(len(rows)), "orbits": rows}
+    return _emit(args, parameters, result, plain, ["representative", "size"])
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -273,7 +226,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     size = orbit_size(witness)
     # the size comes from the period and root symmetry; the label predates that and is kept
     # so witness output stays byte-identical to perfbench/golden.json and tests/golden_cli.json
-    plain = [f"witness: {witness}", f"orbit size: {size} (recomputed by orbit enumeration)"]
+    plain = [f"witness: {witness}\n", f"orbit size: {size} (recomputed by orbit enumeration)\n"]
     parameters = {"kind": args.kind, "n": args.n, "k": args.k}
     return _emit(args, parameters, {"witness": witness, "orbit_size": str(size)}, lambda: plain)
 
@@ -379,4 +332,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """The console script and ``python -m cube_orbits``: ``main`` with the exit code of the process.
+
+    A closed stdout (``cube-orbits ... | head -1``) ends the process by SIGPIPE, as it ends coreutils
+    tools: no traceback, and status 141 in the shell.
+    """
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

@@ -43,7 +43,7 @@ from .strings import enumerate_strings, FIBONACCI, LUCAS
 
 # The largest n whose `orbits <cube> n edges` stays within the budget of 30 s
 # and 1 GB peak RSS on a 2-CPU machine in every format (README "Bounds"): gamma
-# n = 26 took 9.4 s and 699 MB as plain and 13.6 s and 901 MB as JSON; n = 27
+# n = 26 took 7.6 s and 555 MB as plain and 7.3 s and 554 MB as JSON; n = 27
 # took 17.6 s and 1166 MB as plain.
 BUILD_LIMIT = 26
 NAMED_SIZE_LIMIT = 100

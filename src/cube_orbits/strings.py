@@ -129,17 +129,6 @@ def orbit_size(u: str) -> int:
     return d.period if d.symmetric else 2 * d.period
 
 
-def dihedral_orbit(u: str) -> set[str]:
-    """The set of all rotations of u and of its reversal."""
-    n = len(u)
-    if n == 0:
-        raise ValueError("dihedral orbits are undefined for the empty string")
-    doubled = u + u
-    rev = u[::-1]
-    rev_doubled = rev + rev
-    return {doubled[i : i + n] for i in range(n)} | {rev_doubled[i : i + n] for i in range(n)}
-
-
 def asymmetric_witness(n: int) -> str:
     """A Lucas-valid primitive string of length n whose orbit has full size 2n.
 

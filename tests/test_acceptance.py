@@ -15,7 +15,6 @@ from cube_orbits.strings import (
     Dihedral,
     apply,
     decompose,
-    dihedral_orbit,
     enumerate_strings,
     orbit_size,
     rotate,
@@ -58,6 +57,11 @@ def _report(number, name, started):
 
 def all_binary(n):
     return [format(x, f"0{n}b") for x in range(2**n)]
+
+
+def dihedral_orbit(u):
+    """The images of u under every rotation and reversal."""
+    return {apply(g, u) for g in Dihedral.full_group(len(u))}
 
 
 def nonzero(hist):

@@ -1,6 +1,9 @@
 """CLI behavior: formats, determinism, exit codes, bounds."""
 
+import contextlib
+import io
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -97,11 +100,25 @@ def test_table_json_round_trip(capsys):
     assert json.dumps(payload, indent=2) + "\n" == out
 
 
+def as_records(envelope, columns):
+    """The envelope as json.dumps takes it: each row an object of its columns, each edge a list."""
+    result = dict(envelope["result"])
+    key = list(result)[-1]
+    if type(result[key]) is list:
+        result[key] = [
+            {name: list(cell) if type(cell) is tuple else cell for name, cell in zip(columns, row)}
+            for row in result[key]
+        ]
+    return {**envelope, "result": result}
+
+
 def test_json_writer_is_json_dumps(capsys, monkeypatch):
     # the writer's text for the very envelope each command hands it, against json.dumps of that envelope
-    envelopes = []
+    calls = []
     writer = cli._json
-    monkeypatch.setattr(cli, "_json", lambda value: envelopes.append(value) or writer(value))
+    monkeypatch.setattr(
+        cli, "_json", lambda envelope, columns=None: calls.append((envelope, columns)) or writer(envelope, columns)
+    )
     commands = (
         [["table", which, "--max", str(m)] for which in TABLES for m in (1, 9, 40)]
         + [["orbits", cube, str(n), ground] for cube in ("gamma", "lambda") for ground in ("vertices", "edges")
@@ -111,29 +128,76 @@ def test_json_writer_is_json_dumps(capsys, monkeypatch):
     )
     for argv in commands:
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        envelope = envelopes.pop()
-        assert (code, out) == (0, json.dumps(envelope, indent=2) + "\n"), argv
+        envelope, columns = calls.pop()
+        assert (code, out) == (0, json.dumps(as_records(envelope, columns), indent=2) + "\n"), argv
         if argv[:4] in (["orbits", "gamma", "0", "edges"], ["orbits", "lambda", "1", "edges"]):
             assert envelope["result"]["orbits"] == [], argv
 
 
+def written(envelope, columns):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._json(envelope, columns)
+    return out.getvalue()
+
+
 def test_json_writer_escapes_as_json_dumps():
-    records = [
-        {"say": '"quoted"', "path": "a\\b", "lines": "one\ntwo", "empty": "", "edge": ("", "ε")},
-        {"say": "%s %d 100%", "path": "\t\u0007", "lines": "", "empty": "ε", "edge": ("0", "1")},
-        {"100%": "a key with a percent sign", "list": [], "pair": ["x", None]},
-        {},
+    columns = ['say "hi"', "back\\slash", "100% %s", "line\nbreak\t\u0007", "null", "edge"]
+    rows = [
+        ('"quoted"', "a\\b", "%s %d 100%", "one\ntwo", "", ("", "ε")),
+        ("ε", "\t\u0007\x00\x1f", "%", "", "null", ("0", "1")),
     ]
-    value = {
-        "records": records,
-        "parameters": {"n": 7, "k": None, "text": 'back\\slash "and" ε'},
-        "nested": [[1, "two", None], [], {}, {"inner": {"deep": ["x"]}}],
-        "empty": {},
-    }
-    assert cli._json(value) == json.dumps(value, indent=2)
-    assert cli._json(records[:2]) == json.dumps(records[:2], indent=2)
-    with pytest.raises(TypeError):
-        cli._json({"rows": [{"cell": 0.5}]})  # no JSON text is made up for a type the writer does not know
+    parameters = {"n": 7, "k": None, "text": 'back\\slash "and" ε %s 100%\n\x1f'}
+    envelope = {"command": "orbits", "parameters": parameters, "result": {"count": "2", "rows": rows}}
+    assert written(envelope, columns) == json.dumps(as_records(envelope, columns), indent=2) + "\n"
+    empty = {"command": "orbits", "parameters": parameters, "result": {"count": "0", "rows": []}}
+    assert written(empty, columns) == json.dumps(empty, indent=2) + "\n"
+    with pytest.raises(TypeError):  # no JSON text is made up for a cell that is not a string
+        written({"command": "table", "parameters": {}, "result": {"rows": [("1", 0.5)]}}, ["n", "cell"])
+
+
+class CountingSink:
+    """A stdout that keeps nothing of what is written to it, only the number of characters."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def test_output_is_streamed(monkeypatch):
+    # the output goes out piece by piece: joining it, or encoding it whole, would hold about as much
+    # memory as is written
+    growth = []
+    emit = cli._emit
+
+    def traced(*args):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        code = emit(*args)
+        growth.append(tracemalloc.get_traced_memory()[1] - before)
+        return code
+
+    monkeypatch.setattr(cli, "_emit", traced)
+    commands = [["orbits", "gamma", "16", "edges", "--format", f] for f in ("plain", "csv", "json")] + [
+        ["table", "gamma-v", "--max", "400", "--format", f] for f in ("csv", "json")
+    ]
+    for argv in commands:
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+        finally:
+            tracemalloc.stop()
+        assert code == 0, argv
+        assert growth.pop() < sink.chars / 2, argv
 
 
 def test_output_is_deterministic(capsys):
@@ -339,6 +403,23 @@ def test_module_invocation():
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "n,L_n,p_n,s_n,a_n"
     assert result.stdout.splitlines()[4] == "4,7,4,4,0"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_pipe_ends_by_sigpipe():
+    # `cube-orbits orbits gamma 16 edges | head -1`: the reader leaves after the first line of
+    # 219 kB, and the process ends as coreutils tools do, with no traceback
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cube_orbits", "orbits", "gamma", "16", "edges"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"gamma n=16 edges: 5911 orbits\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_verify_fail_path(capsys, monkeypatch):

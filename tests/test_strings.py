@@ -10,7 +10,6 @@ from cube_orbits.strings import (
     apply,
     asymmetric_witness,
     decompose,
-    dihedral_orbit,
     enumerate_strings,
     is_fibonacci,
     is_lucas,
@@ -19,6 +18,17 @@ from cube_orbits.strings import (
     rotate,
     vertex_orbit_witness,
 )
+
+
+def dihedral_orbit(u):
+    """The set of all rotations of u and of its reversal."""
+    n = len(u)
+    if n == 0:
+        raise ValueError("dihedral orbits are undefined for the empty string")
+    doubled = u + u
+    rev = u[::-1]
+    rev_doubled = rev + rev
+    return {doubled[i : i + n] for i in range(n)} | {rev_doubled[i : i + n] for i in range(n)}
 
 
 def all_binary(n):
