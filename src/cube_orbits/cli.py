@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import signal
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -33,7 +32,7 @@ JSON = "json"
 # 778 MB peak RSS on a 2-CPU machine, within the 30 s / 1 GB budget (README "Bounds").
 WITNESS_LIMIT = 200_000_000
 
-# The largest table: at M = 20000 every table took at most 20.8 s and 652 MB peak RSS in any format
+# The largest table: at M = 20000 every table took at most 17.3 s and 311 MB peak RSS in any format
 # (README "Bounds"), and from M = 20558 some cell has more than the 4300 digits Python prints by default.
 TABLE_LIMIT = 20_000
 
@@ -337,6 +336,8 @@ def run() -> None:
     A closed stdout (``cube-orbits ... | head -1``) ends the process by SIGPIPE, as it ends coreutils
     tools: no traceback, and status 141 in the shell.
     """
+    import signal  # here, not at the top: only the process entry point needs it, not every importer of cli
+
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
