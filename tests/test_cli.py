@@ -387,6 +387,23 @@ def test_verify_formulas_bound_refusal_is_immediate(capsys):
     assert elapsed < 0.1
 
 
+def test_verify_oracle_bound_refusal_is_immediate(capsys):
+    # the suite's bound lies below the graph bound: at bound + 1 every graph can be built, but the
+    # suite would run past its time budget, so it is refused before the first build
+    bound = verify.SUITE_HARD_BOUND[verify.ORACLE]
+    assert bound < oracle.BUILD_LIMIT
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "oracle-vs-formula", "--max", str(bound + 1))
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (2, "")
+    assert out == (
+        f"suite oracle-vs-formula (max n = {bound + 1})\n"
+        f"  REFUSED  max {bound + 1} exceeds the enumeration bound {bound} for this suite\n"
+        "result: REFUSED (0 checks run, some suites skipped)\n"
+    )
+    assert elapsed < 0.1
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "table", "gamma-x")[0] == 2
     assert run_cli(capsys, "table", "gamma-v", "--max", "zero")[0] == 2

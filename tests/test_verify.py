@@ -1,8 +1,19 @@
-"""The check table: every row skips an empty range and passes its first case."""
+"""The check table: every row skips an empty range and passes its first case.
+
+The rewritten checks are held to what they replaced: the edge map is tested
+under the group's two generators, closed-form values are evaluated once per
+process, primitivity once per vertex and fixed reflections by an in-place
+search; each must still fail where the old loop failed.
+"""
 
 import pytest
 
-from cube_orbits.verify import CHECKS, PASS, SKIP, run_check
+from cube_orbits import bijections, formulas, oracle, strings, verify
+from cube_orbits.formulas import LAMBDA
+from cube_orbits.strings import Dihedral, LUCAS, apply, enumerate_strings
+from cube_orbits.verify import CHECKS, FAIL, PASS, SKIP, run_check
+
+CHECK = {check.name: check for check in CHECKS}
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.name)
@@ -14,3 +25,114 @@ def test_empty_range_is_skipped(check):
 def test_first_case_passes(check):
     result = run_check(check, check.lo)
     assert result.status == PASS, result.detail
+
+
+# --- the edge map under the group's generators
+
+
+@pytest.mark.parametrize("n", range(9, 15))
+def test_generators_reach_the_whole_orbit(n):
+    u = strings.asymmetric_witness(n)
+    closure, frontier = {u}, [u]
+    while frontier:
+        w = frontier.pop()
+        for g in verify.GENERATORS:
+            image = apply(g, w)
+            if image not in closure:
+                closure.add(image)
+                frontier.append(image)
+    assert closure == {apply(g, u) for g in Dihedral.full_group(n)}
+    assert len(closure) == 2 * n
+
+
+def _first_full_group_failure(edge_map):
+    """The first n at which some group element moves an edge's image out of its reversal class."""
+    check = CHECK["edge map constant on orbits"]
+    for n in range(check.lo, check.cap + 1):
+        graph = oracle.build(n, LAMBDA)
+        for edge in graph.edges:
+            u, v = map(graph.decode, edge)
+            base = edge_map((u, v))
+            for g in Dihedral.full_group(n):
+                image = edge_map((apply(g, u), apply(g, v)))
+                if min(image, image[::-1]) != min(base, base[::-1]):
+                    return n
+    return None
+
+
+_true_edge_map = bijections.lambda_edge_to_gamma_vertex
+
+
+def _fixed_window(edge):
+    # reads the same indices whichever position the edge flips
+    return max(edge)[2:-1]
+
+
+def _wrong_at_one_flip(edge):
+    # wrong only where the flipped index is n - 1 and index 2 (position 3) holds a 1
+    u, v = edge
+    n = len(u)
+    if u[-1] != v[-1] and max(edge)[2] == "1":
+        return "0" * (n - 3)
+    return _true_edge_map(edge)
+
+
+@pytest.mark.parametrize("edge_map", [_fixed_window, _wrong_at_one_flip], ids=lambda f: f.__name__)
+def test_generators_fail_where_the_full_group_fails(monkeypatch, edge_map):
+    first = _first_full_group_failure(edge_map)
+    assert first == 5
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", edge_map)
+    check = CHECK["edge map constant on orbits"]
+    result = run_check(check, check.cap)
+    assert result.status == FAIL
+    assert result.detail.startswith(f"n={first}: edge (")
+
+
+# --- closed-form values evaluated once, never stale
+
+
+def _wrong_at(f, n0, wrong):
+    return lambda n: wrong(f(n)) if n == n0 else f(n)
+
+
+def _with_extra_size(histogram):
+    return {**histogram, 3: histogram.get(3, 0) + 1}
+
+
+@pytest.mark.parametrize(
+    "name, function, wrong, first",
+    [
+        # fib(37) enters the convolution at n = 37 itself
+        ("fibonacci-lucas convolution identity", "fib", lambda x: x + 1, 37),
+        # lucas(37) meets fib(0) = 0 at n = 37, so it first counts at n = 38 as fib(1) * lucas(37)
+        ("fibonacci-lucas convolution identity", "lucas", lambda x: x + 1, 38),
+        ("lambda vertex histogram sums", "lambda_vertex_orbit_histogram", _with_extra_size, 37),
+        ("lambda vertex histogram support equals size set", "lambda_vertex_orbit_histogram", _with_extra_size, 37),
+    ],
+)
+def test_memo_serves_no_stale_value(monkeypatch, name, function, wrong, first):
+    check = CHECK[name]
+    assert run_check(check, 40).status == PASS
+    monkeypatch.setattr(formulas, function, _wrong_at(getattr(formulas, function), 37, wrong))
+    result = run_check(check, 40)
+    assert result.status == FAIL
+    assert result.detail.startswith(f"n={first}:")
+    monkeypatch.undo()
+    assert run_check(check, 40).status == PASS
+
+
+# --- fixed reflections by search, primitivity once per vertex
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_fixing_reflections_by_search_equal_apply(d):
+    for u in enumerate_strings(d, LUCAS):
+        assert verify._fixing_reflections(u) == sum(apply(Dihedral(j, True), u) == u for j in range(d)), u
+
+
+def test_primitive_endpoint_counterexample(monkeypatch):
+    decompose = strings.decompose
+    monkeypatch.setattr(strings, "decompose", lambda u: decompose(u)._replace(exponent=2))
+    result = run_check(CHECK["every lucas edge has a primitive endpoint"], 8)
+    assert result.status == FAIL
+    assert result.detail == "n=5: edge (00000, 00001) has no primitive endpoint"
