@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from . import oracle
 from .formulas import GAMMA, LAMBDA
+from .oracle import EDGES, VERTICES
 from .strings import is_fibonacci, is_lucas
 
 
@@ -129,16 +130,17 @@ def verify_edge_orbit_bijection(n: int) -> str | None:
     counts when the map is not injective or not surjective.
     """
     lucas_cube, fibonacci_cube = oracle.build(n, LAMBDA), oracle.build(n - 3, GAMMA)
-    edge_orbits = oracle.edge_orbits(lucas_cube).orbits
-    vertex_orbits = oracle.vertex_orbits(fibonacci_cube).orbits
-    orbit_of = {fibonacci_cube.decode(x): k for k, orbit in enumerate(vertex_orbits) for x in orbit}
+    vertex_reps = [x for x, _ in oracle.canonical_orbits(fibonacci_cube, VERTICES)]
+    edge_reps = [edge for edge, _ in oracle.canonical_orbits(lucas_cube, EDGES)]
+    orbit_of = {fibonacci_cube.decode(y): k for k, x in enumerate(vertex_reps)
+                for y in oracle.members(fibonacci_cube, x)}
     images = set()
-    for orbit in edge_orbits:
-        edges = [tuple(map(lucas_cube.decode, e)) for e in orbit]
+    for rep in edge_reps:
+        edges = [tuple(map(lucas_cube.decode, e)) for e in oracle.members(lucas_cube, rep)]
         targets = {orbit_of.get(lambda_edge_to_gamma_vertex(e)) for e in edges}
         if len(targets) != 1 or None in targets:
             return f"n={n}: the edge orbit of {'-'.join(edges[0])} does not map into one vertex orbit"
         images |= targets
-    if not len(images) == len(edge_orbits) == len(vertex_orbits):
-        return f"n={n}: {len(edge_orbits)} edge orbits map onto {len(images)} of {len(vertex_orbits)} vertex orbits"
+    if not len(images) == len(edge_reps) == len(vertex_reps):
+        return f"n={n}: {len(edge_reps)} edge orbits map onto {len(images)} of {len(vertex_reps)} vertex orbits"
     return None

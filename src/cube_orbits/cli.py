@@ -184,17 +184,17 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _orbit_rows(cube: str, n: int, vertices: bool) -> list[tuple]:
-    """One row per orbit: its representative as a string (an edge as a pair) and its size.
-
-    The graph and the orbits, which hold bitmasks, are freed when this returns,
-    before the output is written.
+    """One row per orbit, made as the engine finds it: its representative as a string (an edge as a pair) and
+    its size.  Each vertex name and each size is one shared str.  The graph is freed before the output is written.
     """
     graph = oracle.build(n, cube)
+    # an orbit has at most as many members as the group has elements: 2n, or 2 on the tiny cubes
+    size = [str(k) for k in range(2 * n + 3)]
     if vertices:
-        return [(graph.decode(orbit[0]), str(len(orbit))) for orbit in oracle.vertex_orbits(graph).orbits]
+        return [(graph.decode(x), size[k]) for x, k in oracle.canonical_orbits(graph, oracle.VERTICES)]
     # the ends of edge representatives repeat from orbit to orbit: decode each vertex once
     name = {x: graph.decode(x) for x in graph.vertices}
-    return [((name[orbit[0][0]], name[orbit[0][1]]), str(len(orbit))) for orbit in oracle.edge_orbits(graph).orbits]
+    return [((name[u], name[v]), size[k]) for (u, v), k in oracle.canonical_orbits(graph, oracle.EDGES)]
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:

@@ -21,21 +21,23 @@ These maps are the oracle's only group action: ``group_permutations`` turns
 them into vertex permutations, so the automorphism search checks exactly the
 maps that orbit enumeration applies.
 
-Orbits come from one ascending pass over the elements.  Where the group has at
-most two elements (every Fibonacci cube, and the Lucas cubes up to n = 2), an
-orbit is {x, y} with y the image of x under the group's other element (or x
-itself), so x is its orbit's least member iff x <= y and no record of reached
-elements is kept.  Elsewhere (Lucas cubes from
-n = 3, with 2n elements) the first element not yet reached is its orbit's
-least member, and the orbit is its set of images.
+Each orbit is reported by its least member in one ascending walk over the
+vertices that keeps no orbit and no record of reached elements
+(``canonical_orbits``; canonical augmentation, after McKay, J. Algorithms 26,
+1998).  A vertex is kept iff no image of it is smaller, the images taken one
+at a time up to the first smaller one; the elements that fix it, its
+stabilizer, make its orbit's size the group's order over theirs.  Save on the
+tiny cubes, which test each edge against all its images, the group preserves
+weight, so an image of an edge (u, v) going up from u has lower end g(u): the
+edge is least in its orbit iff u is and no element of u's stabilizer maps v
+below v.  No closed form is used.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from . import formulas
 from .formulas import GAMMA, LAMBDA
@@ -83,31 +85,28 @@ class EdgeView:
         return self.graph.edge_count
 
     def __iter__(self) -> Iterator[Edge]:
-        n, cyclic = self.graph.n, self.graph.kind == LAMBDA
-        # a 1 may go where it has no 1 beside it; in a Lucas string the ends are
-        # beside each other, and the one position of a 1-cycle is beside itself
-        wrap = n - 1 if cyclic and n else 0
-        positions = 0 if cyclic and n == 1 else (1 << n) - 1
+        up = _upper_ends(self.graph)
         for u in self.graph.vertices:
-            free = positions & ~(u | u << 1 | u >> 1 | u << wrap | u >> wrap)
-            while free:
-                low = free & -free
-                yield u, u | low
-                free ^= low
+            for v in up(u):
+                yield u, v
 
 
-@dataclass
-class OrbitPartition:
-    """Disjoint orbits covering all vertices (or all edges) of one graph.
+def _upper_ends(graph: CubeGraph) -> Callable[[int], Iterator[int]]:
+    """The upper ends v of the edges (u, v) at vertex u, ascending: u with one more 1."""
+    n, cyclic = graph.n, graph.kind == LAMBDA
+    # a 1 may go where it has no 1 beside it; in a Lucas string the ends are
+    # beside each other, and the one position of a 1-cycle is beside itself
+    wrap = n - 1 if cyclic and n else 0
+    positions = 0 if cyclic and n == 1 else (1 << n) - 1
 
-    Orbit members are sorted ascending, orbits are sorted by their first
-    member, so orbit[0] is the canonical representative.
-    """
+    def up(u: int) -> Iterator[int]:
+        free = positions & ~(u | u << 1 | u >> 1 | u << wrap | u >> wrap)
+        while free:
+            low = free & -free
+            yield u | low
+            free ^= low
 
-    orbits: tuple[tuple, ...]
-
-    def sizes(self) -> list[int]:
-        return [len(orbit) for orbit in self.orbits]
+    return up
 
 
 def build(n: int, kind: str) -> CubeGraph:
@@ -149,31 +148,49 @@ def _reverse(x: int, n: int) -> int:
     return ((x & 0xFFFF) << 16 | x >> 16) >> (32 - n)
 
 
-def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
+def _images(graph: CubeGraph) -> Callable[..., list[int] | None]:
     """Images of a vertex under every automorphism, listed in one fixed order of the group.
 
     The order is identity then reversal on Fibonacci cubes (n >= 2); that of ``Dihedral.full_group(n)``,
     rotations then rotations after reversal, on Lucas cubes (n >= 3); the searched group's on the tiny cubes.
+    Given a floor, the list is None if an image lies below it; the 2n Lucas images stop at the first such one.
     """
     n, vertices = graph.n, graph.vertices
     if n < (2 if graph.kind == GAMMA else 3):
         # tiny graphs: the string action misses automorphisms, so take the whole searched group
         maps = [dict(zip(vertices, (vertices[j] for j in perm))) for perm in searched_group(graph.kind, n)]
-        return lambda x: [m[x] for m in maps]
+
+        def searched(x: int, floor: int = -1) -> list[int] | None:
+            out = [m[x] for m in maps]
+            return None if min(out) < floor else out
+
+        return searched
     if graph.kind == GAMMA:
-        return lambda x: [x, _reverse(x, n)]
+        def reversal(x: int, floor: int = -1) -> list[int] | None:
+            y = _reverse(x, n)
+            return None if x < floor or y < floor else [x, y]
+
+        return reversal
     top = n - 1
 
-    def dihedral(x: int) -> list[int]:
-        # every rotation of x and of its reversal; a rotation moves the last position to the front
-        out = []
-        for y in (x, _reverse(x, n)):
-            for _ in range(n):
-                out.append(y)
-                y = y >> 1 | (y & 1) << top
+    def dihedral(x: int, floor: int = -1) -> list[int] | None:
+        # every rotation of x, then of its reversal; a rotation moves the last position to the front
+        out, y = [], x
+        for step in range(2 * n):
+            if step == n:
+                y = _reverse(x, n)
+            if y < floor:
+                return None
+            out.append(y)
+            y = y >> 1 | (y & 1) << top
         return out
 
     return dihedral
+
+
+def _edge_images(images: Callable[[int], list[int]], u: int, v: int) -> Iterator[Edge]:
+    """Images of the edge (u, v) in the group's order, each with its ends ascending."""
+    return ((a, b) if a < b else (b, a) for a, b in zip(images(u), images(v)))
 
 
 def group_permutations(graph: CubeGraph) -> list[tuple[int | None, ...]]:
@@ -185,65 +202,43 @@ def group_permutations(graph: CubeGraph) -> list[tuple[int | None, ...]]:
     return [tuple(map(index.get, column)) for column in zip(*map(_images(graph), graph.vertices))]
 
 
-def _ascending_orbits(elements: Iterable, orbit_of: Callable[[object], tuple]) -> OrbitPartition:
-    """One ascending pass: an element not reached by an earlier orbit is its own orbit's least member."""
-    reached: set = set()
-    orbits = []
-    for x in elements:
-        if x in reached:
-            reached.remove(x)  # each element comes once, so its mark is no longer needed
+def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge, int]]:
+    """Each vertex or edge orbit once, as (its least member, its size), in ascending order of that member.
+
+    The size is the group's order over its stabilizer's.  Orbits are made one at a time and none is kept.
+    """
+    images = _images(graph)
+    order = len(images(0))  # 0 is a vertex of every cube
+    if ground == EDGES and graph.n < (2 if graph.kind == GAMMA else 3):
+        # the searched automorphisms of the tiny cubes need not preserve weight: test each edge whole
+        for edge in graph.edges:
+            image = list(_edge_images(images, *edge))
+            if min(image) == edge:
+                yield edge, order // image.count(edge)
+        return
+    up = _upper_ends(graph)
+    for u in graph.vertices:
+        image = images(u, u)  # None when u is not least in its orbit
+        if image is None:
             continue
-        orbit = orbit_of(x)
-        reached.update(orbit[1:])
-        orbits.append(orbit)
-    return OrbitPartition(tuple(orbits))
+        if ground == VERTICES:
+            yield u, order // image.count(u)
+        elif image.count(u) == 1:
+            # the identity alone fixes u: each edge up from u is least in an orbit of `order` edges
+            yield from (((u, v), order) for v in up(u))
+        else:
+            stabilizer = [i for i, y in enumerate(image) if y == u]
+            for v in up(u):
+                image = images(v)
+                fixed = [image[i] for i in stabilizer]
+                if min(fixed) == v:
+                    yield (u, v), order // fixed.count(v)
 
 
-def _pair_orbits(elements: Iterable, image: Callable) -> OrbitPartition:
-    """One ascending pass for a group {identity, g}: x with y = g(x) is its orbit's least member iff x <= y."""
-    orbits = []
-    for x in elements:
-        y = image(x)
-        if x < y:
-            orbits.append((x, y))
-        elif x == y:
-            orbits.append((x,))
-    return OrbitPartition(tuple(orbits))
-
-
-def vertex_orbits(graph: CubeGraph) -> OrbitPartition:
-    """Vertex orbits under the automorphism group, sorted by representative."""
+def members(graph: CubeGraph, element: int | Edge) -> list:
+    """The orbit of one vertex, or of one edge (u, v) with u < v: its distinct images, ascending."""
     images = _images(graph)
-    if len(images(0)) <= 2:  # the group's order; 0 is a vertex of every cube
-        return _pair_orbits(graph.vertices, lambda x: images(x)[-1])
-    return _ascending_orbits(graph.vertices, lambda x: tuple(sorted(set(images(x)))))
-
-
-def edge_orbits(graph: CubeGraph) -> OrbitPartition:
-    """Edge orbits under the induced action {u,v} -> {g(u), g(v)}."""
-    images = _images(graph)
-    if len(images(0)) <= 2:
-        # each vertex's image once, shared by the edges at it: against taking it per edge end,
-        # `orbits gamma 26 edges` took 8.8-9.5 s and 699 MB instead of 12.7-14.2 s and 760 MB
-        other = {x: images(x)[-1] for x in graph.vertices}
-
-        def image(edge: Edge) -> Edge:
-            a, b = other[edge[0]], other[edge[1]]
-            return (a, b) if a < b else (b, a)
-
-        return _pair_orbits(graph.edges, image)
-
-    def orbit_of(edge: Edge) -> tuple[Edge, ...]:
-        pairs = zip(images(edge[0]), images(edge[1]))
-        return tuple(sorted({(a, b) if a < b else (b, a) for a, b in pairs}))
-
-    return _ascending_orbits(graph.edges, orbit_of)
-
-
-def histogram(partition: OrbitPartition) -> dict[int, int]:
-    """Map orbit size -> number of orbits of that size, keys ascending."""
-    counts = Counter(len(orbit) for orbit in partition.orbits)
-    return {size: counts[size] for size in sorted(counts)}
+    return sorted(set(images(element) if type(element) is int else _edge_images(images, *element)))
 
 
 def _bit_indices(mask: int) -> Iterator[int]:

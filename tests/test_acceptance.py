@@ -68,6 +68,20 @@ def nonzero(hist):
     return {k: v for k, v in hist.items() if v}
 
 
+def orbit_sizes(n, kind, ground):
+    """The size of each orbit by enumeration, checked against the orbit's members."""
+    graph = oracle.build(n, kind)
+    sizes = []
+    for rep, size in oracle.canonical_orbits(graph, ground):
+        assert len(oracle.members(graph, rep)) == size, (kind, n, rep)
+        sizes.append(size)
+    return sizes
+
+
+def histogram(sizes):
+    return {size: sizes.count(size) for size in sorted(set(sizes))}
+
+
 def test_criterion_01_table_reproduction():
     started = time.perf_counter()
     assert table_rows("gamma-v", 15)[1] == GAMMA_VERTEX_TABLE
@@ -81,18 +95,18 @@ def test_criterion_01_table_reproduction():
 def test_criterion_02_formula_vs_oracle():
     started = time.perf_counter()
     for n in range(2, 21):
-        observed = oracle.histogram(oracle.vertex_orbits(oracle.build(n, GAMMA)))
+        observed = histogram(orbit_sizes(n, GAMMA, oracle.VERTICES))
         assert observed == nonzero(formulas.gamma_vertex_orbits(n).by_size), n
     for n in range(0, 19):
-        observed = oracle.histogram(oracle.edge_orbits(oracle.build(n, GAMMA)))
+        observed = histogram(orbit_sizes(n, GAMMA, oracle.EDGES))
         assert observed == nonzero(formulas.gamma_edge_orbits(n).by_size), n
     for n in range(1, 21):
-        partition = oracle.vertex_orbits(oracle.build(n, LAMBDA))
-        assert len(partition.orbits) == formulas.lambda_vertex_orbit_total(n), n
-        observed = oracle.histogram(partition)
+        sizes = orbit_sizes(n, LAMBDA, oracle.VERTICES)
+        assert len(sizes) == formulas.lambda_vertex_orbit_total(n), n
+        observed = histogram(sizes)
         assert observed == nonzero(formulas.lambda_vertex_orbit_histogram(n)), n
     for n in range(1, 19):
-        observed = oracle.histogram(oracle.edge_orbits(oracle.build(n, LAMBDA)))
+        observed = histogram(orbit_sizes(n, LAMBDA, oracle.EDGES))
         assert observed == nonzero(formulas.lambda_edge_orbits(n).by_size), n
     _report(2, "closed forms equal brute-force enumeration", started)
 
@@ -100,8 +114,7 @@ def test_criterion_02_formula_vs_oracle():
 def test_criterion_03_lambda_vertex_orbit_size_set():
     started = time.perf_counter()
     for n in range(3, 19):
-        partition = oracle.vertex_orbits(oracle.build(n, LAMBDA))
-        observed = {len(orbit) for orbit in partition.orbits}
+        observed = set(orbit_sizes(n, LAMBDA, oracle.VERTICES))
         expected = {k for k in range(1, n + 1) if n % k == 0}
         expected |= {k for k in range(18, 2 * n + 1) if (2 * n) % k == 0}
         assert observed == expected == formulas.lambda_vertex_orbit_size_set(n), n
@@ -111,8 +124,7 @@ def test_criterion_03_lambda_vertex_orbit_size_set():
 def test_criterion_04_lambda_edge_orbit_sizes():
     started = time.perf_counter()
     for n in range(1, 17):
-        partition = oracle.edge_orbits(oracle.build(n, LAMBDA))
-        observed = {len(orbit) for orbit in partition.orbits}
+        observed = set(orbit_sizes(n, LAMBDA, oracle.EDGES))
         assert observed <= {n, 2 * n}, n
         assert (observed == {n, 2 * n}) == (n >= 5), n
     _report(4, "lambda edge orbit sizes within {n, 2n}, equal iff n >= 5", started)

@@ -139,8 +139,8 @@ def test_edge_map_surjective():
 def test_verify_edge_orbit_bijection():
     assert verify_edge_orbit_bijection(5) is None
     assert verify_edge_orbit_bijection(9) is None
-    assert len(oracle.edge_orbits(oracle.build(9, LAMBDA)).orbits) == 12
-    assert len(oracle.vertex_orbits(oracle.build(6, GAMMA)).orbits) == 12
+    assert len(list(oracle.canonical_orbits(oracle.build(9, LAMBDA), oracle.EDGES))) == 12
+    assert len(list(oracle.canonical_orbits(oracle.build(6, GAMMA), oracle.VERTICES))) == 12
     # below 5 the edge map is undefined; above the graph bound neither cube is built
     with pytest.raises(ValueError):
         verify_edge_orbit_bijection(4)

@@ -4,21 +4,24 @@ The oracle works on bitmasks (bit n-1 is string position 1); these tests
 decode them with ``CubeGraph.decode`` wherever they compare with strings.
 """
 
+import inspect
 import random
+from collections import Counter
 
 import pytest
 
-from cube_orbits import formulas, oracle
+from cube_orbits import formulas, oracle, strings
 from cube_orbits.formulas import GAMMA, LAMBDA
 from cube_orbits.oracle import (
     BUILD_LIMIT,
+    EDGES,
+    VERTICES,
     _reverse,
     automorphism_group,
     build,
-    edge_orbits,
+    canonical_orbits,
     group_permutations,
-    histogram,
-    vertex_orbits,
+    members,
 )
 from cube_orbits.strings import FIBONACCI, LUCAS, Dihedral, apply, enumerate_strings
 
@@ -31,12 +34,30 @@ def edge_strings(g):
     return [(g.decode(u), g.decode(v)) for u, v in g.edges]
 
 
-def orbit_strings(g, partition):
-    """The orbits with every vertex, or both ends of every edge, as strings."""
-    def name(member):
-        return g.decode(member) if type(member) is int else tuple(map(g.decode, member))
+def name(g, member):
+    """A vertex, or both ends of an edge, as strings."""
+    return g.decode(member) if type(member) is int else tuple(map(g.decode, member))
 
-    return tuple(tuple(map(name, orbit)) for orbit in partition.orbits)
+
+def expanded(g, ground):
+    """The engine's orbits with every member, from ``members``: each size is its member count."""
+    orbits = []
+    for rep, size in canonical_orbits(g, ground):
+        orbit = tuple(members(g, rep))
+        assert (orbit[0], len(orbit)) == (rep, size), (g.kind, g.n, rep)
+        orbits.append(orbit)
+    return tuple(orbits)
+
+
+def orbit_strings(g, orbits):
+    """The orbits with every vertex, or both ends of every edge, as strings."""
+    return tuple(tuple(name(g, member) for member in orbit) for orbit in orbits)
+
+
+def histogram(g, ground):
+    """Orbit size -> number of orbits, keys ascending."""
+    counts = Counter(size for _, size in canonical_orbits(g, ground))
+    return {size: counts[size] for size in sorted(counts)}
 
 
 def test_build_examples():
@@ -89,50 +110,52 @@ def test_edges_differ_in_one_position():
 
 def test_vertex_orbit_examples():
     gam2 = build(2, GAMMA)
-    assert vertex_orbits(gam2).orbits == ((0b00,), (0b01, 0b10))
-    assert orbit_strings(gam2, vertex_orbits(gam2)) == (("00",), ("01", "10"))
+    assert list(canonical_orbits(gam2, VERTICES)) == [(0b00, 1), (0b01, 2)]
+    assert expanded(gam2, VERTICES) == ((0b00,), (0b01, 0b10))
+    assert orbit_strings(gam2, expanded(gam2, VERTICES)) == (("00",), ("01", "10"))
     # the 1-cube is a single edge whose endpoints swap
     gam1 = build(1, GAMMA)
-    assert orbit_strings(gam1, vertex_orbits(gam1)) == (("0", "1"),)
-    assert orbit_strings(gam1, edge_orbits(gam1)) == ((("0", "1"),),)
-    lam9_edges = edge_orbits(build(9, LAMBDA))
-    assert sorted(lam9_edges.sizes()) == [9, 9, 9] + [18] * 9
+    assert orbit_strings(gam1, expanded(gam1, VERTICES)) == (("0", "1"),)
+    assert orbit_strings(gam1, expanded(gam1, EDGES)) == ((("0", "1"),),)
+    lam9 = build(9, LAMBDA)
+    assert sorted(size for _, size in canonical_orbits(lam9, EDGES)) == [9, 9, 9] + [18] * 9
+    assert sorted(map(len, expanded(lam9, EDGES))) == [9, 9, 9] + [18] * 9
 
 
 def test_histogram_examples():
-    assert histogram(vertex_orbits(build(9, LAMBDA))) == {1: 1, 3: 1, 9: 6, 18: 1}
-    assert histogram(vertex_orbits(build(5, GAMMA))) == {1: 5, 2: 4}
-    assert histogram(vertex_orbits(build(0, GAMMA))) == {1: 1}
-    assert histogram(vertex_orbits(build(0, LAMBDA))) == {1: 1}
+    assert histogram(build(9, LAMBDA), VERTICES) == {1: 1, 3: 1, 9: 6, 18: 1}
+    assert histogram(build(5, GAMMA), VERTICES) == {1: 5, 2: 4}
+    assert histogram(build(0, GAMMA), VERTICES) == {1: 1}
+    assert histogram(build(0, LAMBDA), VERTICES) == {1: 1}
 
 
 def test_partitions_cover_and_are_closed():
     for kind in (GAMMA, LAMBDA):
         for n in range(1, 8):
             g = build(n, kind)
-            vp = vertex_orbits(g)
-            seen = [u for orbit in vp.orbits for u in orbit]
+            vp = expanded(g, VERTICES)
+            seen = [u for orbit in vp for u in orbit]
             assert sorted(seen) == sorted(g.vertices)
             assert len(seen) == len(set(seen))
-            assert [o[0] for o in vp.orbits] == sorted(o[0] for o in vp.orbits)
-            ep = edge_orbits(g)
-            seen_edges = [e for orbit in ep.orbits for e in orbit]
+            assert [o[0] for o in vp] == sorted(set(o[0] for o in vp))
+            ep = expanded(g, EDGES)
+            seen_edges = [e for orbit in ep for e in orbit]
             assert sorted(seen_edges) == sorted(g.edges)
             assert sorted(e for orbit in orbit_strings(g, ep) for e in orbit) == sorted(edge_strings(g))
-            assert [o[0] for o in ep.orbits] == sorted(o[0] for o in ep.orbits)
-            assert all(list(orbit) == sorted(orbit) for orbit in vp.orbits + ep.orbits)
+            assert [o[0] for o in ep] == sorted(set(o[0] for o in ep))
+            assert all(list(orbit) == sorted(orbit) for orbit in vp + ep)
             assert len(seen_edges) == len(set(seen_edges))
 
 
 def test_lambda_orbits_closed_under_dihedral_maps():
     for n in range(3, 8):
         g = build(n, LAMBDA)
-        for orbit in orbit_strings(g, vertex_orbits(g)):
+        for orbit in orbit_strings(g, expanded(g, VERTICES)):
             members = set(orbit)
             for u in orbit:
                 for d in Dihedral.full_group(n):
                     assert apply(d, u) in members
-        for orbit in orbit_strings(g, edge_orbits(g)):
+        for orbit in orbit_strings(g, expanded(g, EDGES)):
             members = set(orbit)
             for u, v in orbit:
                 for d in Dihedral.full_group(n):
@@ -219,9 +242,9 @@ def closure_orbits(elements, maps):
 
 
 def test_fibonacci_cube_orbits_are_reversal_closures():
-    # Fibonacci cube orbits come from the pair test, which keeps no record of
-    # reached elements; the closures here are taken on strings, under string
-    # reversal, except at n = 1, whose searched group swaps the two vertices
+    # the engine keeps no record of reached elements; the closures here are
+    # taken on strings, under string reversal, except at n = 1, whose searched
+    # group swaps the two vertices
     for n in range(15):
         g = build(n, GAMMA)
         if n == 1:
@@ -233,8 +256,8 @@ def test_fibonacci_cube_orbits_are_reversal_closures():
         edge_closures = closure_orbits(edge_strings(g), [
             lambda edge, m=m: tuple(sorted(map(m, edge))) for m in maps
         ])
-        assert orbit_strings(g, vertex_orbits(g)) == vertex_closures, n
-        assert orbit_strings(g, edge_orbits(g)) == edge_closures, n
+        assert orbit_strings(g, expanded(g, VERTICES)) == vertex_closures, n
+        assert orbit_strings(g, expanded(g, EDGES)) == edge_closures, n
         if n == 1:
             assert vertex_closures == (("0", "1"),)
 
@@ -266,25 +289,25 @@ def test_bit_count_is_string_weight():
 def test_gamma_vertex_orbits_at_one_match_the_oracle():
     # the oracle-vs-formula check starts at n = 2; the closed form's n = 1 case is checked here
     total, by_size = formulas.gamma_vertex_orbits(1)
-    partition = vertex_orbits(build(1, GAMMA))
-    assert {k: v for k, v in by_size.items() if v} == histogram(partition) == {2: 1}
-    assert total == len(partition.orbits)
+    g = build(1, GAMMA)
+    assert {k: v for k, v in by_size.items() if v} == histogram(g, VERTICES) == {2: 1}
+    assert total == len(list(canonical_orbits(g, VERTICES)))
 
 
 def test_oracle_matches_formulas_small():
     for n in range(2, 11):
-        assert histogram(vertex_orbits(build(n, GAMMA))) == {
+        assert histogram(build(n, GAMMA), VERTICES) == {
             k: v for k, v in formulas.gamma_vertex_orbits(n).by_size.items() if v
         }
     for n in range(0, 11):
-        assert histogram(edge_orbits(build(n, GAMMA))) == {
+        assert histogram(build(n, GAMMA), EDGES) == {
             k: v for k, v in formulas.gamma_edge_orbits(n).by_size.items() if v
         }
     for n in range(1, 11):
-        assert histogram(vertex_orbits(build(n, LAMBDA))) == {
+        assert histogram(build(n, LAMBDA), VERTICES) == {
             k: v for k, v in formulas.lambda_vertex_orbit_histogram(n).items() if v
         }
-        assert histogram(edge_orbits(build(n, LAMBDA))) == {
+        assert histogram(build(n, LAMBDA), EDGES) == {
             k: v for k, v in formulas.lambda_edge_orbits(n).by_size.items() if v
         }
 
@@ -310,8 +333,8 @@ def test_orbits_match_string_side(kind, start):
     for n in range(start, 11):
         g = build(n, kind)
         vertex_side, edge_side = string_side_orbits(kind, n)
-        assert orbit_strings(g, vertex_orbits(g)) == vertex_side, n
-        assert orbit_strings(g, edge_orbits(g)) == edge_side, n
+        assert orbit_strings(g, expanded(g, VERTICES)) == vertex_side, n
+        assert orbit_strings(g, expanded(g, EDGES)) == edge_side, n
 
 
 def test_reverse_matches_string_reversal():
@@ -320,3 +343,52 @@ def test_reverse_matches_string_reversal():
         for x in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
             u = format(x, f"0{n}b") if n else ""
             assert _reverse(x, n) == int(u[::-1] or "0", 2)
+
+
+def string_maps(g):
+    """Maps on strings that generate the group of g: the searched group on the tiny cubes, else reversal,
+    and rotation by one position on Lucas cubes."""
+    if g.n < (2 if g.kind == GAMMA else 3):
+        names = vertex_strings(g)
+        return [dict(zip(names, (names[j] for j in perm))).get for perm in automorphism_group(g)]
+    maps = [lambda u: u[::-1]]
+    if g.kind == LAMBDA:
+        maps.append(lambda u: u[-1:] + u[:-1])
+    return maps
+
+
+@pytest.mark.parametrize("kind", [GAMMA, LAMBDA])
+def test_engine_equals_brute_force_closures(kind):
+    # the least member and size of every closure, ascending, against what the engine yields; an edge's
+    # image has its ends sorted, since on the tiny cubes an automorphism may map an edge's lower end up
+    for n in range(13):
+        g = build(n, kind)
+        maps = string_maps(g)
+        edge_maps = [lambda edge, m=m: tuple(sorted(map(m, edge))) for m in maps]
+        for ground, elements, generators in (
+            (VERTICES, vertex_strings(g), maps),
+            (EDGES, edge_strings(g), edge_maps),
+        ):
+            closures = [(orbit[0], len(orbit)) for orbit in closure_orbits(elements, generators)]
+            assert [(name(g, rep), size) for rep, size in canonical_orbits(g, ground)] == closures, (n, ground)
+
+
+def test_engine_needs_no_closed_form(monkeypatch):
+    # the enumeration route stays independent: with every public closed form but graph_counts (which
+    # build checks its graph against) made to raise, a built graph gives the same orbits
+    graphs = [build(n, kind) for kind in (GAMMA, LAMBDA) for n in range(13)]
+    before = [list(canonical_orbits(g, ground)) for g in graphs for ground in (VERTICES, EDGES)]
+
+    def closed_form(*args):
+        raise AssertionError("orbit enumeration called a closed form")
+
+    public = {
+        name for name, obj in vars(formulas).items()
+        if inspect.isfunction(obj) and obj.__module__ == formulas.__name__ and not name.startswith("_")
+    }
+    assert {"fib", "lucas", "gamma_edge_orbits", "lambda_edge_orbits"} <= public
+    for module in (formulas, strings, oracle):  # and wherever a closed form was imported by name
+        for fn in public - {"graph_counts"}:
+            if getattr(module, fn, None) is getattr(formulas, fn):
+                monkeypatch.setattr(module, fn, closed_form)
+    assert [list(canonical_orbits(g, ground)) for g in graphs for ground in (VERTICES, EDGES)] == before
