@@ -43,10 +43,10 @@ from . import formulas
 from .formulas import GAMMA, LAMBDA
 from .strings import enumerate_strings, FIBONACCI, LUCAS
 
-# The largest n whose `orbits <cube> n edges` stays within the budget of 30 s
-# and 1 GB peak RSS on a 2-CPU machine in every format (README "Bounds"): gamma
-# n = 26 took 7.6 s and 555 MB as plain and 7.3 s and 554 MB as JSON; n = 27
-# took 17.6 s and 1166 MB as plain.
+# Every `orbits <cube> n edges` up to this n answers within 30 s and 1 GB peak RSS
+# on a 2-CPU machine in every format (README "Bounds"): gamma n = 26 took 4.3-4.7 s
+# and 219 MB as plain, 5.4-6.3 s and 219 MB as JSON. n = 27 fits too (8.2 s, 11.7 s
+# as JSON, 359 MB) but waits for rows that are decoded only as they are written.
 BUILD_LIMIT = 26
 NAMED_SIZE_LIMIT = 100
 AUTOMORPHISM_VERTEX_LIMIT = 60
