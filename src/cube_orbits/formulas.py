@@ -8,7 +8,6 @@ truncated.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 GAMMA = "gamma"
@@ -122,13 +121,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient; zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires n, k >= 0, got ({n}, {k})")
-    return math.comb(n, k)
-
-
 def graph_counts(n: int, kind: str) -> GraphCounts:
     """Vertex and edge counts of the n-th Fibonacci cube (gamma) or Lucas cube (lambda)."""
     if n < 0:
@@ -229,21 +221,18 @@ def lambda_vertex_orbit_size_set(n: int) -> set[int]:
 def lambda_vertex_orbit_count(n: int, k: int) -> int:
     """Number of size-k vertex orbits of the Lucas cube of dimension n.
 
-    Orbits of size k are generated by primitive symmetric strings of length k
-    (when k divides n) and asymmetric strings of length k/2 (when k divides 2n);
-    sizes not dividing 2n cannot occur, so the count there is 0.
+    For k dividing 2n it is (s_k + a_{k/2}) / k: s_k counts the primitive
+    symmetric Lucas strings of length k and is taken only when k divides n;
+    a_{k/2} counts the asymmetric ones of length k/2 and is taken only when k
+    is even.  Sizes not dividing 2n cannot occur, so the count there is 0.
     """
     if n < 1 or k < 1:
         raise ValueError(f"lambda_vertex_orbit_count requires n, k >= 1, got ({n}, {k})")
     if (2 * n) % k != 0:
         return 0
-    if n % k == 0:
-        s_k = lucas_string_classes(k).primitive_symmetric
-        if k % 2 == 1:
-            return _exact_div(s_k, k)
-        return _exact_div(s_k + lucas_string_classes(k // 2).asymmetric, k)
-    # k | 2n but k does not divide n forces k even
-    return _exact_div(lucas_string_classes(k // 2).asymmetric, k)
+    symmetric = lucas_string_classes(k).primitive_symmetric if n % k == 0 else 0
+    asymmetric = lucas_string_classes(k // 2).asymmetric if k % 2 == 0 else 0
+    return _exact_div(symmetric + asymmetric, k)
 
 
 def lambda_vertex_orbit_histogram(n: int) -> dict[int, int]:

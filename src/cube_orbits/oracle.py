@@ -36,8 +36,7 @@ below v.  No closed form is used.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import formulas
 from .formulas import GAMMA, LAMBDA
@@ -57,8 +56,7 @@ EDGES = "edges"
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CubeGraph:
+class CubeGraph(NamedTuple):
     """A Fibonacci or Lucas cube with its vertices in ascending order."""
 
     kind: str

@@ -9,7 +9,6 @@ constructive witnesses for prescribed orbit sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .formulas import divisors
@@ -58,8 +57,7 @@ def rotate(u: str, j: int) -> str:
     return u[-j:] + u[:-j] if j else u
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(NamedTuple):
     """Element of the dihedral group acting on length-n strings.
 
     Represents rotation**shift when reflected is False, and

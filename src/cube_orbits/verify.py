@@ -12,9 +12,9 @@ truncating.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bijections, formulas, oracle, strings
 from .formulas import GAMMA, LAMBDA
@@ -38,16 +38,14 @@ SUITE_DEFAULT_MAX = {FORMULAS: 200, ORACLE: 14, BIJECTIONS: 16, AUTOMORPHISMS: 8
 SUITE_HARD_BOUND = {FORMULAS: 1400, ORACLE: 23, BIJECTIONS: 18, AUTOMORPHISMS: 8}
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     scope: str
     status: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One identity, evaluated for each n from ``lo`` to the suite's max (or ``cap``).
 
     ``scope`` is formatted with ``lo`` and the effective upper end ``hi``.
@@ -95,7 +93,7 @@ def _mismatch(n: int, what: str, got: object, want: object) -> str | None:
 def _lucas_binomial_identity(n: int) -> str | None:
     total = 0
     for k in range(0, n // 2 + 1):
-        term = n * formulas.binomial(n - k, k)
+        term = n * math.comb(n - k, k)
         if term % (n - k) != 0:
             return f"n={n}, k={k}: non-integral term"
         total += term // (n - k)
@@ -308,7 +306,7 @@ def _automorphisms_preserve_weight(n: int) -> str | None:
 
 CHECKS = (
     Check(FORMULAS, "fibonacci binomial-sum identity", -1, lambda n: _mismatch(
-        n, "binomial sum", sum(formulas.binomial(n - k, k) for k in range(n // 2 + 1)), formulas.fib(n + 1))),
+        n, "binomial sum", sum(math.comb(n - k, k) for k in range(n // 2 + 1)), formulas.fib(n + 1))),
     Check(FORMULAS, "lucas binomial-sum identity", 1, _lucas_binomial_identity),
     Check(FORMULAS, "fibonacci-lucas convolution identity", 0, lambda n: _mismatch(
         n, "convolution", sum(_value(formulas.fib, i) * _value(formulas.lucas, n - i) for i in range(n + 1)),
@@ -370,8 +368,8 @@ SUITES = {suite: [check for check in CHECKS if check.suite == suite] for suite i
 def run_suite(name: str, max_n: int | None) -> tuple[str, int | None, list[CheckResult]]:
     """Resolve the effective range, refusing ranges beyond hard bounds."""
     effective = SUITE_DEFAULT_MAX[name] if max_n is None else max_n
-    bound = SUITE_HARD_BOUND.get(name)
-    if bound is not None and effective > bound:
+    bound = SUITE_HARD_BOUND[name]
+    if effective > bound:
         what = "closed-form" if name == FORMULAS else "enumeration"
         detail = f"max {effective} exceeds the {what} bound {bound} for this suite"
         return name, effective, [CheckResult("suite refused", f"max {effective}", REFUSED, detail)]

@@ -4,6 +4,7 @@ Each test prints a single pass line on success (run with ``pytest -s`` to see
 them); any failure surfaces as a normal assertion error with context.
 """
 
+import math
 import time
 
 from cube_orbits import bijections, formulas, oracle
@@ -173,12 +174,12 @@ def test_criterion_06_string_theory_micro_suite():
 def test_criterion_07_identity_suite():
     started = time.perf_counter()
     for n in range(-1, 201):
-        total = sum(formulas.binomial(n - k, k) for k in range(0, n // 2 + 1))
+        total = sum(math.comb(n - k, k) for k in range(0, n // 2 + 1))
         assert total == formulas.fib(n + 1), n
     for n in range(1, 201):
         total = 0
         for k in range(0, n // 2 + 1):
-            term = n * formulas.binomial(n - k, k)
+            term = n * math.comb(n - k, k)
             assert term % (n - k) == 0, (n, k)
             total += term // (n - k)
         assert total == formulas.lucas(n), n

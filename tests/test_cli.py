@@ -422,6 +422,19 @@ def test_module_invocation():
     assert result.stdout.splitlines()[4] == "4,7,4,4,0"
 
 
+def _modules_loaded_by(statement):
+    script = f"{statement}\nimport sys\nprint(*sys.modules)"
+    return set(subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout.split())
+
+
+def test_startup_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh process that imports the CLI first, and dataclasses would bring
+    # inspect and its imports into each one
+    added = _modules_loaded_by("import cube_orbits.cli") - _modules_loaded_by("pass")
+    assert "cube_orbits.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 def test_closed_pipe_ends_by_sigpipe():
     # `cube-orbits orbits gamma 16 edges | head -1`: the reader leaves after the first line of

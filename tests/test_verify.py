@@ -11,9 +11,13 @@ import pytest
 from cube_orbits import bijections, formulas, oracle, strings, verify
 from cube_orbits.formulas import LAMBDA
 from cube_orbits.strings import Dihedral, LUCAS, apply, enumerate_strings
-from cube_orbits.verify import CHECKS, FAIL, PASS, SKIP, run_check
+from cube_orbits.verify import CHECKS, FAIL, PASS, SKIP, SUITES, run_check
 
 CHECK = {check.name: check for check in CHECKS}
+
+
+def test_every_suite_has_a_default_and_a_hard_bound():
+    assert SUITES.keys() == verify.SUITE_DEFAULT_MAX.keys() == verify.SUITE_HARD_BOUND.keys()
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.name)
@@ -77,6 +81,13 @@ def _wrong_at_one_flip(edge):
     return _true_edge_map(edge)
 
 
+# the whole counterexample, with the repr of the generator as `verify bijections` prints it
+COUNTEREXAMPLE = {
+    _fixed_window: "n=5: edge (00000, 00010) under Dihedral(shift=1, reflected=False)",
+    _wrong_at_one_flip: "n=5: edge (00100, 00101) under Dihedral(shift=1, reflected=False)",
+}
+
+
 @pytest.mark.parametrize("edge_map", [_fixed_window, _wrong_at_one_flip], ids=lambda f: f.__name__)
 def test_generators_fail_where_the_full_group_fails(monkeypatch, edge_map):
     first = _first_full_group_failure(edge_map)
@@ -85,7 +96,7 @@ def test_generators_fail_where_the_full_group_fails(monkeypatch, edge_map):
     check = CHECK["edge map constant on orbits"]
     result = run_check(check, check.cap)
     assert result.status == FAIL
-    assert result.detail.startswith(f"n={first}: edge (")
+    assert result.detail == COUNTEREXAMPLE[edge_map]
 
 
 # --- closed-form values evaluated once, never stale
