@@ -24,21 +24,13 @@ def string_to_tiling(u: str) -> str:
     """Tiling of the 2 x (len(u)+1) rectangle coded by the Fibonacci string u.
 
     Appends a trailing 0, then reads left to right: each 0 becomes a vertical
-    domino, each 10 a horizontal pair.
+    domino, each 10 a horizontal pair.  Every 1 of a Fibonacci string is
+    followed by a 0, so replacing each 10 and then each remaining 0 reads the
+    same pieces.
     """
     if not is_fibonacci(u):
         raise ValueError(f"{u!r} has two adjacent 1s")
-    v = u + "0"
-    pieces = []
-    i = 0
-    while i < len(v):
-        if v[i] == "1":
-            pieces.append("H")
-            i += 2
-        else:
-            pieces.append("V")
-            i += 1
-    return "".join(pieces)
+    return (u + "0").replace("10", "H").replace("0", "V")
 
 
 def tiling_to_string(t: str) -> str:
@@ -106,13 +98,15 @@ def lambda_edge_to_gamma_vertex(edge: tuple[str, str]) -> str:
         raise ValueError(f"edge map requires length >= 5, got {n}")
     if len(v) != n:
         raise ValueError("endpoints differ in length")
-    if not (is_lucas(u) and is_lucas(v)):
+    # int(..., 2) would also read a "0b" prefix, "_" and spaces: only 0s and 1s may pass
+    if u.strip("01") or v.strip("01") or not (is_lucas(u) and is_lucas(v)):
         raise ValueError("endpoints must be Lucas strings")
-    diffs = [i for i in range(n) if u[i] != v[i]]
-    if len(diffs) != 1:
-        raise ValueError(f"endpoints differ in {len(diffs)} positions, not 1")
-    i = diffs[0]
-    src = u if u[i] == "1" else v
+    x, y = int(u, 2), int(v, 2)
+    flips = x ^ y
+    if flips.bit_count() != 1:
+        raise ValueError(f"endpoints differ in {flips.bit_count()} positions, not 1")
+    i = n - flips.bit_length()
+    src = u if x & flips else v
     doubled = src + src
     start = (i + 2) % n
     image = doubled[start : start + n - 3]
@@ -134,9 +128,11 @@ def verify_edge_orbit_bijection(n: int) -> str | None:
     edge_reps = [edge for edge, _ in oracle.canonical_orbits(lucas_cube, EDGES)]
     orbit_of = {fibonacci_cube.decode(y): k for k, x in enumerate(vertex_reps)
                 for y in oracle.members(fibonacci_cube, x)}
+    name = {x: lucas_cube.decode(x) for x in lucas_cube.vertices}
     images = set()
     for rep in edge_reps:
-        edges = [tuple(map(lucas_cube.decode, e)) for e in oracle.members(lucas_cube, rep)]
+        edges = [(name[a], name[b]) for a, b in oracle.members(lucas_cube, rep)]
+        # the edge map stays a global looked up per edge, so a map set on the module attribute is the one checked
         targets = {orbit_of.get(lambda_edge_to_gamma_vertex(e)) for e in edges}
         if len(targets) != 1 or None in targets:
             return f"n={n}: the edge orbit of {'-'.join(edges[0])} does not map into one vertex orbit"

@@ -200,8 +200,13 @@ def lucas_string_classes(n: int) -> StringClassCounts:
     """Counts of primitive, primitive symmetric, and asymmetric Lucas strings of length n."""
     if n < 1:
         raise ValueError(f"lucas_string_classes requires n >= 1, got {n}")
-    primitive = sum(mobius(n // d) * lucas(d) for d in divisors(n))
-    symmetric = n * sum(mobius(n // d) * fib(d // 2 + 2) for d in divisors(n))
+    primitive = symmetric = 0
+    for d in divisors(n):
+        mu = mobius(n // d)
+        if mu:  # a zero term needs neither Lucas nor Fibonacci number
+            primitive += mu * lucas(d)
+            symmetric += mu * fib(d // 2 + 2)
+    symmetric *= n
     return StringClassCounts(primitive, symmetric, primitive - symmetric)
 
 

@@ -12,9 +12,8 @@ truncating.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import bijections, formulas, oracle, strings
 from .formulas import GAMMA, LAMBDA
@@ -33,9 +32,10 @@ AUTOMORPHISMS = "automorphisms"
 
 SUITE_DEFAULT_MAX = {FORMULAS: 200, ORACLE: 14, BIJECTIONS: 16, AUTOMORPHISMS: 8}
 
-# Against the 30 s budget with a quarter of it in hand (README "Bounds"): formulas --max 1400 took
-# 14.1 s; oracle-vs-formula --max 23 took 9.4-13.6 s, but 24 took 16.9-22.2 s and 25 took 30.8 s
-SUITE_HARD_BOUND = {FORMULAS: 1400, ORACLE: 23, BIJECTIONS: 18, AUTOMORPHISMS: 8}
+# Against the 30 s budget with a quarter of it in hand (README "Bounds"): formulas --max 3400 took
+# 20.6-20.9 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 23 took 9.4-13.6 s, but 24 took
+# 16.9-22.2 s and 25 took 30.8 s
+SUITE_HARD_BOUND = {FORMULAS: 3400, ORACLE: 23, BIJECTIONS: 18, AUTOMORPHISMS: 8}
 
 
 class CheckResult(NamedTuple):
@@ -90,13 +90,27 @@ def _mismatch(n: int, what: str, got: object, want: object) -> str | None:
 # --- formulas suite: identities that need no graph enumeration
 
 
+def _binomial_terms(n: int) -> Iterator[int]:
+    """C(n - k, k) for k = 0, ..., n // 2: none at n = -1, the one term 1 at n = 0.
+
+    Each term comes from the one before by the exact ratio
+    C(n - k, k) = C(n - k + 1, k - 1) (n - 2k + 2)(n - 2k + 1) / (k (n - k + 1)),
+    and every division is checked.
+    """
+    term = 1
+    for k in range(n // 2 + 1):
+        if k:
+            term = formulas._exact_div(term * ((n - 2 * k + 2) * (n - 2 * k + 1)), k * (n - k + 1))
+        yield term
+
+
 def _lucas_binomial_identity(n: int) -> str | None:
     total = 0
-    for k in range(0, n // 2 + 1):
-        term = n * math.comb(n - k, k)
-        if term % (n - k) != 0:
+    for k, binomial in enumerate(_binomial_terms(n)):
+        term, remainder = divmod(n * binomial, n - k)
+        if remainder != 0:
             return f"n={n}, k={k}: non-integral term"
-        total += term // (n - k)
+        total += term
     return _mismatch(n, "binomial sum", total, formulas.lucas(n))
 
 
@@ -240,8 +254,9 @@ def _edge_map_well_defined(n: int) -> str | None:
     under the group, so a class kept at each step of the product is kept by it.
     """
     graph = oracle.build(n, LAMBDA)
-    for edge in graph.edges:
-        u, v = map(graph.decode, edge)
+    name = {x: graph.decode(x) for x in graph.vertices}
+    for a, b in graph.edges:
+        u, v = name[a], name[b]
         base = bijections.lambda_edge_to_gamma_vertex((u, v))
         base_rep = min(base, base[::-1])
         for g in GENERATORS:
@@ -306,7 +321,7 @@ def _automorphisms_preserve_weight(n: int) -> str | None:
 
 CHECKS = (
     Check(FORMULAS, "fibonacci binomial-sum identity", -1, lambda n: _mismatch(
-        n, "binomial sum", sum(math.comb(n - k, k) for k in range(n // 2 + 1)), formulas.fib(n + 1))),
+        n, "binomial sum", sum(_binomial_terms(n)), formulas.fib(n + 1))),
     Check(FORMULAS, "lucas binomial-sum identity", 1, _lucas_binomial_identity),
     Check(FORMULAS, "fibonacci-lucas convolution identity", 0, lambda n: _mismatch(
         n, "convolution", sum(_value(formulas.fib, i) * _value(formulas.lucas, n - i) for i in range(n + 1)),

@@ -55,6 +55,21 @@ def test_round_trips():
             assert string_to_tiling(tiling_to_string(t)) == t
 
 
+def greedy_tiling(u):
+    """The tiling of u read one piece at a time: 1 starts a horizontal pair, 0 is a vertical domino."""
+    v, pieces, i = u + "0", [], 0
+    while i < len(v):
+        pieces.append("H" if v[i] == "1" else "V")
+        i += 2 if v[i] == "1" else 1
+    return "".join(pieces)
+
+
+def test_codec_equals_greedy_reader():
+    for n in range(0, 17):
+        for u in enumerate_strings(n, FIBONACCI):
+            assert string_to_tiling(u) == greedy_tiling(u), u
+
+
 def test_palindromes_match_reflection_invariant_tilings():
     for n in range(0, 13):
         for u in enumerate_strings(n, FIBONACCI):
@@ -102,10 +117,14 @@ def test_edge_map_rejections():
         lambda_edge_to_gamma_vertex(("10001", "10000"))  # endpoint not a Lucas string
     with pytest.raises(ValueError):
         lambda_edge_to_gamma_vertex(("01000", "0000"))  # length mismatch
+    # a character other than 0 and 1, some of which int(..., 2) would read
+    for edge in [("01000", "0_000"), ("0b000", "0b100"), ("00100", " 0100"), ("01000", "02000")]:
+        with pytest.raises(ValueError, match="must be Lucas strings"):
+            lambda_edge_to_gamma_vertex(edge)
 
 
 def test_edge_map_is_endpoint_independent():
-    for n in range(5, 9):
+    for n in range(5, 15):
         for u, v in lucas_edge_strings(n):
             i = next(p for p in range(n) if u[p] != v[p])
             reads = set()
@@ -114,7 +133,8 @@ def test_edge_map_is_endpoint_independent():
                 start = (i + 2) % n
                 reads.add(doubled[start : start + n - 3])
             assert len(reads) == 1
-            assert reads.pop() == lambda_edge_to_gamma_vertex((u, v))
+            read = reads.pop()
+            assert read == lambda_edge_to_gamma_vertex((u, v)) == lambda_edge_to_gamma_vertex((v, u))
 
 
 def test_edge_map_constant_on_orbits():

@@ -2,9 +2,13 @@
 
 The rewritten checks are held to what they replaced: the edge map is tested
 under the group's two generators, closed-form values are evaluated once per
-process, primitivity once per vertex and fixed reflections by an in-place
-search; each must still fail where the old loop failed.
+process, primitivity once per vertex, fixed reflections by an in-place
+search and binomial coefficients by term ratios; each must still fail where
+the old loop failed.
 """
+
+import math
+import re
 
 import pytest
 
@@ -130,6 +134,38 @@ def test_memo_serves_no_stale_value(monkeypatch, name, function, wrong, first):
     assert result.detail.startswith(f"n={first}:")
     monkeypatch.undo()
     assert run_check(check, 40).status == PASS
+
+
+# --- binomial coefficients by term ratios
+
+
+def test_binomial_terms_equal_math_comb():
+    for n in range(-1, 601):
+        assert list(verify._binomial_terms(n)) == [math.comb(n - k, k) for k in range(n // 2 + 1)], n
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda n, k, term: term + 1,  # the Lucas identity finds n * term / (n - k) non-integral
+        lambda n, k, term: term + (n - k),  # integral there: only the sum is wrong
+    ],
+    ids=["off by one", "off by n - k"],
+)
+@pytest.mark.parametrize("name", ["fibonacci binomial-sum identity", "lucas binomial-sum identity"])
+def test_one_wrong_binomial_term_fails_both_identities(monkeypatch, name, fault):
+    terms = verify._binomial_terms
+
+    def wrong_at_37(n):
+        for k, term in enumerate(terms(n)):
+            yield fault(n, k, term) if (n, k) == (37, 5) else term
+
+    check = CHECK[name]
+    assert run_check(check, 60).status == PASS
+    monkeypatch.setattr(verify, "_binomial_terms", wrong_at_37)
+    result = run_check(check, 60)
+    assert result.status == FAIL
+    assert re.match(r"n=37[,:]", result.detail), result.detail
 
 
 # --- fixed reflections by search, primitivity once per vertex
