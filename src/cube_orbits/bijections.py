@@ -28,6 +28,8 @@ def string_to_tiling(u: str) -> str:
     followed by a 0, so replacing each 10 and then each remaining 0 reads the
     same pieces.
     """
+    if u.strip("01"):
+        raise ValueError(f"{u!r} holds a character other than 0 and 1")
     if not is_fibonacci(u):
         raise ValueError(f"{u!r} has two adjacent 1s")
     return (u + "0").replace("10", "H").replace("0", "V")
@@ -101,8 +103,8 @@ def lambda_edge_to_gamma_vertex(edge: tuple[str, str]) -> str:
     # int(..., 2) would also read a "0b" prefix, "_" and spaces: only 0s and 1s may pass
     if u.strip("01") or v.strip("01") or not (is_lucas(u) and is_lucas(v)):
         raise ValueError("endpoints must be Lucas strings")
-    x, y = int(u, 2), int(v, 2)
-    flips = x ^ y
+    x = int(u, 2)
+    flips = x ^ int(v, 2)
     if flips.bit_count() != 1:
         raise ValueError(f"endpoints differ in {flips.bit_count()} positions, not 1")
     i = n - flips.bit_length()

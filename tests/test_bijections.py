@@ -30,6 +30,9 @@ def test_codec_examples():
     assert tiling_to_string("HV") == "10"
     with pytest.raises(ValueError):
         string_to_tiling("011")
+    for u in ["2", "0b1", "1 0"]:  # the two replacements would pass other characters through
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            string_to_tiling(u)
     with pytest.raises(ValueError):
         tiling_to_string("VX")
     with pytest.raises(ValueError):
