@@ -14,8 +14,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import formulas, oracle, verify
 from .formulas import GAMMA, LAMBDA
@@ -114,21 +115,23 @@ def _row_template(columns: list[str], row: tuple) -> str:
 def _json(envelope: dict, columns: list[str] | None = None) -> None:
     """Write ``json.dumps(envelope, indent=2)`` and a newline to stdout, the rows one by one.
 
-    When the last value of ``envelope["result"]`` is a nonempty list, it holds the rows: tuples of cells in
-    the order of ``columns``, each written as an object of its columns from one template.  The text before
-    and after the rows is json.dumps of the envelope with that list empty.  Cells are quoted as json.dumps
-    quotes strings by default (``ensure_ascii``); a cell that is not a string raises TypeError.
+    When the last value of ``envelope["result"]`` is a list or an ``OrbitRows``, it holds the rows: tuples of
+    cells in the order of ``columns``, each written as an object of its columns from one template.  The text
+    before and after the rows is json.dumps of the envelope with that listing empty.  Cells are quoted as
+    json.dumps quotes strings by default (``ensure_ascii``); a cell that is not a string raises TypeError.
     """
     out = sys.stdout
     result = envelope["result"]
     key = list(result)[-1]
     rows = result[key]
-    if type(rows) is not list or not rows:
-        out.write(json.dumps(envelope, indent=2))
+    listing = isinstance(rows, (list, OrbitRows))
+    text = json.dumps({**envelope, "result": {**result, key: []}} if listing else envelope, indent=2)
+    if not (listing and rows):
+        out.write(text)
         out.write("\n")
         return
-    head, tail = json.dumps({**envelope, "result": {**result, key: []}}, indent=2).rsplit("[]", 1)
-    template = _row_template(columns, rows[0])
+    head, tail = text.rsplit("[]", 1)
+    template = _row_template(columns, next(iter(rows)))
     # a cell is a string, or an edge: a tuple of strings
     filled = (
         template % tuple([_quote(s) for cell in row for s in ((cell,) if type(cell) is str else cell)])
@@ -149,9 +152,10 @@ def _emit(
 ) -> int:
     """Write a command's output to stdout piece by piece: the JSON envelope, CSV rows, or the plain lines.
 
-    The last value of ``result``, when it is a list, holds the rows: tuples of cells in the order of
-    ``columns``.  ``plain`` gives the plain lines, each with its newline; it is called only for plain output, so
-    JSON and CSV do not pay for its layout.
+    The last value of ``result``, when it is a list or an ``OrbitRows``, holds the rows: tuples of cells in the
+    order of ``columns``.  Each format reads the rows once, in order, and indexes none, so an orbit listing's
+    rows are decoded only as they are written.  ``plain`` gives the plain lines, each with its newline; it is
+    called only for plain output, so JSON and CSV do not pay for its layout.
     """
     out = sys.stdout
     if args.format == JSON:
@@ -183,18 +187,61 @@ def cmd_table(args: argparse.Namespace) -> int:
     return _emit(args, parameters, {"rows": rows}, lambda: _plain_table(columns, rows), columns)
 
 
-def _orbit_rows(cube: str, n: int, vertices: bool) -> list[tuple]:
-    """One row per orbit, made as the engine finds it: its representative as a string (an edge as a pair) and
-    its size.  Each vertex name and each size is one shared str.  The graph is freed before the output is written.
+class OrbitRows:
+    """The rows of an orbit listing, held as ints and decoded one at a time as they are read.
+
+    ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, v, size) for each edge orbit.  A row
+    reads as the writers take it: the representative's string (an edge's as a pair) and the size's str.  A
+    vertex's string is joined from those of its high and low halves, so the name table holds
+    2^ceil(n/2) + 2^floor(n/2) strings and no vertex is decoded before its row is read.  The rows can be
+    counted and read again, and a listing equals the list of its rows.
     """
+
+    def __init__(self, ints: Sequence[int], n: int, edges: bool) -> None:
+        self.ints, self.edges, self.shift = ints, edges, n // 2
+        # every string of each half's length, ascending, so a half's value indexes its string; of
+        # length 0 there is one, the empty string, which is the one vertex of dimension 0
+        self.halves = [["".join(bits) for bits in product("01", repeat=w)] for w in (n - self.shift, self.shift)]
+        # an orbit has at most as many members as the group has elements: 2n, or 2 on the tiny cubes
+        self.sizes = [str(k) for k in range(2 * n + 3)]
+
+    def __len__(self) -> int:
+        return len(self.ints) // (3 if self.edges else 2)
+
+    def __iter__(self) -> Iterator[tuple]:
+        (high, low), size, ints = self.halves, self.sizes, iter(self.ints)
+        shift, mask = self.shift, (1 << self.shift) - 1
+        if self.edges:
+            return (
+                ((high[u >> shift] + low[u & mask], high[v >> shift] + low[v & mask]), size[k])
+                for u, v, k in zip(ints, ints, ints)
+            )
+        return ((high[x >> shift] + low[x & mask], size[k]) for x, k in zip(ints, ints))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other
+
+
+def _orbit_rows(cube: str, n: int, vertices: bool) -> OrbitRows:
+    """The rows of an orbit listing, from one orbit pass made before any output is written.
+
+    A refusal or an internal error therefore leaves stdout empty.  Each orbit the engine yields is kept as
+    ints, 4 bytes each, and the graph is freed before the rows are read.
+    """
+    from array import array  # here, not at the top: only orbit listings need it
+
     graph = oracle.build(n, cube)
-    # an orbit has at most as many members as the group has elements: 2n, or 2 on the tiny cubes
-    size = [str(k) for k in range(2 * n + 3)]
+    # an unsigned int holds 4 bytes on every platform CPython supports, and a vertex of n <= 32 fits in it
+    ints = array("I")
     if vertices:
-        return [(graph.decode(x), size[k]) for x, k in oracle.canonical_orbits(graph, oracle.VERTICES)]
-    # the ends of edge representatives repeat from orbit to orbit: decode each vertex once
-    name = {x: graph.decode(x) for x in graph.vertices}
-    return [((name[u], name[v]), size[k]) for (u, v), k in oracle.canonical_orbits(graph, oracle.EDGES)]
+        ints.extend(chain.from_iterable(oracle.canonical_orbits(graph, oracle.VERTICES)))
+        return OrbitRows(ints, n, False)
+    append = ints.append
+    for (u, v), k in oracle.canonical_orbits(graph, oracle.EDGES):
+        append(u)
+        append(v)
+        append(k)
+    return OrbitRows(ints, n, True)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:

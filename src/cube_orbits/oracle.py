@@ -42,11 +42,11 @@ from . import formulas
 from .formulas import GAMMA, LAMBDA
 from .strings import enumerate_strings, FIBONACCI, LUCAS
 
-# Every `orbits <cube> n edges` up to this n answers within 30 s and 1 GB peak RSS
-# on a 2-CPU machine in every format (README "Bounds"): gamma n = 26 took 4.3-4.7 s
-# and 219 MB as plain, 5.4-6.3 s and 219 MB as JSON. n = 27 fits too (8.2 s, 11.7 s
-# as JSON, 359 MB) but waits for rows that are decoded only as they are written.
-BUILD_LIMIT = 26
+# Every `orbits` listing up to this n, of either cube and ground and in every format, answered
+# within 22.5 s (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a
+# 2-CPU machine (README "Bounds"): gamma n = 28 edges, the slowest, took 11.8-11.9 s as plain and
+# 14.9-16.2 s as JSON, at 163 MB, the peak of the string enumeration; n = 29 took 25.0-28.0 s as JSON.
+BUILD_LIMIT = 28
 NAMED_SIZE_LIMIT = 100
 AUTOMORPHISM_VERTEX_LIMIT = 60
 

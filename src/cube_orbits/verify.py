@@ -33,9 +33,9 @@ AUTOMORPHISMS = "automorphisms"
 SUITE_DEFAULT_MAX = {FORMULAS: 200, ORACLE: 14, BIJECTIONS: 16, AUTOMORPHISMS: 8}
 
 # Against the 30 s budget with a quarter of it in hand (README "Bounds"): formulas --max 3400 took
-# 20.6-21.1 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 23 took 9.4-13.6 s, but 24 took
-# 16.9-22.2 s and 25 took 30.8 s
-SUITE_HARD_BOUND = {FORMULAS: 3400, ORACLE: 23, BIJECTIONS: 18, AUTOMORPHISMS: 8}
+# 20.6-21.1 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 24 took 13.0-13.8 s, but 25 took
+# 22.6-22.7 s
+SUITE_HARD_BOUND = {FORMULAS: 3400, ORACLE: 24, BIJECTIONS: 18, AUTOMORPHISMS: 8}
 
 
 class CheckResult(NamedTuple):

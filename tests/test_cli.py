@@ -104,10 +104,10 @@ def as_records(envelope, columns):
     """The envelope as json.dumps takes it: each row an object of its columns, each edge a list."""
     result = dict(envelope["result"])
     key = list(result)[-1]
-    if type(result[key]) is list:
+    if isinstance(result[key], (list, cli.OrbitRows)):
         result[key] = [
             {name: list(cell) if type(cell) is tuple else cell for name, cell in zip(columns, row)}
-            for row in result[key]
+            for row in list(result[key])
         ]
     return {**envelope, "result": result}
 
@@ -200,6 +200,55 @@ def test_output_is_streamed(monkeypatch):
         assert growth.pop() < sink.chars / 2, argv
 
 
+def test_orbit_rows_hold_ints():
+    # an edge orbit is held as three ints of 4 bytes until its row is written; a row of a tuple of
+    # strings in a tuple held about 120 bytes for each orbit
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        rows = cli._orbit_rows("gamma", 18, False)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 17345
+    assert (held - before) / len(rows) < 40
+
+
+def decoded_listing(cube, n, ground):
+    """The listing of ``orbits cube n ground`` in every format, from the engine's orbits decoded by the graph."""
+    graph = oracle.build(n, cube)
+    rows = [
+        (graph.decode(rep) if type(rep) is int else tuple(map(graph.decode, rep)), str(size))
+        for rep, size in oracle.canonical_orbits(graph, ground)
+    ]
+
+    def joined(rep, sep, human=lambda s: s):
+        return human(rep) if type(rep) is str else sep.join(map(human, rep))
+
+    plain = f"{cube} n={n} {ground}: {len(rows)} orbits\n" + "".join(
+        f"{joined(rep, '-', lambda s: s or 'ε')}  {size}\n" for rep, size in rows
+    )
+    csv = "representative,size\n" + "".join(f"{joined(rep, '-')},{size}\n" for rep, size in rows)
+    envelope = {
+        "command": "orbits",
+        "parameters": {"cube": cube, "n": n, "ground": ground},
+        "result": {
+            "orbit_count": str(len(rows)),
+            "orbits": [{"representative": rep if type(rep) is str else list(rep), "size": size} for rep, size in rows],
+        },
+    }
+    return {"plain": plain, "csv": csv, "json": json.dumps(envelope, indent=2) + "\n"}
+
+
+@pytest.mark.parametrize("cube", ["gamma", "lambda"])
+@pytest.mark.parametrize("ground", ["vertices", "edges"])
+def test_listings_equal_decoded_orbits(capsys, cube, ground):
+    # the golden captures stop at n = 6; the rows decoded as they are written match the graph's decoding
+    for n in range(15):
+        for fmt, text in decoded_listing(cube, n, ground).items():
+            assert run_cli(capsys, "orbits", cube, str(n), ground, "--format", fmt) == (0, text, ""), (n, fmt)
+
+
 def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "table", "gamma-e", "--format", "json")
     second = run_cli(capsys, "table", "gamma-e", "--format", "json")
@@ -252,9 +301,9 @@ def test_orbits_bound_refusal(capsys):
     assert code == 2
     assert "exceeds the enumeration bound" in err
     # the refusal names the size of the graph it would have built
-    code, out, err = run_cli(capsys, "orbits", "gamma", "27", "edges")
+    code, out, err = run_cli(capsys, "orbits", "gamma", "29", "edges")
     assert (code, out) == (2, "")
-    assert err == "error: dimension 27 exceeds the enumeration bound 26 (514229 vertices, 3916061 edges)\n"
+    assert err == "error: dimension 29 exceeds the enumeration bound 28 (1346269 vertices, 10996580 edges)\n"
 
 
 def test_orbits_bound_refusal_is_immediate(capsys):
@@ -264,7 +313,7 @@ def test_orbits_bound_refusal_is_immediate(capsys):
     code, out, err = run_cli(capsys, "orbits", "gamma", "1000000", "vertices")
     elapsed = time.perf_counter() - started
     assert (code, out) == (2, "")
-    assert err == "error: dimension 1000000 exceeds the enumeration bound 26\n"
+    assert err == "error: dimension 1000000 exceeds the enumeration bound 28\n"
     assert elapsed < 0.1
 
 
