@@ -40,7 +40,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import formulas
 from .formulas import GAMMA, LAMBDA
-from .strings import enumerate_strings, FIBONACCI, LUCAS
+from .strings import enumerate_strings, FIBONACCI
 
 # Every `orbits` listing up to this n, of either cube and ground and in every format, answered
 # within 22.5 s (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a
@@ -111,7 +111,7 @@ def build(n: int, kind: str) -> CubeGraph:
     """Construct the cube graph; refuses n > BUILD_LIMIT, naming the size it would build up to NAMED_SIZE_LIMIT.
 
     The closed forms give only that size and the check of the built graph's size;
-    the vertices come from string enumeration and |E| from their weights.
+    the vertices come from string enumeration at half length (``_joined_halves``) and |E| from their weights.
     """
     if n < 0:
         raise ValueError(f"dimension must be nonnegative, got {n}")
@@ -126,8 +126,11 @@ def build(n: int, kind: str) -> CubeGraph:
             size = f" ({counts.vertices} vertices, {counts.edges} edges)"
         raise ValueError(f"dimension {n} exceeds the enumeration bound {BUILD_LIMIT}{size}")
     expected = formulas.graph_counts(n, kind)
-    names = enumerate_strings(n, FIBONACCI if kind == GAMMA else LUCAS)
-    vertices = tuple(int(u, 2) for u in names) if n else (0,)  # int("", 2) is an error
+    if n <= 1:
+        # the one position of a Lucas string of length 1 is beside itself, so "1" is not a vertex of Λ1
+        vertices = (0, 1) if n == 1 and kind == GAMMA else (0,)
+    else:
+        vertices = _joined_halves(n, kind == LAMBDA)
     edge_count = sum(x.bit_count() for x in vertices)
     if (len(vertices), edge_count) != (expected.vertices, expected.edges):
         raise AssertionError(
@@ -135,6 +138,25 @@ def build(n: int, kind: str) -> CubeGraph:
             f"got {(len(vertices), edge_count)}, expected {tuple(expected)}"
         )
     return CubeGraph(kind=kind, n=n, vertices=vertices, edge_count=edge_count)
+
+
+def _joined_halves(n: int, cyclic: bool) -> tuple[int, ...]:
+    """The valid strings of length n >= 2 as ints, ascending, each a high half joined to a low half.
+
+    Both halves are Fibonacci strings, of lengths ceil(n/2) and floor(n/2), enumerated once each, so no
+    string of length n is made.  A low half may not start with a 1 where the high half ends in one, nor,
+    on a Lucas cube, end with a 1 where the high half starts with one.  The high halves ascend, so the
+    joined vertices do.
+    """
+    shift = n // 2
+    highs = [int(u, 2) for u in enumerate_strings(n - shift, FIBONACCI)]
+    lows = [int(u, 2) for u in enumerate_strings(shift, FIBONACCI)]
+    low_first, high_first = 1 << (shift - 1), 1 << (n - shift - 1)  # the bit of each half's first position
+    # allowed[ends in 1][starts with 1 on a Lucas cube]: the low halves a high half may be joined to
+    allowed = [
+        [[y for y in lows if not (end and y & low_first or wrap and y & 1)] for wrap in (0, 1)] for end in (0, 1)
+    ]
+    return tuple(x << shift | y for x in highs for y in allowed[x & 1][cyclic and x >= high_first])
 
 
 def _reverse(x: int, n: int) -> int:

@@ -329,7 +329,7 @@ CHECKS = (
     Check(FORMULAS, "lucas from fibonacci neighbors", 1, lambda n: _mismatch(
         n, "lucas", formulas.lucas(n), formulas.fib(n - 1) + formulas.fib(n + 1))),
     Check(FORMULAS, "primitive counts sum to lucas over divisors", 1, lambda n: _mismatch(
-        n, "divisor sum", sum(formulas.lucas_string_classes(d).primitive for d in formulas.divisors(n)),
+        n, "divisor sum", sum(_value(formulas.lucas_string_classes, d).primitive for d in formulas.divisors(n)),
         formulas.lucas(n))),
     Check(FORMULAS, "gamma vertex histogram sums", 2, _gamma_vertex_sums),
     Check(FORMULAS, "gamma edge histogram sums", 0, lambda n: _histogram_sums(

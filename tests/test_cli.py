@@ -578,3 +578,15 @@ def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
     assert err == "internal error: division 7/5 is not exact (this is a bug)\n"
     # a bad value from outside stays a usage error
     assert run_cli(capsys, "witness", "asymmetric", "8")[0] == 2
+
+
+def test_a_lost_half_string_is_an_internal_error(capsys, monkeypatch):
+    # the vertices still come from string enumeration, checked against the closed forms: a half
+    # enumeration that drops its last string makes a graph of the wrong size
+    enumerate_strings = oracle.enumerate_strings
+    monkeypatch.setattr(oracle, "enumerate_strings", lambda n, kind: enumerate_strings(n, kind)[:-1])
+    with pytest.raises(AssertionError, match="graph construction mismatch for gamma n=6"):
+        oracle.build(6, "gamma")
+    code, out, err = run_cli(capsys, "orbits", "gamma", "6", "vertices")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: graph construction mismatch for gamma n=6")

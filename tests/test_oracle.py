@@ -6,6 +6,7 @@ decode them with ``CubeGraph.decode`` wherever they compare with strings.
 
 import inspect
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -94,6 +95,39 @@ def test_build_bounds_and_counts():
             # vertices ascend as ints and as strings, and are the valid strings
             assert list(g.vertices) == sorted(set(g.vertices))
             assert list(vertex_strings(g)) == enumerate_strings(n, FIBONACCI if kind == GAMMA else LUCAS)
+
+
+def test_vertices_joined_from_halves_are_the_valid_strings(monkeypatch):
+    # odd and even splits, and the cyclic join of the shortest Lucas cubes; build enumerates strings
+    # only at half length
+    lengths = []
+
+    def recorded(n, kind):
+        lengths.append(n)
+        return enumerate_strings(n, kind)
+
+    monkeypatch.setattr(oracle, "enumerate_strings", recorded)
+    for kind, strings_kind in ((GAMMA, FIBONACCI), (LAMBDA, LUCAS)):
+        for n in range(0, 25):
+            lengths.clear()
+            want = tuple(int(u, 2) for u in enumerate_strings(n, strings_kind)) if n else (0,)
+            assert build(n, kind).vertices == want, (kind, n)
+            assert sorted(lengths) == ([n // 2, n - n // 2] if n >= 2 else []), (kind, n)
+
+
+def test_build_holds_no_full_length_strings():
+    # listing every string of length n and parsing it peaked at about five times what build keeps;
+    # joining int halves peaks at about what it keeps
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        g = build(23, LAMBDA)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == formulas.lucas(23)
+    assert peak - before <= 1.5 * (held - before)
 
 
 def test_edges_differ_in_one_position():
