@@ -44,8 +44,8 @@ from .strings import enumerate_strings, FIBONACCI
 
 # Every `orbits` listing up to this n, of either cube and ground and in every format, answered
 # within 22.5 s (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a
-# 2-CPU machine (README "Bounds"): gamma n = 28 edges, the slowest, took 11.8-11.9 s as plain and
-# 14.9-16.2 s as JSON, at 163 MB, the peak of the string enumeration; n = 29 took 25.0-28.0 s as JSON.
+# 2-CPU machine (README "Bounds"): gamma n = 28 edges, the slowest, took 9.8-11.7 s as plain and CSV
+# and 11.5-16.7 s as JSON, at 87 MB, the vertex tuple and the rows; n = 29 took 25.0-27.2 s as JSON.
 BUILD_LIMIT = 28
 NAMED_SIZE_LIMIT = 100
 AUTOMORPHISM_VERTEX_LIMIT = 60

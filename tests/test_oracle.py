@@ -116,8 +116,8 @@ def test_vertices_joined_from_halves_are_the_valid_strings(monkeypatch):
 
 
 def test_build_holds_no_full_length_strings():
-    # listing every string of length n and parsing it peaked at about five times what build keeps;
-    # joining int halves peaks at about what it keeps
+    # the half-length strings are few beside the vertex tuple build keeps, so its peak stays near what
+    # it keeps; every string of length n, parsed, would peak at about five times that
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
