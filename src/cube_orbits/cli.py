@@ -95,11 +95,6 @@ def table_rows(which: str, max_n: int) -> tuple[list[str], list[list[int]]]:
     return labels, rows
 
 
-def _human(value: str) -> str:
-    # empty string renders as epsilon in human-facing output
-    return value if value else "ε"
-
-
 def _row_template(columns: list[str], row: tuple) -> str:
     """A row as ``json.dumps(..., indent=2)`` writes it as an object of ``columns`` in the listing.
 
@@ -115,10 +110,12 @@ def _row_template(columns: list[str], row: tuple) -> str:
 def _json(envelope: dict, columns: list[str] | None = None) -> None:
     """Write ``json.dumps(envelope, indent=2)`` and a newline to stdout, the rows one by one.
 
-    When the last value of ``envelope["result"]`` is a list or an ``OrbitRows``, it holds the rows: tuples of
-    cells in the order of ``columns``, each written as an object of its columns from one template.  The text
-    before and after the rows is json.dumps of the envelope with that listing empty.  Cells are quoted as
-    json.dumps quotes strings by default (``ensure_ascii``); a cell that is not a string raises TypeError.
+    When the last value of ``envelope["result"]`` is a list or an ``OrbitRows``, it holds the rows, each written
+    as an object of ``columns`` from one template; the text around the rows is json.dumps of the envelope with
+    that listing empty.  An ``OrbitRows`` writes its rows from the template split at its cells
+    (``OrbitRows.texts``): each cell is 0s and 1s or a size, which JSON quotes with two quote marks.  A list's
+    rows, tuples of cells in the order of ``columns``, fill the template with each cell quoted as json.dumps
+    quotes strings by default (``ensure_ascii``); a cell that is not a string raises TypeError.
     """
     out = sys.stdout
     result = envelope["result"]
@@ -131,14 +128,21 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
         out.write("\n")
         return
     head, tail = text.rsplit("[]", 1)
-    template = _row_template(columns, next(iter(rows)))
-    # a cell is a string, or an edge: a tuple of strings
-    filled = (
-        template % tuple([_quote(s) for cell in row for s in ((cell,) if type(cell) is str else cell)])
-        for row in rows
-    )
-    out.write(head + "[\n" + next(filled))
-    out.writelines(map(",\n".__add__, filled))
+    # every row is led by the separator from the row before it, which the first row drops
+    template = ",\n" + _row_template(columns, next(iter(rows)))
+    if isinstance(rows, OrbitRows):
+        # json.dumps escapes every NUL it writes, so a NUL in each cell's place marks where the template splits;
+        # a vertex row has one inner part, the text between representative and size
+        lead, *inner, end = (template % (("\0",) * (3 if rows.edges else 2))).split("\0")
+        filled = rows.texts(lead, '"', inner[0], inner[-1], end)
+    else:
+        # a cell is a string, or an edge: a tuple of strings
+        filled = (
+            template % tuple([_quote(s) for cell in row for s in ((cell,) if type(cell) is str else cell)])
+            for row in rows
+        )
+    out.write(head + "[\n" + next(filled)[2:])
+    out.writelines(filled)
     # the list closes one level (two spaces) left of its rows
     out.write(f"\n{_ROW_PAD[2:]}]{tail}\n")
 
@@ -152,19 +156,22 @@ def _emit(
 ) -> int:
     """Write a command's output to stdout piece by piece: the JSON envelope, CSV rows, or the plain lines.
 
-    The last value of ``result``, when it is a list or an ``OrbitRows``, holds the rows: tuples of cells in the
-    order of ``columns``.  Each format reads the rows once, in order, and indexes none, so an orbit listing's
-    rows are decoded only as they are written.  ``plain`` gives the plain lines, each with its newline; it is
-    called only for plain output, so JSON and CSV do not pay for its layout.
+    The last value of ``result``, when it is a list or an ``OrbitRows``, holds the rows: a list holds tuples of
+    string cells in the order of ``columns``, and an orbit listing writes each row's text in every format
+    (``OrbitRows.texts``).  ``plain`` gives the plain lines, each with its newline; it is called only for
+    plain output, so JSON and CSV do not pay for its layout.
     """
     out = sys.stdout
     if args.format == JSON:
         _json({"command": args.command, "parameters": parameters, "result": result}, columns)
     elif args.format == CSV:
-        # an edge is one cell, u-v
         out.write(",".join(columns) + "\n")
         rows = list(result.values())[-1]
-        out.writelines(",".join([c if type(c) is str else "-".join(c) for c in row]) + "\n" for row in rows)
+        if isinstance(rows, OrbitRows):
+            # an edge is one cell, u-v
+            out.writelines(rows.texts("", "", "-", ",", "\n"))
+        else:
+            out.writelines(",".join(row) + "\n" for row in rows)
     else:
         out.writelines(plain())
     return 0
@@ -188,13 +195,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 class OrbitRows:
-    """The rows of an orbit listing, held as ints and decoded one at a time as they are read.
+    """The rows of an orbit listing, held as ints; each row's text is made only as it is written.
 
-    ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, v, size) for each edge orbit.  A row
-    reads as the writers take it: the representative's string (an edge's as a pair) and the size's str.  A
-    vertex's string is joined from those of its high and low halves, so the name table holds
-    2^ceil(n/2) + 2^floor(n/2) strings and no vertex is decoded before its row is read.  The rows can be
-    counted and read again, and a listing equals the list of its rows.
+    ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, v, size) for each edge orbit.  Every
+    format writes the rows through ``texts``, which joins a vertex's string from its high and low halves, read
+    from tables of 2^ceil(n/2) and 2^floor(n/2) entries that also hold the format's fixed text.  Read as an
+    iterable, a row is a tuple: the representative's string (an edge's as a pair) and the size's str.  The
+    rows can be counted and read again, and a listing equals the list of its rows.
     """
 
     def __init__(self, ints: Sequence[int], n: int, edges: bool) -> None:
@@ -217,6 +224,33 @@ class OrbitRows:
                 for u, v, k in zip(ints, ints, ints)
             )
         return ((high[x >> shift] + low[x & mask], size[k]) for x, k in zip(ints, ints))
+
+    def tables(self, lead: str, quote: str, join: str, mid: str, end: str, empty: str = "") -> tuple[list[str], ...]:
+        """The five tables of an edge row's text, in order: ``lead`` and u's high half, u's low half and
+        ``join``, v's high half, v's low half, then ``mid``, the size and ``end``; each string and size between
+        ``quote`` marks.  A vertex row reads the first, fourth and last.  The empty string of n = 0 is ``empty``.
+        """
+        high, low = self.halves
+        # only n = 0 has an empty high half: every other one is at least one bit long
+        return (
+            [f"{lead}{quote}{h or empty}" for h in high],
+            [f"{l}{quote}{join}" for l in low],
+            [quote + h for h in high],
+            [l + quote for l in low],
+            [f"{mid}{quote}{k}{quote}{end}" for k in self.sizes],
+        )
+
+    def texts(self, lead: str, quote: str, join: str, mid: str, end: str, empty: str = "") -> Iterator[str]:
+        """Each row's finished text, in order, its table entries joined (see ``tables``)."""
+        first, joined, second, last, sizes = self.tables(lead, quote, join, mid, end, empty)
+        shift, mask, ints = self.shift, (1 << self.shift) - 1, iter(self.ints)
+        # an f-string joins the entries in one step; + would make a string of each partial sum
+        if self.edges:
+            return (
+                f"{first[u >> shift]}{joined[u & mask]}{second[v >> shift]}{last[v & mask]}{sizes[k]}"
+                for u, v, k in zip(ints, ints, ints)
+            )
+        return (f"{first[x >> shift]}{last[x & mask]}{sizes[k]}" for x, k in zip(ints, ints))
 
     def __eq__(self, other: object) -> bool:
         return list(self) == other
@@ -247,14 +281,14 @@ def _orbit_rows(cube: str, n: int, vertices: bool) -> OrbitRows:
 def cmd_orbits(args: argparse.Namespace) -> int:
     vertices = args.ground == oracle.VERTICES
     rows = _orbit_rows(args.cube, args.n, vertices)
-
-    def plain() -> Iterator[str]:
-        yield f"{args.cube} n={args.n} {args.ground}: {len(rows)} orbits\n"
-        for rep, size in rows:
-            yield f"{_human(rep) if vertices else '-'.join(map(_human, rep))}  {size}\n"
-
+    header = f"{args.cube} n={args.n} {args.ground}: {len(rows)} orbits\n"
     parameters = {"cube": args.cube, "n": args.n, "ground": args.ground}
     result = {"orbit_count": str(len(rows)), "orbits": rows}
+
+    def plain() -> Iterable[str]:
+        # a row is the representative, u-v for an edge, two spaces and the size; the empty string is ε
+        return chain([header], rows.texts("", "", "-", "  ", "\n", "ε"))
+
     return _emit(args, parameters, result, plain, ["representative", "size"])
 
 

@@ -44,9 +44,10 @@ from .strings import enumerate_strings, FIBONACCI
 
 # Every `orbits` listing up to this n, of either cube and ground and in every format, answered
 # within 22.5 s (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a
-# 2-CPU machine (README "Bounds"): gamma n = 28 edges, the slowest, took 9.8-11.7 s as plain and CSV
-# and 11.5-16.7 s as JSON, at 87 MB, the vertex tuple and the rows; n = 29 took 25.0-27.2 s as JSON.
-BUILD_LIMIT = 28
+# 2-CPU machine (README "Bounds"). Each listing's rows are written from per-format tables of half
+# strings (cli.OrbitRows.texts); gamma n = 30 edges, the slowest, took 14.8-21.7 s in the three
+# formats at 209 MB, the vertex tuple and the rows, and n = 31 took 28.3-39.3 s.
+BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
 AUTOMORPHISM_VERTEX_LIMIT = 60
 

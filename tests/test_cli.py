@@ -243,10 +243,38 @@ def decoded_listing(cube, n, ground):
 @pytest.mark.parametrize("cube", ["gamma", "lambda"])
 @pytest.mark.parametrize("ground", ["vertices", "edges"])
 def test_listings_equal_decoded_orbits(capsys, cube, ground):
-    # the golden captures stop at n = 6; the rows decoded as they are written match the graph's decoding
-    for n in range(15):
+    # the golden captures stop at n = 6; the rows decoded as they are written match the graph's decoding,
+    # also at n = 17 and 18, whose half tables (512 and 256 entries, then 512 and 512) split an odd and
+    # an even length
+    for n in [*range(15), 17, 18]:
         for fmt, text in decoded_listing(cube, n, ground).items():
             assert run_cli(capsys, "orbits", cube, str(n), ground, "--format", fmt) == (0, text, ""), (n, fmt)
+
+
+@pytest.mark.parametrize("cube", ["gamma", "lambda"])
+def test_json_tables_are_json_dumps(cube):
+    # each table entry of a JSON listing holds its cell as json.dumps quotes it, and a row joined from the
+    # tables is the row template filled with json.dumps of its cells
+    for n in range(15):
+        for vertices in (True, False):
+            rows = cli._orbit_rows(cube, n, vertices)
+            cells = 2 if vertices else 3
+            template = ",\n" + cli._row_template(["representative", "size"], ("",) * 2 if vertices else (("", ""), ""))
+            lead, *inner, end = (template % (("\0",) * cells)).split("\0")
+            join, mid = inner[0], inner[-1]
+            first, joined, second, last, sizes = rows.tables(lead, '"', join, mid, end)
+            high, low = rows.halves
+            for h, text in zip(high, first, strict=True):
+                assert text.startswith(lead) and text[len(lead):] + '"' == json.dumps(h), (n, h)
+            assert [quoted + '"' for quoted in second] == [json.dumps(h) for h in high], n
+            assert ['"' + text for text in last] == [json.dumps(low_half) for low_half in low], n
+            assert ['"' + text for text in joined] == [json.dumps(low_half) + join for low_half in low], n
+            assert sizes == [mid + json.dumps(str(k)) + end for k in range(2 * n + 3)], n
+            texts = list(rows.texts(lead, '"', join, mid, end))
+            quoted = [
+                template % tuple(json.dumps(s) for s in ((rep,) if vertices else rep) + (size,)) for rep, size in rows
+            ]
+            assert texts == quoted and len(texts) == len(rows), (n, vertices)
 
 
 def test_output_is_deterministic(capsys):
@@ -301,9 +329,9 @@ def test_orbits_bound_refusal(capsys):
     assert code == 2
     assert "exceeds the enumeration bound" in err
     # the refusal names the size of the graph it would have built
-    code, out, err = run_cli(capsys, "orbits", "gamma", "29", "edges")
+    code, out, err = run_cli(capsys, "orbits", "gamma", "31", "edges")
     assert (code, out) == (2, "")
-    assert err == "error: dimension 29 exceeds the enumeration bound 28 (1346269 vertices, 10996580 edges)\n"
+    assert err == "error: dimension 31 exceeds the enumeration bound 30 (3524578 vertices, 30737759 edges)\n"
 
 
 def test_orbits_bound_refusal_is_immediate(capsys):
@@ -313,7 +341,7 @@ def test_orbits_bound_refusal_is_immediate(capsys):
     code, out, err = run_cli(capsys, "orbits", "gamma", "1000000", "vertices")
     elapsed = time.perf_counter() - started
     assert (code, out) == (2, "")
-    assert err == "error: dimension 1000000 exceeds the enumeration bound 28\n"
+    assert err == "error: dimension 1000000 exceeds the enumeration bound 30\n"
     assert elapsed < 0.1
 
 
