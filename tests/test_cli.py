@@ -258,14 +258,14 @@ def test_json_tables_are_json_dumps(cube):
     for n in range(15):
         for vertices in (True, False):
             rows = cli._orbit_rows(cube, n, vertices)
-            cells = 2 if vertices else 3
-            template = ",\n" + cli._row_template(["representative", "size"], ("",) * 2 if vertices else (("", ""), ""))
-            lead, *inner, end = (template % (("\0",) * cells)).split("\0")
+            shape = ("", "") if vertices else (("", ""), "")
+            template = ",\n" + cli._row_template(["representative", "size"], shape)
+            lead, *inner, end = (template % (("\0",) * (2 if vertices else 3))).split("\0")
             join, mid = inner[0], inner[-1]
             first, joined, second, last, sizes = rows.tables(lead, '"', join, mid, end)
             high, low = rows.halves
-            for h, text in zip(high, first, strict=True):
-                assert text.startswith(lead) and text[len(lead):] + '"' == json.dumps(h), (n, h)
+            assert all(text.startswith(lead) for text in first), n
+            assert [text[len(lead):] + '"' for text in first] == [json.dumps(h) for h in high], n
             assert [quoted + '"' for quoted in second] == [json.dumps(h) for h in high], n
             assert ['"' + text for text in last] == [json.dumps(low_half) for low_half in low], n
             assert ['"' + text for text in joined] == [json.dumps(low_half) + join for low_half in low], n
