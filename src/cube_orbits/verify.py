@@ -33,9 +33,9 @@ AUTOMORPHISMS = "automorphisms"
 SUITE_DEFAULT_MAX = {FORMULAS: 200, ORACLE: 14, BIJECTIONS: 16, AUTOMORPHISMS: 8}
 
 # Against the 30 s budget with a quarter of it in hand (README "Bounds"): formulas --max 3400 took
-# 20.6-21.1 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 24 took 13.0-13.8 s, but 25 took
-# 22.6-22.7 s
-SUITE_HARD_BOUND = {FORMULAS: 3400, ORACLE: 24, BIJECTIONS: 18, AUTOMORPHISMS: 8}
+# 20.6-21.1 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 27 took 16.0-17.7 s, but 28 took
+# 28.1 s
+SUITE_HARD_BOUND = {FORMULAS: 3400, ORACLE: 27, BIJECTIONS: 18, AUTOMORPHISMS: 8}
 
 
 class CheckResult(NamedTuple):
@@ -136,6 +136,9 @@ def _asymmetric_boundary(n: int) -> str | None:
 
 
 # --- oracle-vs-formula suite: closed forms against explicit enumeration
+#
+# The graph rows read one orbit-size histogram per cube (``_histogram``); the four string-side rows
+# read one census of the Lucas strings of each length (``_census``), so no row walks the strings itself.
 
 
 @functools.cache
@@ -164,17 +167,51 @@ def _lambda_edge_size_set(n: int) -> str | None:
     return None
 
 
+class LucasCensus(NamedTuple):
+    """What the string-side rows read of the Lucas strings of one length n, from one pass over them."""
+
+    period_sum: int  # n // period summed: n times the rotation classes, by orbit-stabilizer
+    primitive: int
+    symmetric: int  # primitive strings whose root is symmetric
+    asymmetric: int  # strings whose orbit has the full size 2n
+    fixing_reflections: int  # summed over the strings, each counted directly
+    non_primitive: tuple[int, ...]  # as vertices of the Lucas cube, ascending
+
+
+def _census(n: int) -> LucasCensus:
+    """The census of length n >= 1, made once per process for the functions it calls.
+
+    ``strings.period`` is part of the key too: ``strings.decompose`` looks it up at each call.
+    """
+    return _lucas_census(n, strings.enumerate_strings, strings.decompose, strings.period, _fixing_reflections)
+
+
+@functools.cache
+def _lucas_census(n: int, enumerate_strings: Callable, decompose: Callable, _period: Callable,
+                  fixing_reflections: Callable[[str], int]) -> LucasCensus:
+    period_sum = primitive = symmetric = asymmetric = fixed = 0
+    non_primitive = []
+    for u in enumerate_strings(n, strings.LUCAS):
+        d = decompose(u)
+        period_sum += n // d.period
+        if d.exponent == 1:
+            primitive += 1
+            symmetric += d.symmetric
+        else:
+            non_primitive.append(int(u, 2))
+        asymmetric += not d.symmetric and d.period == n
+        fixed += fixing_reflections(u)
+    return LucasCensus(period_sum, primitive, symmetric, asymmetric, fixed, tuple(non_primitive))
+
+
 def _necklaces_vs_oracle(n: int) -> str | None:
-    lucas_strings = strings.enumerate_strings(n, strings.LUCAS)
-    rotation_classes = {min(u[i:] + u[:i] for i in range(n)) for u in lucas_strings}
-    return _mismatch(n, "rotation classes", len(rotation_classes), formulas.necklace_count(n))
+    rotation_classes = formulas._exact_div(_census(n).period_sum, n)
+    return _mismatch(n, "rotation classes", rotation_classes, formulas.necklace_count(n))
 
 
 def _string_classes_vs_oracle(n: int) -> str | None:
-    lucas_strings = strings.enumerate_strings(n, strings.LUCAS)
-    primitive = [d for d in map(strings.decompose, lucas_strings) if d.exponent == 1]
-    asymmetric = sum(strings.orbit_size(u) == 2 * n for u in lucas_strings)
-    got = (len(primitive), sum(d.symmetric for d in primitive), asymmetric)
+    census = _census(n)
+    got = (census.primitive, census.symmetric, census.asymmetric)
     return _mismatch(n, "classified", got, tuple(formulas.lucas_string_classes(n)))
 
 
@@ -182,15 +219,19 @@ def _fixing_reflections(u: str) -> int:
     """How many of the len(u) reflections fix u.
 
     ``Dihedral(j, True)`` maps u to its reversal r rotated right by j, and that
-    equals u iff u occurs in r + r at offset -j mod len(u), compared in place.
+    equals u iff u occurs in r + r at offset -j mod len(u): each offset below
+    len(u) at which ``str.find`` meets u counts once.
     """
-    doubled = u[::-1] * 2
-    return sum(doubled.startswith(u, o) for o in range(len(u)))
+    doubled, end, count = u[::-1] * 2, 2 * len(u) - 1, 0
+    offset = doubled.find(u, 0, end)
+    while offset >= 0:
+        count += 1
+        offset = doubled.find(u, offset + 1, end)
+    return count
 
 
 def _reflection_fix_sum(d: int) -> str | None:
-    total = sum(map(_fixing_reflections, strings.enumerate_strings(d, strings.LUCAS)))
-    return _mismatch(d, "fixed-point sum", total, d * formulas.fib(d // 2 + 2))
+    return _mismatch(d, "fixed-point sum", _census(d).fixing_reflections, d * formulas.fib(d // 2 + 2))
 
 
 def _fib_palindromes_vs_oracle(n: int) -> str | None:
@@ -201,12 +242,18 @@ def _fib_palindromes_vs_oracle(n: int) -> str | None:
 
 
 def _edges_have_primitive_endpoint(n: int) -> str | None:
+    """An edge lacks a primitive endpoint iff both its ends are non-primitive.
+
+    Every edge has a lower end, so walking up from the non-primitive vertices, ascending, meets every
+    such edge, and in the order of the full ascending edge walk.
+    """
     graph = oracle.build(n, LAMBDA)
-    primitive = {x: strings.decompose(graph.decode(x)).exponent == 1 for x in graph.vertices}
-    for edge in graph.edges:
-        if not (primitive[edge[0]] or primitive[edge[1]]):
-            u, v = map(graph.decode, edge)
-            return f"n={n}: edge ({u}, {v}) has no primitive endpoint"
+    non_primitive = _census(n).non_primitive
+    up, is_non_primitive = oracle._upper_ends(graph), set(non_primitive)
+    for u in non_primitive:
+        for v in up(u):
+            if v in is_non_primitive:
+                return f"n={n}: edge ({graph.decode(u)}, {graph.decode(v)}) has no primitive endpoint"
     return None
 
 

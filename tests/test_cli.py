@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cube_orbits import bijections, cli, formulas, oracle, verify
+from cube_orbits import bijections, cli, formulas, oracle, strings, verify
 from cube_orbits.cli import TABLE_LIMIT, TABLES, WITNESS_LIMIT, main, table_rows
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
@@ -618,3 +618,12 @@ def test_a_lost_half_string_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "orbits", "gamma", "6", "vertices")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: graph construction mismatch for gamma n=6")
+
+
+def test_an_inexact_rotation_class_count_is_an_internal_error(capsys, monkeypatch):
+    # the necklace row divides the census's sum of n // period by n: a wrong period can leave a remainder
+    period = strings.period
+    monkeypatch.setattr(strings, "period", lambda u: 2 if len(u) == 11 else period(u))
+    code, out, err = run_cli(capsys, "verify", "oracle-vs-formula", "--max", "11")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: division 995/11 is not exact")

@@ -9,7 +9,8 @@ result line counts 28 checks instead of 33.  A second one was edited by hand
 when the measured graph bound fell from 30 to 26: the oracle-vs-formula
 refusal line of ``verify all --max 40``, and nothing else in that capture.
 That line was recorded again when the suite got its own measured bound, 23,
-below the graph bound, and again when that bound was measured as 24.
+below the graph bound, again when that bound was measured as 24, and again
+when it was measured as 27 after the string-side rows shared one census.
 To record them again (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record

@@ -2,9 +2,9 @@
 
 The rewritten checks are held to what they replaced: the edge map is tested
 under the group's two generators, closed-form values are evaluated once per
-process, primitivity once per vertex, fixed reflections by an in-place
-search and binomial coefficients by term ratios; each must still fail where
-the old loop failed.
+process, the Lucas strings of each length in one census, fixed reflections
+by a substring search and binomial coefficients by term ratios; each must
+still fail where the old loop failed.
 """
 
 import math
@@ -183,3 +183,82 @@ def test_primitive_endpoint_counterexample(monkeypatch):
     result = run_check(CHECK["every lucas edge has a primitive endpoint"], 8)
     assert result.status == FAIL
     assert result.detail == "n=5: edge (00000, 00001) has no primitive endpoint"
+
+
+# --- one Lucas-string census per n, against the per-row walks it replaced
+
+NECKLACES = CHECK["necklace count equals rotation classes"]
+CLASSES = CHECK["string class counts equal exhaustive classification"]
+ENDPOINTS = CHECK["every lucas edge has a primitive endpoint"]
+
+
+def _rotation_classes(n):
+    return len({min(u[i:] + u[:i] for i in range(n)) for u in enumerate_strings(n, LUCAS)})
+
+
+def _string_classes(n):
+    lucas_strings = enumerate_strings(n, LUCAS)
+    primitive = [d for d in map(strings.decompose, lucas_strings) if d.exponent == 1]
+    asymmetric = sum(strings.orbit_size(u) == 2 * n for u in lucas_strings)
+    return len(primitive), sum(d.symmetric for d in primitive), asymmetric
+
+
+def _edges_without_primitive_endpoint(n):
+    """The full ascending edge walk: every edge of the Lucas cube whose two ends are non-primitive."""
+    graph = oracle.build(n, LAMBDA)
+    primitive = {x: strings.decompose(graph.decode(x)).exponent == 1 for x in graph.vertices}
+    return [edge for edge in graph.edges if not (primitive[edge[0]] or primitive[edge[1]])]
+
+
+def _weight_two_up_non_primitive(decompose):
+    # marks every string with two or more 1s non-primitive, beside the truly non-primitive ones
+    return lambda u: decompose(u)._replace(exponent=2) if u.count("1") >= 2 else decompose(u)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["true decompose", "weight >= 2 non-primitive"])
+def test_census_equals_the_per_row_walks(monkeypatch, planted):
+    if planted:
+        monkeypatch.setattr(strings, "decompose", _weight_two_up_non_primitive(strings.decompose))
+    for n in range(1, 15):
+        census = verify._census(n)
+        assert census.period_sum == n * _rotation_classes(n), n
+        assert (census.primitive, census.symmetric, census.asymmetric) == _string_classes(n), n
+        assert census.fixing_reflections == sum(map(verify._fixing_reflections, enumerate_strings(n, LUCAS))), n
+        graph = oracle.build(n, LAMBDA)
+        assert census.non_primitive == tuple(
+            x for x in graph.vertices if strings.decompose(graph.decode(x)).exponent != 1
+        ), n
+        up, non_primitive = oracle._upper_ends(graph), set(census.non_primitive)
+        walked = [(u, v) for u in census.non_primitive for v in up(u) if v in non_primitive]
+        assert walked == _edges_without_primitive_endpoint(n), n
+        if n >= ENDPOINTS.lo and not planted:
+            assert walked == [], n
+
+
+def test_endpoint_walk_finds_the_full_walks_first_edge(monkeypatch):
+    monkeypatch.setattr(strings, "decompose", _weight_two_up_non_primitive(strings.decompose))
+    n, edge = next((n, edge) for n in range(ENDPOINTS.lo, 9) for edge in _edges_without_primitive_endpoint(n))
+    u, v = map(oracle.build(n, LAMBDA).decode, edge)
+    result = run_check(ENDPOINTS, 8)
+    assert result.status == FAIL
+    assert result.detail == f"n={n}: edge ({u}, {v}) has no primitive endpoint"
+
+
+def test_census_serves_no_stale_value(monkeypatch):
+    assert [run_check(check, 14).status for check in (NECKLACES, CLASSES)] == [PASS, PASS]
+    period = strings.period
+    monkeypatch.setattr(strings, "period", lambda u: 1 if len(u) >= 11 else period(u))
+    for check in (NECKLACES, CLASSES):
+        result = run_check(check, 14)
+        assert result.status == FAIL
+        assert result.detail.startswith("n=11:"), result.detail
+    monkeypatch.undo()
+    assert [run_check(check, 14).status for check in (NECKLACES, CLASSES)] == [PASS, PASS]
+
+
+def test_inexact_rotation_class_count_is_an_error(monkeypatch):
+    # period 2 at length 11 gives each string 11 // 2 = 5 rotations fixing it: 5 * L(11) is not a multiple of 11
+    period = strings.period
+    monkeypatch.setattr(strings, "period", lambda u: 2 if len(u) == 11 else period(u))
+    with pytest.raises(ArithmeticError, match=f"division {5 * formulas.lucas(11)}/11 is not exact"):
+        run_check(NECKLACES, 14)
