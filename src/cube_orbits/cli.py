@@ -33,8 +33,8 @@ JSON = "json"
 # 778 MB peak RSS on a 2-CPU machine, within the 30 s / 1 GB budget (README "Bounds").
 WITNESS_LIMIT = 200_000_000
 
-# The largest table: at M = 20000 every table took at most 17.3 s and 311 MB peak RSS in any format
-# (README "Bounds"), and from M = 20558 some cell has more than the 4300 digits Python prints by default.
+# The largest table: at M = 20000 every table took at most 10.4 s and 246 MB peak RSS in any format in three
+# fresh runs (README "Bounds"), and from M = 20558 some cell has more than the 4300 digits Python prints by default.
 TABLE_LIMIT = 20_000
 
 
@@ -81,8 +81,8 @@ TABLES = {
 }
 
 
-def table_rows(which: str, max_n: int) -> tuple[list[str], list[list[int]]]:
-    """Row labels and row values (one row per label, columns n = 1..max_n)."""
+def table_rows(which: str, max_n: int) -> tuple[list[str], list[tuple[str, ...]]]:
+    """Column names, ``"n"`` first, and one row of decimal strings per n = 1..max_n, made as its column is."""
     if which not in TABLES:
         raise ValueError(f"unknown table {which!r}")
     if max_n < 1:
@@ -90,9 +90,7 @@ def table_rows(which: str, max_n: int) -> tuple[list[str], list[list[int]]]:
     if max_n > TABLE_LIMIT:
         raise ValueError(f"max {max_n} exceeds the table bound {TABLE_LIMIT}")
     _, labels, column = TABLES[which]
-    columns = [column(n) for n in range(1, max_n + 1)]
-    rows = [[col[r] for col in columns] for r in range(len(labels))]
-    return labels, rows
+    return ["n", *labels], [(str(n), *map(str, column(n))) for n in range(1, max_n + 1)]
 
 
 def _row_template(columns: list[str], row: tuple) -> str:
@@ -113,9 +111,10 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
     When the last value of ``envelope["result"]`` is a list or an ``OrbitRows``, it holds the rows, each written
     as an object of ``columns`` from one template; the text around the rows is json.dumps of the envelope with
     that listing empty.  An ``OrbitRows`` writes its rows from the template split at its cells
-    (``OrbitRows.texts``): each cell is 0s and 1s or a size, which JSON quotes with two quote marks.  A list's
-    rows, tuples of cells in the order of ``columns``, fill the template with each cell quoted as json.dumps
-    quotes strings by default (``ensure_ascii``); a cell that is not a string raises TypeError.
+    (``OrbitRows.texts``): a representative is 0s and 1s, an edge's a pair of them, and a size is digits, each
+    of which JSON quotes with two quote marks.  A list's rows are tuples of strings in the order of ``columns``,
+    each quoted into the template as json.dumps quotes strings by default (``ensure_ascii``); a cell that is not
+    a string raises TypeError.
     """
     out = sys.stdout
     result = envelope["result"]
@@ -129,18 +128,15 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
         return
     head, tail = text.rsplit("[]", 1)
     # every row is led by the separator from the row before it, which the first row drops
-    template = ",\n" + _row_template(columns, next(iter(rows)))
     if isinstance(rows, OrbitRows):
+        template = ",\n" + _row_template(columns, (("", "") if rows.edges else "", ""))
         # json.dumps escapes every NUL it writes, so a NUL in each cell's place marks where the template splits;
         # a vertex row has one inner part, the text between representative and size
         lead, *inner, end = (template % (("\0",) * (3 if rows.edges else 2))).split("\0")
         filled = rows.texts(lead, '"', inner[0], inner[-1], end)
     else:
-        # a cell is a string, or an edge: a tuple of strings
-        filled = (
-            template % tuple([_quote(s) for cell in row for s in ((cell,) if type(cell) is str else cell)])
-            for row in rows
-        )
+        template = ",\n" + _row_template(columns, rows[0])
+        filled = (template % tuple(map(_quote, row)) for row in rows)
     out.write(head + "[\n" + next(filled)[2:])
     out.writelines(filled)
     # the list closes one level (two spaces) left of its rows
@@ -157,9 +153,9 @@ def _emit(
     """Write a command's output to stdout piece by piece: the JSON envelope, CSV rows, or the plain lines.
 
     The last value of ``result``, when it is a list or an ``OrbitRows``, holds the rows: a list holds tuples of
-    string cells in the order of ``columns``, and an orbit listing writes each row's text in every format
-    (``OrbitRows.texts``).  ``plain`` gives the plain lines, each with its newline; it is called only for
-    plain output, so JSON and CSV do not pay for its layout.
+    strings in the order of ``columns``, written as they are, and an orbit listing writes each row's text in
+    every format (``OrbitRows.texts``).  ``plain`` gives the plain lines, each with its newline; it is called
+    only for plain output, so JSON and CSV do not pay for its layout.
     """
     out = sys.stdout
     if args.format == JSON:
@@ -187,9 +183,7 @@ def _plain_table(columns: list[str], rows: list[tuple[str, ...]]) -> Iterator[st
 
 def cmd_table(args: argparse.Namespace) -> int:
     max_n = args.max if args.max is not None else TABLES[args.which].default_max
-    labels, values = table_rows(args.which, max_n)
-    columns = ["n"] + labels
-    rows = [tuple(map(str, row)) for row in zip(range(1, max_n + 1), *values)]
+    columns, rows = table_rows(args.which, max_n)
     parameters = {"table": args.which, "max": max_n}
     return _emit(args, parameters, {"rows": rows}, lambda: _plain_table(columns, rows), columns)
 
@@ -199,9 +193,8 @@ class OrbitRows:
 
     ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, v, size) for each edge orbit.  Every
     format writes the rows through ``texts``, which joins a vertex's string from its high and low halves, read
-    from tables of 2^ceil(n/2) and 2^floor(n/2) entries that also hold the format's fixed text.  Read as an
-    iterable, a row is a tuple: the representative's string (an edge's as a pair) and the size's str.  The
-    rows can be counted and read again, and a listing equals the list of its rows.
+    from tables of 2^ceil(n/2) and 2^floor(n/2) entries that also hold the format's fixed text.  ``len()`` is
+    the number of rows; ``texts`` can be called again, and reads the rows anew.
     """
 
     def __init__(self, ints: Sequence[int], n: int, edges: bool) -> None:
@@ -214,16 +207,6 @@ class OrbitRows:
 
     def __len__(self) -> int:
         return len(self.ints) // (3 if self.edges else 2)
-
-    def __iter__(self) -> Iterator[tuple]:
-        (high, low), size, ints = self.halves, self.sizes, iter(self.ints)
-        shift, mask = self.shift, (1 << self.shift) - 1
-        if self.edges:
-            return (
-                ((high[u >> shift] + low[u & mask], high[v >> shift] + low[v & mask]), size[k])
-                for u, v, k in zip(ints, ints, ints)
-            )
-        return ((high[x >> shift] + low[x & mask], size[k]) for x, k in zip(ints, ints))
 
     def tables(self, lead: str, quote: str, join: str, mid: str, end: str, empty: str = "") -> tuple[list[str], ...]:
         """The five tables of an edge row's text, in order: ``lead`` and u's high half, u's low half and
@@ -251,9 +234,6 @@ class OrbitRows:
                 for u, v, k in zip(ints, ints, ints)
             )
         return (f"{first[x >> shift]}{last[x & mask]}{sizes[k]}" for x, k in zip(ints, ints))
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == other
 
 
 def _orbit_rows(cube: str, n: int, vertices: bool) -> OrbitRows:

@@ -11,15 +11,13 @@ prints or compares strings.  An edge is a pair (u, v) where v is u with one
 more 1, so |E| is the total weight of the vertices; edges are made on demand
 and never stored.
 
-For dimensions where the automorphism group is known to be realized by string
-maps (reversal on Fibonacci cubes for n >= 2, the full dihedral group on Lucas
-cubes for n >= 3), the images of an element are taken under those maps,
-applied with bit operations.  The remaining tiny cases use the exhaustive
-automorphism search, because there the graph has symmetries the string action
-does not show (e.g. the single edge swap of the 1-dimensional Fibonacci cube).
-These maps are the oracle's only group action: ``group_permutations`` turns
-them into vertex permutations, so the automorphism search checks exactly the
-maps that orbit enumeration applies.
+The images of an element are taken under bit maps: reversal on Fibonacci
+cubes and on the Lucas cubes of n <= 2, the full dihedral group on Lucas cubes
+for n >= 3.  The one exception is the 1-dimensional Fibonacci cube, a single
+edge, whose automorphism swaps its ends, which reversal does not do.  These
+maps are the oracle's only group action: ``group_permutations`` turns them
+into vertex permutations, so the automorphism search checks exactly the maps
+that orbit enumeration applies, the tiny cubes included.
 
 Each orbit is reported by its least member in one ascending walk over the
 vertices that keeps no orbit and no record of reached elements
@@ -27,10 +25,10 @@ vertices that keeps no orbit and no record of reached elements
 1998).  A vertex is kept iff no image of it is smaller, the images taken one
 at a time up to the first smaller one; the elements that fix it, its
 stabilizer, make its orbit's size the group's order over theirs.  Save on the
-tiny cubes, which test each edge against all its images, the group preserves
-weight, so an image of an edge (u, v) going up from u has lower end g(u): the
-edge is least in its orbit iff u is and no element of u's stabilizer maps v
-below v.  No closed form is used.
+1-dimensional Fibonacci cube, which tests its edge against all its images, the
+group preserves weight, so an image of an edge (u, v) going up from u has
+lower end g(u): the edge is least in its orbit iff u is and no element of u's
+stabilizer maps v below v.  No closed form is used.
 """
 
 from __future__ import annotations
@@ -172,23 +170,19 @@ def _reverse(x: int, n: int) -> int:
 def _images(graph: CubeGraph) -> Callable[..., list[int] | None]:
     """Images of a vertex under every automorphism, listed in one fixed order of the group.
 
-    The order is identity then reversal on Fibonacci cubes (n >= 2); that of ``Dihedral.full_group(n)``,
-    rotations then rotations after reversal, on Lucas cubes (n >= 3); the searched group's on the tiny cubes.
-    Given a floor, the list is None if an image lies below it; the 2n Lucas images stop at the first such one.
+    The order is identity then reversal on Fibonacci cubes and on Λ0-Λ2, save Γ1, whose second map swaps its
+    two vertices; that of ``Dihedral.full_group(n)``, rotations then rotations after reversal, on Lucas cubes
+    (n >= 3).  Given a floor, the list is None if an image lies below it; the 2n Lucas images stop at the first
+    such one.
     """
-    n, vertices = graph.n, graph.vertices
-    if n < (2 if graph.kind == GAMMA else 3):
-        # tiny graphs: the string action misses automorphisms, so take the whole searched group
-        maps = [dict(zip(vertices, (vertices[j] for j in perm))) for perm in searched_group(graph.kind, n)]
+    n = graph.n
+    if graph.kind == GAMMA or n < 3:
+        # on Γ1 reversal is the identity, yet the vertices 0 and 1 are swapped by its one automorphism; on Γ0,
+        # Λ0 and Λ1 reversal is the identity and is counted twice, so each orbit's size still comes out right
+        swap = int(graph.kind == GAMMA and n == 1)
 
-        def searched(x: int, floor: int = -1) -> list[int] | None:
-            out = [m[x] for m in maps]
-            return None if min(out) < floor else out
-
-        return searched
-    if graph.kind == GAMMA:
         def reversal(x: int, floor: int = -1) -> list[int] | None:
-            y = _reverse(x, n)
+            y = _reverse(x, n) ^ swap
             return None if x < floor or y < floor else [x, y]
 
         return reversal
@@ -230,8 +224,8 @@ def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge
     """
     images = _images(graph)
     order = len(images(0))  # 0 is a vertex of every cube
-    if ground == EDGES and graph.n < (2 if graph.kind == GAMMA else 3):
-        # the searched automorphisms of the tiny cubes need not preserve weight: test each edge whole
+    if ground == EDGES and graph.kind == GAMMA and graph.n == 1:
+        # the swap of Γ1 does not preserve weight: test its edge whole
         for edge in graph.edges:
             image = list(_edge_images(images, *edge))
             if min(image) == edge:

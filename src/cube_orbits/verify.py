@@ -326,18 +326,22 @@ def _edge_map_surjective(n: int) -> str | None:
 # --- automorphisms suite
 
 
+def _group_mismatch(kind: str, n: int, expected: int) -> str | None:
+    """None if the searched group has ``expected`` elements and is the group orbit enumeration applies, else why not."""
+    autos = set(oracle.searched_group(kind, n))
+    if len(autos) != expected:
+        return f"found {len(autos)} automorphisms, expected {expected}"
+    if autos != set(oracle.group_permutations(oracle.build(n, kind))):
+        return "automorphisms differ from the maps orbit enumeration applies"
+    return None
+
+
 def _automorphisms(kind: str) -> Callable[[int], str | None]:
-    """The searched group has 2 (Fibonacci) or 2n (Lucas) elements and is the group orbit enumeration applies."""
+    """Fibonacci cubes have 2 automorphisms and Lucas cubes 2n, the maps orbit enumeration applies."""
 
     def case(n: int) -> str | None:
-        graph = oracle.build(n, kind)
-        autos = set(oracle.searched_group(kind, n))
-        expected = 2 if kind == GAMMA else 2 * n
-        if len(autos) != expected:
-            return f"n={n}: found {len(autos)} automorphisms, expected {expected}"
-        if autos != set(oracle.group_permutations(graph)):
-            return f"n={n}: automorphisms differ from the maps orbit enumeration applies"
-        return None
+        mismatch = _group_mismatch(kind, n, 2 if kind == GAMMA else 2 * n)
+        return mismatch and f"n={n}: {mismatch}"
 
     return case
 
@@ -348,9 +352,9 @@ TINY_AUTOMORPHISM_COUNTS = {(GAMMA, 0): 1, (LAMBDA, 0): 1, (LAMBDA, 1): 1, (LAMB
 def _tiny_graph_automorphisms(_: int) -> str | None:
     """All tiny cubes in one case: this domain does not grow with the suite's max."""
     for (kind, dim), size in TINY_AUTOMORPHISM_COUNTS.items():
-        count = len(oracle.searched_group(kind, dim))
-        if count != size:
-            return f"{kind} n={dim}: found {count} automorphisms, expected {size}"
+        mismatch = _group_mismatch(kind, dim, size)
+        if mismatch:
+            return f"{kind} n={dim}: {mismatch}"
     return None
 
 

@@ -83,13 +83,19 @@ def histogram(sizes):
     return {size: sizes.count(size) for size in sorted(set(sizes))}
 
 
+def published_rows(which, max_n):
+    """The table's rows as the published tables print them: one row per label, columns n = 1..max_n."""
+    _, rows = table_rows(which, max_n)
+    return [[int(cell) for cell in row] for row in list(zip(*rows))[1:]]
+
+
 def test_criterion_01_table_reproduction():
     started = time.perf_counter()
-    assert table_rows("gamma-v", 15)[1] == GAMMA_VERTEX_TABLE
-    assert table_rows("gamma-e", 14)[1] == GAMMA_EDGE_TABLE
-    assert table_rows("lucas-classes", 16)[1] == LUCAS_CLASS_TABLE
-    assert table_rows("lambda-v", 18)[1] == LAMBDA_VERTEX_TABLE
-    assert table_rows("lambda-e", 16)[1] == LAMBDA_EDGE_TABLE
+    assert published_rows("gamma-v", 15) == GAMMA_VERTEX_TABLE
+    assert published_rows("gamma-e", 14) == GAMMA_EDGE_TABLE
+    assert published_rows("lucas-classes", 16) == LUCAS_CLASS_TABLE
+    assert published_rows("lambda-v", 18) == LAMBDA_VERTEX_TABLE
+    assert published_rows("lambda-e", 16) == LAMBDA_EDGE_TABLE
     _report(1, "published tables reproduced exactly", started)
 
 
