@@ -154,8 +154,8 @@ def _emit(
 
     The last value of ``result``, when it is a list or an ``OrbitRows``, holds the rows: a list holds tuples of
     strings in the order of ``columns``, written as they are, and an orbit listing writes each row's text in
-    every format (``OrbitRows.texts``).  ``plain`` gives the plain lines, each with its newline; it is called
-    only for plain output, so JSON and CSV do not pay for its layout.
+    every format (``OrbitRows.texts``).  ``plain`` gives the plain text in pieces, a table's cell by cell; it is
+    called only for plain output, so JSON and CSV do not pay for its layout.
     """
     out = sys.stdout
     if args.format == JSON:
@@ -177,8 +177,12 @@ def _plain_table(columns: list[str], rows: list[tuple[str, ...]]) -> Iterator[st
     # one line per column label, one right-aligned cell per n
     label_width = max(len(name) for name in columns)
     widths = [max(map(len, row)) for row in rows]
+    # each cell is written as it is padded, so no line is held whole
     for i, name in enumerate(columns):
-        yield f"{name.ljust(label_width)}  {'  '.join([row[i].rjust(w) for row, w in zip(rows, widths)])}\n"
+        yield name.ljust(label_width)
+        for row, w in zip(rows, widths):
+            yield "  " + row[i].rjust(w)
+        yield "\n"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
