@@ -5,20 +5,16 @@ so all counts stay exact at any index.  Divisions that occur inside the
 closed forms are mathematically exact; they are checked at runtime and never
 truncated.
 
-Two private functions hold the costly primitives behind the public names, each under
-``functools.lru_cache(maxsize=256)``: ``_recurrence`` (fast doubling, shared by ``fib`` and
-``lucas``) and ``_factor`` (one trial-division walk, read by ``mobius``, ``euler_phi`` and
-``lucas_string_classes``).  The columns of a table take the same values again, so
-``table lambda-v --max 1500`` makes 6,950 fast-doubling evaluations instead of 51,356.
-
-- The public functions stay plain functions: ``inspect.isfunction`` is false for an
-  ``lru_cache`` wrapper, and the benchmark's tracer and the test that orbit enumeration
-  needs no closed form both select the public names by it.
-- The bound keeps a table's memory in proportion to its output: ``table gamma-v --max 3000
-  --format csv`` peaks at 1.39 times the characters it writes (1.35 uncached), against 1.50
-  with 1,024 entries and 1.64 unbounded.
-- ``divisors`` keeps its own walk: built from ``_factor`` and sorted it took 4.8 against
-  1.3 us at n = 24, and ``strings.period`` calls it once per string.
+Two private functions hold the costly primitives, under ``functools.lru_cache(maxsize=256)``:
+``_recurrence`` (fast doubling, shared by ``fib`` and ``lucas``) and ``_factor`` (one
+trial-division walk, read by ``mobius``, ``euler_phi`` and ``lucas_string_classes``).  A
+table's columns take the same values again: ``table lambda-v --max 1500`` makes 6,950
+fast-doubling evaluations instead of 51,356.  The public names stay plain functions, since
+the benchmark's tracer and the test that enumeration needs no closed form select them by
+``inspect.isfunction``.  The bound keeps memory in step with output: ``table gamma-v --max
+3000 --format csv`` peaks at 1.39 times the characters it writes (1.35 uncached, 1.50 with
+1,024 entries, 1.64 unbounded).  ``divisors`` keeps its own walk, 3.8 times faster at n = 24
+than one built from ``_factor``, since ``strings.period`` calls it once per string.
 """
 
 from __future__ import annotations

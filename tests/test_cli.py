@@ -210,7 +210,7 @@ def test_output_is_streamed(monkeypatch):
 def test_table_holds_each_cell_once(monkeypatch):
     # a table's cells are held as strings only, made column by column: held also as ints, and transposed
     # twice, they peaked at 1.88 (CSV) and 1.67 (JSON) times the characters written; plain text, with each
-    # line built whole, peaked at 1.40, and it writes each padded cell as it is made
+    # line built whole, peaked at 1.53, and it writes each padded cell as it is made
     for fmt, bound in (("csv", 1.4), ("json", 1.4), ("plain", 1.2)):
         sink = CountingSink()
         monkeypatch.setattr(sys, "stdout", sink)
