@@ -256,13 +256,6 @@ def members(graph: CubeGraph, element: int | Edge) -> list:
     return sorted(set(images(element) if type(element) is int else _edge_images(images, *element)))
 
 
-def _bit_indices(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @functools.cache
 def searched_group(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
     """``automorphism_group`` of the cube of this kind and dimension, searched once per process.
@@ -277,10 +270,13 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, found by backtracking.
 
     A permutation maps vertex indices (positions in ``graph.vertices``).
-    Vertices are mapped in ascending order, which keeps the mapped part
-    connected (every x > 0 is adjacent to x & (x - 1)).  Candidates are pruned
-    by (degree, sorted neighbor degrees) signatures and by adjacency
-    consistency with the mapped neighbors.  Bounded to 60 vertices.
+    Vertices are mapped in ascending order.  Every x > 0 is adjacent to
+    x & (x - 1), which comes before it, so every vertex v but 0 has a mapped
+    neighbour: v goes to an unused neighbour of the image of its lowest one,
+    and vertex 0, with none, to any unused vertex.  A candidate is kept when
+    its degree is v's and its adjacency to the used images is exactly the
+    images of v's mapped neighbours.  The search recurses once per vertex.
+    Bounded to 60 vertices.
     """
     count = len(graph.vertices)
     if count > AUTOMORPHISM_VERTEX_LIMIT:
@@ -288,40 +284,27 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
             f"{count} vertices exceed the automorphism search bound {AUTOMORPHISM_VERTEX_LIMIT}"
         )
     index = {x: i for i, x in enumerate(graph.vertices)}
-    adj = [0] * count
+    # the edges ascend, so each list holds the lower neighbours, then the upper ones, ascending
+    near: list[list[int]] = [[] for _ in range(count)]
     for u, v in graph.edges:
-        i, j = index[u], index[v]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    deg = [a.bit_count() for a in adj]
-    sig = [
-        (deg[v], tuple(sorted(deg[w] for w in _bit_indices(adj[v])))) for v in range(count)
-    ]
-    candidates: dict[tuple, list[int]] = {}
-    for v in range(count):
-        candidates.setdefault(sig[v], []).append(v)
+        near[index[u]].append(index[v])
+        near[index[v]].append(index[u])
+    adj = [sum(1 << j for j in js) for js in near]
 
     results: list[tuple[int, ...]] = []
     mapping = [-1] * count
-    used = 0
 
-    def backtrack(v: int) -> None:
-        nonlocal used
+    def extend(v: int, used: int) -> None:
         if v == count:
             results.append(tuple(mapping))
             return
         # the vertices below v are the mapped ones
-        required = 0
-        for u in _bit_indices(adj[v] & ((1 << v) - 1)):
-            required |= 1 << mapping[u]
-        for w in candidates[sig[v]]:
-            bit = 1 << w
-            if used & bit or (adj[w] & used) != required:
-                continue
-            mapping[v] = w
-            used |= bit
-            backtrack(v + 1)
-            used &= ~bit
+        images = [mapping[u] for u in near[v] if u < v]
+        required = sum(1 << w for w in images)
+        for w in near[images[0]] if images else range(count):
+            if not used >> w & 1 and len(near[w]) == len(near[v]) and adj[w] & used == required:
+                mapping[v] = w
+                extend(v + 1, used | 1 << w)
 
-    backtrack(0)
+    extend(0, 0)
     return sorted(results)

@@ -231,7 +231,7 @@ def test_table_columns_share_bounded_caches():
     formulas._factor.cache_clear()
     table_rows("lambda-v", 1500)
     assert formulas._recurrence.cache_info().misses <= 7500
-    for cached in (formulas._recurrence, formulas._factor):
+    for cached in (formulas._recurrence, formulas._factor, formulas._divisors):
         assert cached.cache_info().currsize <= 256
 
 

@@ -77,6 +77,12 @@ def test_number_theory_helpers():
             bad(0)
 
 
+def test_divisors_returns_a_fresh_list():
+    # the divisors come from a cache; a caller that changes its list must not change the next answer
+    divisors(12).append(24)
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+
+
 def test_graph_counts():
     assert graph_counts(5, GAMMA) == (13, 20)
     assert graph_counts(9, LAMBDA) == (76, 189)

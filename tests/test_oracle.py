@@ -221,6 +221,21 @@ def test_automorphisms_are_automorphisms():
             assert mapped == edges
 
 
+@pytest.mark.parametrize("kind", [GAMMA, LAMBDA])
+def test_automorphism_group_equals_networkx_isomorphisms(kind):
+    # a differential test: networkx's VF2 matcher lists every automorphism by its own search
+    networkx = pytest.importorskip("networkx")
+    for n in range(9):
+        g = build(n, kind)
+        index = {x: i for i, x in enumerate(g.vertices)}
+        h = networkx.Graph()
+        h.add_nodes_from(range(len(g.vertices)))
+        h.add_edges_from((index[u], index[v]) for u, v in g.edges)
+        found = networkx.isomorphism.GraphMatcher(h, h).isomorphisms_iter()
+        expected = sorted(tuple(m[i] for i in range(len(g.vertices))) for m in found)
+        assert automorphism_group(g) == expected, (kind, n)
+
+
 def test_lambda_automorphisms_are_dihedral():
     for n in range(3, 7):
         g = build(n, LAMBDA)
