@@ -29,6 +29,15 @@ stabilizer, make its orbit's size the group's order over theirs.  Save on the
 group preserves weight, so an image of an edge (u, v) going up from u has
 lower end g(u): the edge is least in its orbit iff u is and no element of u's
 stabilizer maps v below v.  No closed form is used.
+
+On the Fibonacci cubes other than Γ1 the group is the identity and reversal,
+so an orbit is an element and its reversal, of size 1 or 2.  There the walk
+makes no image list: with s = n // 2, rev(x) is read as
+low[x & (2^s - 1)] | high[x >> s] from two tables of 2^s and 2^(n-s) entries,
+made once per walk from ``_reverse``.  A vertex u above its reversal is
+skipped; one below it is kept with size 2, and so is each edge up from it; a
+fixed u is kept with size 1, and of its edges (u, v) those with
+rev(v) >= v, of size 1 when rev(v) = v.
 """
 
 from __future__ import annotations
@@ -43,8 +52,9 @@ from .strings import enumerate_strings, FIBONACCI
 # Every `orbits` listing up to this n, of either cube and ground and in every format, answered
 # within 22.5 s (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a
 # 2-CPU machine (README "Bounds"). Each listing's rows are written from per-format tables of half
-# strings (cli.OrbitRows.texts); gamma n = 30 edges, the slowest, took 14.8-21.7 s in the three
-# formats at 209 MB, the vertex tuple and the rows, and n = 31 took 28.3-39.3 s.
+# strings (cli.OrbitRows.texts); gamma n = 30 edges, the slowest, took 13.8-23.3 s in the three
+# formats over two batches of three runs, the slower batch in a slow phase of the host, at 209 MB,
+# the vertex tuple and the rows, and n = 31 took 22.1-36.6 s.
 BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
 AUTOMORPHISM_VERTEX_LIMIT = 60
@@ -221,7 +231,32 @@ def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge
     """Each vertex or edge orbit once, as (its least member, its size), in ascending order of that member.
 
     The size is the group's order over its stabilizer's.  Orbits are made one at a time and none is kept.
+    On Γn other than Γ1 the group is the identity and reversal, so each vertex is tested once against its
+    reversal, read from two tables of reversed low and high halves, and no image list is made.
     """
+    n = graph.n
+    if graph.kind == GAMMA and n != 1:
+        # rev(x) is the reversal of x's low s bits, moved to the top, joined to that of its high n - s bits
+        s = n // 2
+        mask = (1 << s) - 1
+        low = [_reverse(x, n) for x in range(1 << s)]
+        high = [_reverse(x << s, n) for x in range(1 << (n - s))]
+        up = _upper_ends(graph)
+        for u in graph.vertices:
+            r = low[u & mask] | high[u >> s]
+            if r < u:
+                continue
+            if ground == VERTICES:
+                yield u, 1 if r == u else 2
+            elif r > u:
+                yield from (((u, v), 2) for v in up(u))
+            else:
+                # reversal fixes u and maps the edge (u, v) to (u, rev(v)): keep the lesser of the two
+                for v in up(u):
+                    w = low[v & mask] | high[v >> s]
+                    if w >= v:
+                        yield (u, v), 1 if w == v else 2
+        return
     images = _images(graph)
     order = len(images(0))  # 0 is a vertex of every cube
     if ground == EDGES and graph.kind == GAMMA and graph.n == 1:

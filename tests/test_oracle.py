@@ -395,6 +395,30 @@ def test_reverse_matches_string_reversal():
             assert _reverse(x, n) == int(u[::-1] or "0", 2)
 
 
+def test_gamma_orbits_are_pairs_under_string_reversal():
+    # on Γn the engine reads reversal from two half tables; here an orbit is {element, its reversal} of
+    # strings, with its least member and the set's size, for odd and even n past the closure test's range
+    for n in range(19):
+        if n == 1:
+            continue  # the swap of Γ1 is not reversal; the closure tests cover it
+        g = build(n, GAMMA)
+        for ground, elements, reverse in (
+            (VERTICES, vertex_strings(g), lambda u: u[::-1]),
+            (EDGES, edge_strings(g), lambda edge: tuple(sorted(u[::-1] for u in edge))),
+        ):
+            listing = sorted({min(x, reverse(x)): len({x, reverse(x)}) for x in elements}.items())
+            assert [(name(g, rep), size) for rep, size in canonical_orbits(g, ground)] == listing, (n, ground)
+
+
+def test_gamma_orbits_apply_the_one_reversal_routine(monkeypatch):
+    # the half tables come from _reverse, the map that `verify automorphisms` checks: with it made the
+    # identity, every vertex is its own orbit
+    monkeypatch.setattr(oracle, "_reverse", lambda x, n: x)
+    g = build(5, GAMMA)
+    assert list(canonical_orbits(g, VERTICES)) == [(x, 1) for x in g.vertices]
+    assert len(g.vertices) == 13
+
+
 def string_maps(g):
     """Maps on strings that generate the group of g: the searched group on the tiny cubes, else reversal,
     and rotation by one position on Lucas cubes."""
