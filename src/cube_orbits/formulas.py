@@ -7,8 +7,9 @@ truncated.
 
 Three private functions hold the costly primitives, under ``functools.lru_cache(maxsize=256)``:
 ``_recurrence`` (fast doubling, shared by ``fib`` and ``lucas``), ``_factor`` (the one
-trial-division walk, read by ``mobius``, ``euler_phi``, ``lucas_string_classes`` and
-``_divisors``) and ``_divisors``, which ``divisors`` copies.  A table's columns take the same
+trial-division walk, read by ``euler_phi``, ``lucas_string_classes`` and ``_divisors``) and
+``_divisors``, which ``divisors`` copies.  ``lucas_string_classes`` takes the Moebius signs
+of its sums from the squarefree divisors in ``_factor``.  A table's columns take the same
 values again: ``table lambda-v --max 1500`` makes 6,950 fast-doubling evaluations instead of
 51,356, and ``strings.period`` asks for the divisors of one n once per string.  The public
 names stay plain functions, since the benchmark's tracer and the test that enumeration needs
@@ -114,14 +115,6 @@ def _divisors(n: int) -> tuple[int, ...]:
     for p, e in _factor(n):
         found += [d * p**k for k in range(1, e + 1) for d in found]
     return tuple(sorted(found))
-
-
-def mobius(n: int) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)^(number of prime factors)."""
-    if n < 1:
-        raise ValueError(f"mobius requires n >= 1, got {n}")
-    pairs = _factor(n)
-    return 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
 
 
 def euler_phi(n: int) -> int:

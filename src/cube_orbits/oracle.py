@@ -12,32 +12,28 @@ more 1, so |E| is the total weight of the vertices; edges are made on demand
 and never stored.
 
 The images of an element are taken under bit maps: reversal on Fibonacci
-cubes and on the Lucas cubes of n <= 2, the full dihedral group on Lucas cubes
-for n >= 3.  The one exception is the 1-dimensional Fibonacci cube, a single
-edge, whose automorphism swaps its ends, which reversal does not do.  These
-maps are the oracle's only group action: ``group_permutations`` turns them
-into vertex permutations, so the automorphism search checks exactly the maps
-that orbit enumeration applies, the tiny cubes included.
+cubes and on the Lucas cubes of n <= 2, the full dihedral group, rotations and
+rotations after reversal, on Lucas cubes for n >= 3.  The one exception is the
+1-dimensional Fibonacci cube, a single edge, whose automorphism swaps its
+ends, which reversal does not do.  These maps are the oracle's only group
+action: ``group_permutations`` turns them into vertex permutations, so the
+automorphism search checks exactly the maps that orbit enumeration applies,
+the tiny cubes included.
 
 Each orbit is reported by its least member in one ascending walk over the
 vertices that keeps no orbit and no record of reached elements
 (``canonical_orbits``; canonical augmentation, after McKay, J. Algorithms 26,
-1998).  A vertex is kept iff no image of it is smaller, the images taken one
-at a time up to the first smaller one; the elements that fix it, its
-stabilizer, make its orbit's size the group's order over theirs.  Save on the
-1-dimensional Fibonacci cube, which tests its edge against all its images, the
-group preserves weight, so an image of an edge (u, v) going up from u has
-lower end g(u): the edge is least in its orbit iff u is and no element of u's
-stabilizer maps v below v.  No closed form is used.
-
-On the Fibonacci cubes other than Γ1 the group is the identity and reversal,
-so an orbit is an element and its reversal, of size 1 or 2.  There the walk
-makes no image list: with s = n // 2, rev(x) is read as
-low[x & (2^s - 1)] | high[x >> s] from two tables of 2^s and 2^(n-s) entries,
-made once per walk from ``_reverse``.  A vertex u above its reversal is
-skipped; one below it is kept with size 2, and so is each edge up from it; a
-fixed u is kept with size 1, and of its edges (u, v) those with
-rev(v) >= v, of size 1 when rev(v) = v.
+1998).  A vertex u is kept iff no rotation of u or of its reversal r is
+smaller, the rotations taken one at a time up to the first smaller one; the
+Fibonacci cubes and Λ0-Λ2 have no rotations, so there u is tested against r
+alone.  With s = n // 2, r is read as low[u & (2^s - 1)] | high[u >> s] from
+two tables of 2^s and 2^(n-s) entries, made once per walk from ``_reverse``.
+The images equal to u count its stabilizer, and its orbit's size is the
+group's order over that count.  The group preserves weight, so an image of an
+edge (u, v) going up from u has lower end g(u): the edge is least in its orbit
+iff u is and no element of u's stabilizer maps v below v, and when the
+identity alone fixes u every edge up from u is.  Γ1 alone tests each vertex
+and edge whole, by its orbit from ``members``.  No closed form is used.
 """
 
 from __future__ import annotations
@@ -177,40 +173,21 @@ def _reverse(x: int, n: int) -> int:
     return ((x & 0xFFFF) << 16 | x >> 16) >> (32 - n)
 
 
-def _images(graph: CubeGraph) -> Callable[..., list[int] | None]:
+def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
     """Images of a vertex under every automorphism, listed in one fixed order of the group.
 
     The order is identity then reversal on Fibonacci cubes and on Λ0-Λ2, save Γ1, whose second map swaps its
     two vertices; that of ``Dihedral.full_group(n)``, rotations then rotations after reversal, on Lucas cubes
-    (n >= 3).  Given a floor, the list is None if an image lies below it; the 2n Lucas images stop at the first
-    such one.
+    (n >= 3).  A rotation by j moves the last j positions to the front, as in ``canonical_orbits``.
     """
     n = graph.n
     if graph.kind == GAMMA or n < 3:
         # on Γ1 reversal is the identity, yet the vertices 0 and 1 are swapped by its one automorphism; on Γ0,
         # Λ0 and Λ1 reversal is the identity and is counted twice, so each orbit's size still comes out right
         swap = int(graph.kind == GAMMA and n == 1)
-
-        def reversal(x: int, floor: int = -1) -> list[int] | None:
-            y = _reverse(x, n) ^ swap
-            return None if x < floor or y < floor else [x, y]
-
-        return reversal
-    top = n - 1
-
-    def dihedral(x: int, floor: int = -1) -> list[int] | None:
-        # every rotation of x, then of its reversal; a rotation moves the last position to the front
-        out, y = [], x
-        for step in range(2 * n):
-            if step == n:
-                y = _reverse(x, n)
-            if y < floor:
-                return None
-            out.append(y)
-            y = y >> 1 | (y & 1) << top
-        return out
-
-    return dihedral
+        return lambda x: [x, _reverse(x, n) ^ swap]
+    full = (1 << n) - 1
+    return lambda x: [(y >> j | y << n - j) & full for y in (x, _reverse(x, n)) for j in range(n)]
 
 
 def _edge_images(images: Callable[[int], list[int]], u: int, v: int) -> Iterator[Edge]:
@@ -231,58 +208,53 @@ def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge
     """Each vertex or edge orbit once, as (its least member, its size), in ascending order of that member.
 
     The size is the group's order over its stabilizer's.  Orbits are made one at a time and none is kept.
-    On Γn other than Γ1 the group is the identity and reversal, so each vertex is tested once against its
-    reversal, read from two tables of reversed low and high halves, and no image list is made.
+    A vertex u is kept iff no rotation of u or of its reversal r is below u; on Γn and on Λ0-Λ2 there are
+    no rotations, so u is tested against r alone.  Γ1 tests each element whole through ``members``.
     """
     n = graph.n
-    if graph.kind == GAMMA and n != 1:
-        # rev(x) is the reversal of x's low s bits, moved to the top, joined to that of its high n - s bits
-        s = n // 2
-        mask = (1 << s) - 1
-        low = [_reverse(x, n) for x in range(1 << s)]
-        high = [_reverse(x << s, n) for x in range(1 << (n - s))]
-        up = _upper_ends(graph)
-        for u in graph.vertices:
-            r = low[u & mask] | high[u >> s]
-            if r < u:
-                continue
-            if ground == VERTICES:
-                yield u, 1 if r == u else 2
-            elif r > u:
-                yield from (((u, v), 2) for v in up(u))
-            else:
-                # reversal fixes u and maps the edge (u, v) to (u, rev(v)): keep the lesser of the two
-                for v in up(u):
-                    w = low[v & mask] | high[v >> s]
-                    if w >= v:
-                        yield (u, v), 1 if w == v else 2
+    if graph.kind == GAMMA and n == 1:
+        # the swap of Γ1 is not reversal, nor does it preserve weight
+        for x in graph.vertices if ground == VERTICES else graph.edges:
+            orbit = members(graph, x)
+            if orbit[0] == x:
+                yield x, len(orbit)
         return
-    images = _images(graph)
-    order = len(images(0))  # 0 is a vertex of every cube
-    if ground == EDGES and graph.kind == GAMMA and graph.n == 1:
-        # the swap of Γ1 does not preserve weight: test its edge whole
-        for edge in graph.edges:
-            image = list(_edge_images(images, *edge))
-            if min(image) == edge:
-                yield edge, order // image.count(edge)
-        return
+    # rev(x) is the reversal of x's low s bits, moved to the top, joined to that of its high n - s bits
+    s, full = n // 2, (1 << n) - 1
+    mask = (1 << s) - 1
+    low = [_reverse(x, n) for x in range(1 << s)]
+    high = [_reverse(x << s, n) for x in range(1 << (n - s))]
+    turns = range(1, n) if graph.kind == LAMBDA and n >= 3 else ()
+    order = 2 * n if turns else 2
     up = _upper_ends(graph)
     for u in graph.vertices:
-        image = images(u, u)  # None when u is not least in its orbit
-        if image is None:
+        r = low[u & mask] | high[u >> s]
+        if r < u:
             continue
-        if ground == VERTICES:
-            yield u, order // image.count(u)
-        elif image.count(u) == 1:
-            # the identity alone fixes u: each edge up from u is least in an orbit of `order` edges
-            yield from (((u, v), order) for v in up(u))
+        fixes = 2 if r == u else 1  # the elements that fix u: identity and reversal, then the turns
+        for j in turns:
+            a = (u >> j | u << n - j) & full
+            b = (r >> j | r << n - j) & full
+            if a < u or b < u:
+                break
+            fixes += (a == u) + (b == u)
         else:
-            stabilizer = [i for i, y in enumerate(image) if y == u]
-            for v in up(u):
-                image = images(v)
-                fixed = [image[i] for i in stabilizer]
-                if min(fixed) == v:
-                    yield (u, v), order // fixed.count(v)
+            if ground == VERTICES:
+                yield u, order // fixes
+            elif fixes == 1:
+                # the identity alone fixes u: each edge up from u is least in an orbit of `order` edges
+                yield from (((u, v), order) for v in up(u))
+            else:
+                # the group preserves weight, so an image of an edge (u, v) has lower end g(u): the edge is
+                # least in its orbit iff no element of u's stabilizer, (turn, reflected), maps v below v
+                stabilizer = [
+                    (j, t) for j in (0, *turns) for t, x in ((0, u), (1, r)) if (x >> j | x << n - j) & full == u
+                ]
+                for v in up(u):
+                    w = (v, low[v & mask] | high[v >> s])
+                    image = [(w[t] >> j | w[t] << n - j) & full for j, t in stabilizer]
+                    if min(image) == v:
+                        yield (u, v), order // image.count(v)
 
 
 def members(graph: CubeGraph, element: int | Edge) -> list:

@@ -137,29 +137,35 @@ def _asymmetric_boundary(n: int) -> str | None:
 
 # --- oracle-vs-formula suite: closed forms against explicit enumeration
 #
-# The graph rows read one orbit-size histogram per cube (``_histogram``); the four string-side rows
-# read one census of the Lucas strings of each length (``_census``), so no row walks the strings itself.
+# The graph rows read the two orbit-size histograms of each cube (``_histograms``); the four string-side
+# rows read one census of the Lucas strings of each length (``_census``), so no row walks the strings itself.
 
 
 @functools.cache
-def _histogram(n: int, kind: str, ground: str) -> dict[int, int]:
-    """Orbit size -> number of orbits by enumeration, sizes ascending; a few ints, once per process per cube."""
-    counts = Counter(size for _, size in oracle.canonical_orbits(oracle.build(n, kind), ground))
-    return dict(sorted(counts.items()))
+def _histograms(n: int, kind: str) -> dict[str, dict[int, int]]:
+    """Ground -> orbit size -> number of orbits by enumeration, sizes ascending, from one build of the cube.
+
+    A few ints per cube, made once per process; the graph itself is not kept.
+    """
+    graph = oracle.build(n, kind)
+    return {
+        ground: dict(sorted(Counter(size for _, size in oracle.canonical_orbits(graph, ground)).items()))
+        for ground in (VERTICES, EDGES)
+    }
 
 
 def _oracle_vs_formula(n: int, kind: str, ground: str, by_size: dict[int, int]) -> str | None:
-    return _mismatch(n, "oracle", _histogram(n, kind, ground), {k: v for k, v in by_size.items() if v})
+    return _mismatch(n, "oracle", _histograms(n, kind)[ground], {k: v for k, v in by_size.items() if v})
 
 
 def _lambda_vertex_vs_oracle(n: int) -> str | None:
-    total = _mismatch(n, "orbit total", sum(_histogram(n, LAMBDA, VERTICES).values()),
+    total = _mismatch(n, "orbit total", sum(_histograms(n, LAMBDA)[VERTICES].values()),
                       formulas.lambda_vertex_orbit_total(n))
     return _oracle_vs_formula(n, LAMBDA, VERTICES, formulas.lambda_vertex_orbit_histogram(n)) or total
 
 
 def _lambda_edge_size_set(n: int) -> str | None:
-    observed = set(_histogram(n, LAMBDA, EDGES))
+    observed = set(_histograms(n, LAMBDA)[EDGES])
     if not observed <= {n, 2 * n}:
         return f"n={n}: sizes {sorted(observed)} escape {{n, 2n}}"
     if (observed == {n, 2 * n}) != (n >= 5):
@@ -404,7 +410,7 @@ CHECKS = (
     Check(ORACLE, "lambda edge orbits: formula equals enumeration", 1, lambda n: _oracle_vs_formula(
         n, LAMBDA, EDGES, formulas.lambda_edge_orbits(n).by_size)),
     Check(ORACLE, "lambda vertex orbit sizes match the size set", 3, lambda n: _mismatch(
-        n, "oracle sizes", set(_histogram(n, LAMBDA, VERTICES)), formulas.lambda_vertex_orbit_size_set(n))),
+        n, "oracle sizes", set(_histograms(n, LAMBDA)[VERTICES]), formulas.lambda_vertex_orbit_size_set(n))),
     Check(ORACLE, "lambda edge orbit sizes within {n, 2n}, equal iff n >= 5", 1, _lambda_edge_size_set),
     Check(ORACLE, "necklace count equals rotation classes", 1, _necklaces_vs_oracle),
     Check(ORACLE, "string class counts equal exhaustive classification", 1, _string_classes_vs_oracle),

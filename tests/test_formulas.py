@@ -22,7 +22,6 @@ from cube_orbits.formulas import (
     lambda_vertex_orbit_total,
     lucas,
     lucas_string_classes,
-    mobius,
     necklace_count,
 )
 
@@ -64,15 +63,11 @@ def test_fast_doubling_at_powers_of_two():
 
 
 def test_number_theory_helpers():
-    assert mobius(1) == 1
-    assert mobius(3) == -1
-    assert mobius(9) == 0
-    assert mobius(30) == -1
     assert euler_phi(12) == 4
     assert euler_phi(1) == 1
     assert divisors(18) == [1, 2, 3, 6, 9, 18]
     assert divisors(1) == [1]
-    for bad in (mobius, euler_phi, divisors):
+    for bad in (euler_phi, divisors):
         with pytest.raises(ValueError):
             bad(0)
 

@@ -2,7 +2,7 @@
 
 import sympy
 
-from cube_orbits.formulas import divisors, euler_phi, fib, lucas, lucas_string_classes, mobius
+from cube_orbits.formulas import divisors, euler_phi, fib, lucas, lucas_string_classes
 
 LARGE = (2**40, 999999999989, 10**12)  # a power of two, a prime, a smooth composite
 
@@ -22,7 +22,6 @@ def test_fib_and_lucas_match_sympy_at_large_n():
 def test_divisor_functions_match_sympy():
     for n in [*range(1, 5001), *LARGE]:
         assert divisors(n) == sympy.divisors(n), n
-        assert mobius(n) == sympy.mobius(n), n
         assert euler_phi(n) == sympy.totient(n), n
 
 

@@ -395,6 +395,17 @@ def test_reverse_matches_string_reversal():
             assert _reverse(x, n) == int(u[::-1] or "0", 2)
 
 
+def string_listing(g, ground, maps):
+    """(least member, size) of each orbit as strings, ascending, from the images of every element under
+    every map of the group; an edge's image has its ends sorted."""
+    images = {u: [m(u) for m in maps] for u in vertex_strings(g)}
+    if ground == VERTICES:
+        orbits = set(map(frozenset, images.values()))
+    else:
+        orbits = {frozenset(tuple(sorted(pair)) for pair in zip(images[a], images[b])) for a, b in edge_strings(g)}
+    return sorted((min(orbit), len(orbit)) for orbit in orbits)
+
+
 def test_gamma_orbits_are_pairs_under_string_reversal():
     # on Γn the engine reads reversal from two half tables; here an orbit is {element, its reversal} of
     # strings, with its least member and the set's size, for odd and even n past the closure test's range
@@ -402,11 +413,20 @@ def test_gamma_orbits_are_pairs_under_string_reversal():
         if n == 1:
             continue  # the swap of Γ1 is not reversal; the closure tests cover it
         g = build(n, GAMMA)
-        for ground, elements, reverse in (
-            (VERTICES, vertex_strings(g), lambda u: u[::-1]),
-            (EDGES, edge_strings(g), lambda edge: tuple(sorted(u[::-1] for u in edge))),
-        ):
-            listing = sorted({min(x, reverse(x)): len({x, reverse(x)}) for x in elements}.items())
+        for ground in (VERTICES, EDGES):
+            listing = string_listing(g, ground, (lambda u: u, lambda u: u[::-1]))
+            assert [(name(g, rep), size) for rep, size in canonical_orbits(g, ground)] == listing, (n, ground)
+
+
+def test_lambda_orbits_are_rotation_and_reversal_classes_of_strings():
+    # on Λn the engine rotates u and its reversal inline; here an orbit is every rotation of an element and
+    # of its reversal, as strings, past the closure test's range (Λ0-Λ2, whose rotations are reversal, too)
+    for n in range(17):
+        g = build(n, LAMBDA)
+        rotations = [lambda u, j=j: u[j:] + u[:j] for j in range(max(n, 1))]
+        maps = rotations + [lambda u, m=m: m(u[::-1]) for m in rotations]
+        for ground in (VERTICES, EDGES):
+            listing = string_listing(g, ground, maps)
             assert [(name(g, rep), size) for rep, size in canonical_orbits(g, ground)] == listing, (n, ground)
 
 
@@ -417,6 +437,19 @@ def test_gamma_orbits_apply_the_one_reversal_routine(monkeypatch):
     g = build(5, GAMMA)
     assert list(canonical_orbits(g, VERTICES)) == [(x, 1) for x in g.vertices]
     assert len(g.vertices) == 13
+
+
+def test_lambda_orbits_apply_the_one_reversal_routine(monkeypatch):
+    # Λn reads its reversal from the same half tables: with _reverse made the identity, only the inline
+    # rotations move a vertex, so each orbit is a rotation class, of size its period (the least rotation
+    # that fixes it, found in the doubled string)
+    monkeypatch.setattr(oracle, "_reverse", lambda x, n: x)
+    g = build(6, LAMBDA)
+    classes = sorted({min(u[j:] + u[:j] for j in range(6)) for u in vertex_strings(g)})
+    assert [(name(g, rep), size) for rep, size in canonical_orbits(g, VERTICES)] == [
+        (u, (u + u).find(u, 1)) for u in classes
+    ]
+    assert len(classes) == 5
 
 
 def string_maps(g):
