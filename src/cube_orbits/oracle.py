@@ -38,7 +38,6 @@ and edge whole, by its orbit from ``members``.  No closed form is used.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterator, NamedTuple
 
 from . import formulas
@@ -88,15 +87,15 @@ class EdgeView:
         return self.graph.edge_count
 
     def __iter__(self) -> Iterator[Edge]:
-        up = _upper_ends(self.graph)
+        up = _upper_ends(self.graph.n, self.graph.kind)
         for u in self.graph.vertices:
             for v in up(u):
                 yield u, v
 
 
-def _upper_ends(graph: CubeGraph) -> Callable[[int], Iterator[int]]:
-    """The upper ends v of the edges (u, v) at vertex u, ascending: u with one more 1."""
-    n, cyclic = graph.n, graph.kind == LAMBDA
+def _upper_ends(n: int, kind: str) -> Callable[[int], Iterator[int]]:
+    """The upper ends v of the edges (u, v) at vertex u of the cube, ascending: u with one more 1."""
+    cyclic = kind == LAMBDA
     # a 1 may go where it has no 1 beside it; in a Lucas string the ends are
     # beside each other, and the one position of a 1-cycle is beside itself
     wrap = n - 1 if cyclic and n else 0
@@ -226,7 +225,7 @@ def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge
     high = [_reverse(x << s, n) for x in range(1 << (n - s))]
     turns = range(1, n) if graph.kind == LAMBDA and n >= 3 else ()
     order = 2 * n if turns else 2
-    up = _upper_ends(graph)
+    up = _upper_ends(n, graph.kind)
     for u in graph.vertices:
         r = low[u & mask] | high[u >> s]
         if r < u:
@@ -261,16 +260,6 @@ def members(graph: CubeGraph, element: int | Edge) -> list:
     """The orbit of one vertex, or of one edge (u, v) with u < v: its distinct images, ascending."""
     images = _images(graph)
     return sorted(set(images(element) if type(element) is int else _edge_images(images, *element)))
-
-
-@functools.cache
-def searched_group(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """``automorphism_group`` of the cube of this kind and dimension, searched once per process.
-
-    A cube's group depends on its kind and n alone, and the search bound admits 18 cubes (n <= 8 of
-    each kind), so the cache holds at most 18 small groups.
-    """
-    return tuple(automorphism_group(build(n, kind)))
 
 
 def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:

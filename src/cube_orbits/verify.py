@@ -6,7 +6,8 @@ a row over ``n in [lo, min(max, cap)]`` and keeps the first counterexample,
 or reports SKIP when that range is empty; the suites are the rows grouped by
 suite name.  The CLI renders the results and turns them into an exit status.
 Each suite refuses ranges beyond its hard bound instead of silently
-truncating.
+truncating.  A value that several checks read is made once per suite run
+(``_once``) and kept by no run after it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ AUTOMORPHISMS = "automorphisms"
 
 SUITE_DEFAULT_MAX = {FORMULAS: 200, ORACLE: 14, BIJECTIONS: 16, AUTOMORPHISMS: 8}
 
-# Against the 30 s budget with a quarter of it in hand (README "Bounds"): formulas --max 3400 took
-# 20.6-21.1 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 27 took 16.0-17.7 s, but 28 took
-# 28.1 s
+# Against the 30 s budget with a quarter of it in hand (README "Bounds", three fresh runs on a 2-CPU
+# host): formulas --max 3400 took 16.7-22.4 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 27
+# took 15.4-16.6 s, but 28 took 28.1 s
 SUITE_HARD_BOUND = {FORMULAS: 3400, ORACLE: 27, BIJECTIONS: 18, AUTOMORPHISMS: 8}
 
 
@@ -72,14 +73,15 @@ def run_check(check: Check, max_n: int) -> CheckResult:
     return CheckResult(check.name, scope, PASS)
 
 
-@functools.cache
-def _value(f: Callable[[int], object], i: int) -> object:
-    """f(i), evaluated once per process for each function object and argument.
+def _call(f: Callable, *args: object) -> object:
+    """f(*args): ``_once`` outside a suite run, where nothing is kept."""
+    return f(*args)
 
-    The function is part of the key, so a function set on a module attribute
-    later (a patch or a wrapper) is a new key and is called afresh.
-    """
-    return f(i)
+
+# Each value that several checks read is read as _once(f, *args). ``run_suite`` binds _once to a fresh
+# cache of ``_call`` for its checks, so a value lives for one suite run, and a function set on a module
+# attribute (a patch or a wrapper) is a new key, called afresh.
+_once = _call
 
 
 def _mismatch(n: int, what: str, got: object, want: object) -> str | None:
@@ -141,11 +143,10 @@ def _asymmetric_boundary(n: int) -> str | None:
 # rows read one census of the Lucas strings of each length (``_census``), so no row walks the strings itself.
 
 
-@functools.cache
 def _histograms(n: int, kind: str) -> dict[str, dict[int, int]]:
     """Ground -> orbit size -> number of orbits by enumeration, sizes ascending, from one build of the cube.
 
-    A few ints per cube, made once per process; the graph itself is not kept.
+    A few ints per cube; the graph itself is not kept.
     """
     graph = oracle.build(n, kind)
     return {
@@ -155,17 +156,17 @@ def _histograms(n: int, kind: str) -> dict[str, dict[int, int]]:
 
 
 def _oracle_vs_formula(n: int, kind: str, ground: str, by_size: dict[int, int]) -> str | None:
-    return _mismatch(n, "oracle", _histograms(n, kind)[ground], {k: v for k, v in by_size.items() if v})
+    return _mismatch(n, "oracle", _once(_histograms, n, kind)[ground], {k: v for k, v in by_size.items() if v})
 
 
 def _lambda_vertex_vs_oracle(n: int) -> str | None:
-    total = _mismatch(n, "orbit total", sum(_histograms(n, LAMBDA)[VERTICES].values()),
+    total = _mismatch(n, "orbit total", sum(_once(_histograms, n, LAMBDA)[VERTICES].values()),
                       formulas.lambda_vertex_orbit_total(n))
     return _oracle_vs_formula(n, LAMBDA, VERTICES, formulas.lambda_vertex_orbit_histogram(n)) or total
 
 
 def _lambda_edge_size_set(n: int) -> str | None:
-    observed = set(_histograms(n, LAMBDA)[EDGES])
+    observed = set(_once(_histograms, n, LAMBDA)[EDGES])
     if not observed <= {n, 2 * n}:
         return f"n={n}: sizes {sorted(observed)} escape {{n, 2n}}"
     if (observed == {n, 2 * n}) != (n >= 5):
@@ -185,20 +186,11 @@ class LucasCensus(NamedTuple):
 
 
 def _census(n: int) -> LucasCensus:
-    """The census of length n >= 1, made once per process for the functions it calls.
-
-    ``strings.period`` is part of the key too: ``strings.decompose`` looks it up at each call.
-    """
-    return _lucas_census(n, strings.enumerate_strings, strings.decompose, strings.period, _fixing_reflections)
-
-
-@functools.cache
-def _lucas_census(n: int, enumerate_strings: Callable, decompose: Callable, _period: Callable,
-                  fixing_reflections: Callable[[str], int]) -> LucasCensus:
+    """The census of the Lucas strings of length n >= 1, from one pass that decomposes each string once."""
     period_sum = primitive = symmetric = asymmetric = fixed = 0
     non_primitive = []
-    for u in enumerate_strings(n, strings.LUCAS):
-        d = decompose(u)
+    for u in strings.enumerate_strings(n, strings.LUCAS):
+        d = strings.decompose(u)
         period_sum += n // d.period
         if d.exponent == 1:
             primitive += 1
@@ -206,17 +198,17 @@ def _lucas_census(n: int, enumerate_strings: Callable, decompose: Callable, _per
         else:
             non_primitive.append(int(u, 2))
         asymmetric += not d.symmetric and d.period == n
-        fixed += fixing_reflections(u)
+        fixed += _fixing_reflections(u)
     return LucasCensus(period_sum, primitive, symmetric, asymmetric, fixed, tuple(non_primitive))
 
 
 def _necklaces_vs_oracle(n: int) -> str | None:
-    rotation_classes = formulas._exact_div(_census(n).period_sum, n)
+    rotation_classes = formulas._exact_div(_once(_census, n).period_sum, n)
     return _mismatch(n, "rotation classes", rotation_classes, formulas.necklace_count(n))
 
 
 def _string_classes_vs_oracle(n: int) -> str | None:
-    census = _census(n)
+    census = _once(_census, n)
     got = (census.primitive, census.symmetric, census.asymmetric)
     return _mismatch(n, "classified", got, tuple(formulas.lucas_string_classes(n)))
 
@@ -237,7 +229,7 @@ def _fixing_reflections(u: str) -> int:
 
 
 def _reflection_fix_sum(d: int) -> str | None:
-    return _mismatch(d, "fixed-point sum", _census(d).fixing_reflections, d * formulas.fib(d // 2 + 2))
+    return _mismatch(d, "fixed-point sum", _once(_census, d).fixing_reflections, d * formulas.fib(d // 2 + 2))
 
 
 def _fib_palindromes_vs_oracle(n: int) -> str | None:
@@ -251,15 +243,15 @@ def _edges_have_primitive_endpoint(n: int) -> str | None:
     """An edge lacks a primitive endpoint iff both its ends are non-primitive.
 
     Every edge has a lower end, so walking up from the non-primitive vertices, ascending, meets every
-    such edge, and in the order of the full ascending edge walk.
+    such edge, and in the order of the full ascending edge walk.  The cube is built only to print one.
     """
-    graph = oracle.build(n, LAMBDA)
-    non_primitive = _census(n).non_primitive
-    up, is_non_primitive = oracle._upper_ends(graph), set(non_primitive)
+    non_primitive = _once(_census, n).non_primitive
+    up, is_non_primitive = oracle._upper_ends(n, LAMBDA), set(non_primitive)
     for u in non_primitive:
         for v in up(u):
             if v in is_non_primitive:
-                return f"n={n}: edge ({graph.decode(u)}, {graph.decode(v)}) has no primitive endpoint"
+                decode = oracle.build(n, LAMBDA).decode
+                return f"n={n}: edge ({decode(u)}, {decode(v)}) has no primitive endpoint"
     return None
 
 
@@ -334,10 +326,11 @@ def _edge_map_surjective(n: int) -> str | None:
 
 def _group_mismatch(kind: str, n: int, expected: int) -> str | None:
     """None if the searched group has ``expected`` elements and is the group orbit enumeration applies, else why not."""
-    autos = set(oracle.searched_group(kind, n))
+    graph = oracle.build(n, kind)
+    autos = set(_once(oracle.automorphism_group, graph))
     if len(autos) != expected:
         return f"found {len(autos)} automorphisms, expected {expected}"
-    if autos != set(oracle.group_permutations(oracle.build(n, kind))):
+    if autos != set(oracle.group_permutations(graph)):
         return "automorphisms differ from the maps orbit enumeration applies"
     return None
 
@@ -368,8 +361,9 @@ def _automorphisms_preserve_weight(n: int) -> str | None:
     # gamma starts at 2: the exceptional automorphism of the 1-cube swaps
     # the two vertices, which differ in weight
     for kind in (GAMMA, LAMBDA) if n >= 2 else (LAMBDA,):
-        weights = [x.bit_count() for x in oracle.build(n, kind).vertices]
-        for perm in oracle.searched_group(kind, n):
+        graph = oracle.build(n, kind)
+        weights = [x.bit_count() for x in graph.vertices]
+        for perm in _once(oracle.automorphism_group, graph):
             for i, j in enumerate(perm):
                 if weights[i] != weights[j]:
                     return f"{kind} n={n}: weight not preserved"
@@ -381,25 +375,25 @@ CHECKS = (
         n, "binomial sum", sum(_binomial_terms(n)), formulas.fib(n + 1))),
     Check(FORMULAS, "lucas binomial-sum identity", 1, _lucas_binomial_identity),
     Check(FORMULAS, "fibonacci-lucas convolution identity", 0, lambda n: _mismatch(
-        n, "convolution", sum(_value(formulas.fib, i) * _value(formulas.lucas, n - i) for i in range(n + 1)),
+        n, "convolution", sum(_once(formulas.fib, i) * _once(formulas.lucas, n - i) for i in range(n + 1)),
         (n + 1) * formulas.fib(n))),
     Check(FORMULAS, "lucas from fibonacci neighbors", 1, lambda n: _mismatch(
         n, "lucas", formulas.lucas(n), formulas.fib(n - 1) + formulas.fib(n + 1))),
     Check(FORMULAS, "primitive counts sum to lucas over divisors", 1, lambda n: _mismatch(
-        n, "divisor sum", sum(_value(formulas.lucas_string_classes, d).primitive for d in formulas.divisors(n)),
+        n, "divisor sum", sum(_once(formulas.lucas_string_classes, d).primitive for d in formulas.divisors(n)),
         formulas.lucas(n))),
     Check(FORMULAS, "gamma vertex histogram sums", 2, _gamma_vertex_sums),
     Check(FORMULAS, "gamma edge histogram sums", 0, lambda n: _histogram_sums(
         n, formulas.gamma_edge_orbits(n), formulas.graph_counts(n, GAMMA).edges)),
     Check(FORMULAS, "lambda vertex histogram sums", 1, lambda n: _histogram_sums(n, formulas.OrbitSummary(
-        formulas.lambda_vertex_orbit_total(n), _value(formulas.lambda_vertex_orbit_histogram, n)),
+        formulas.lambda_vertex_orbit_total(n), _once(formulas.lambda_vertex_orbit_histogram, n)),
         formulas.lucas(n))),
     Check(FORMULAS, "lambda edge histogram sums", 1, lambda n: _histogram_sums(
         n, formulas.lambda_edge_orbits(n), n * formulas.fib(n - 1))),
     Check(FORMULAS, "lambda edge total equals gamma vertex total shifted", 5, lambda n: _mismatch(
         n, "orbit total", formulas.lambda_edge_orbits(n).total, formulas.gamma_vertex_orbits(n - 3).total)),
     Check(FORMULAS, "lambda vertex histogram support equals size set", 1, lambda n: _mismatch(
-        n, "support", {k for k, c in _value(formulas.lambda_vertex_orbit_histogram, n).items() if c > 0},
+        n, "support", {k for k, c in _once(formulas.lambda_vertex_orbit_histogram, n).items() if c > 0},
         formulas.lambda_vertex_orbit_size_set(n))),
     Check(FORMULAS, "asymmetric strings appear exactly from length 9", 1, _asymmetric_boundary),
     Check(ORACLE, "gamma vertex orbits: formula equals enumeration", 2, lambda n: _oracle_vs_formula(
@@ -410,7 +404,7 @@ CHECKS = (
     Check(ORACLE, "lambda edge orbits: formula equals enumeration", 1, lambda n: _oracle_vs_formula(
         n, LAMBDA, EDGES, formulas.lambda_edge_orbits(n).by_size)),
     Check(ORACLE, "lambda vertex orbit sizes match the size set", 3, lambda n: _mismatch(
-        n, "oracle sizes", set(_histograms(n, LAMBDA)[VERTICES]), formulas.lambda_vertex_orbit_size_set(n))),
+        n, "oracle sizes", set(_once(_histograms, n, LAMBDA)[VERTICES]), formulas.lambda_vertex_orbit_size_set(n))),
     Check(ORACLE, "lambda edge orbit sizes within {n, 2n}, equal iff n >= 5", 1, _lambda_edge_size_set),
     Check(ORACLE, "necklace count equals rotation classes", 1, _necklaces_vs_oracle),
     Check(ORACLE, "string class counts equal exhaustive classification", 1, _string_classes_vs_oracle),
@@ -438,11 +432,16 @@ SUITES = {suite: [check for check in CHECKS if check.suite == suite] for suite i
 
 
 def run_suite(name: str, max_n: int | None) -> tuple[str, int | None, list[CheckResult]]:
-    """Resolve the effective range, refusing ranges beyond hard bounds."""
+    """Resolve the effective range, refusing ranges beyond hard bounds, and run the checks with a fresh memo."""
     effective = SUITE_DEFAULT_MAX[name] if max_n is None else max_n
     bound = SUITE_HARD_BOUND[name]
     if effective > bound:
         what = "closed-form" if name == FORMULAS else "enumeration"
         detail = f"max {effective} exceeds the {what} bound {bound} for this suite"
         return name, effective, [CheckResult("suite refused", f"max {effective}", REFUSED, detail)]
-    return name, effective, [run_check(check, effective) for check in SUITES[name]]
+    global _once
+    _once = functools.cache(_call)
+    try:
+        return name, effective, [run_check(check, effective) for check in SUITES[name]]
+    finally:
+        _once = _call

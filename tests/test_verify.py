@@ -1,21 +1,22 @@
 """The check table: every row skips an empty range and passes its first case.
 
 The rewritten checks are held to what they replaced: the edge map is tested
-under the group's two generators, closed-form values are evaluated once per
-process, the Lucas strings of each length in one census, fixed reflections
-by a substring search and binomial coefficients by term ratios; each must
-still fail where the old loop failed.
+under the group's two generators, shared values are made once per suite run,
+the Lucas strings of each length in one census, fixed reflections by a
+substring search and binomial coefficients by term ratios; each must still
+fail where the old loop failed.
 """
 
 import math
 import re
+from collections import Counter
 
 import pytest
 
 from cube_orbits import bijections, formulas, oracle, strings, verify
-from cube_orbits.formulas import LAMBDA
+from cube_orbits.formulas import GAMMA, LAMBDA
 from cube_orbits.strings import Dihedral, LUCAS, apply, enumerate_strings
-from cube_orbits.verify import CHECKS, FAIL, PASS, SKIP, SUITES, run_check
+from cube_orbits.verify import CHECKS, FAIL, ORACLE, PASS, SKIP, SUITES, run_check, run_suite
 
 CHECK = {check.name: check for check in CHECKS}
 
@@ -103,7 +104,7 @@ def test_generators_fail_where_the_full_group_fails(monkeypatch, edge_map):
     assert result.detail == COUNTEREXAMPLE[edge_map]
 
 
-# --- closed-form values evaluated once, never stale
+# --- shared values made once per suite run, never stale
 
 
 def _wrong_at(f, n0, wrong):
@@ -228,7 +229,7 @@ def test_census_equals_the_per_row_walks(monkeypatch, planted):
         assert census.non_primitive == tuple(
             x for x in graph.vertices if strings.decompose(graph.decode(x)).exponent != 1
         ), n
-        up, non_primitive = oracle._upper_ends(graph), set(census.non_primitive)
+        up, non_primitive = oracle._upper_ends(n, LAMBDA), set(census.non_primitive)
         walked = [(u, v) for u in census.non_primitive for v in up(u) if v in non_primitive]
         assert walked == _edges_without_primitive_endpoint(n), n
         if n >= ENDPOINTS.lo and not planted:
@@ -256,9 +257,64 @@ def test_census_serves_no_stale_value(monkeypatch):
     assert [run_check(check, 14).status for check in (NECKLACES, CLASSES)] == [PASS, PASS]
 
 
-def test_inexact_rotation_class_count_is_an_error(monkeypatch):
+def _inexact_period(monkeypatch):
     # period 2 at length 11 gives each string 11 // 2 = 5 rotations fixing it: 5 * L(11) is not a multiple of 11
     period = strings.period
     monkeypatch.setattr(strings, "period", lambda u: 2 if len(u) == 11 else period(u))
-    with pytest.raises(ArithmeticError, match=f"division {5 * formulas.lucas(11)}/11 is not exact"):
+    return pytest.raises(ArithmeticError, match=f"division {5 * formulas.lucas(11)}/11 is not exact")
+
+
+def test_inexact_rotation_class_count_is_an_error(monkeypatch):
+    with _inexact_period(monkeypatch):
         run_check(NECKLACES, 14)
+
+
+# --- the suite-run memo: one lifetime, one value per key
+
+GAMMA_VERTICES = CHECK["gamma vertex orbits: formula equals enumeration"]
+
+
+def _oracle_statuses():
+    return {result.name: result.status for result in run_suite(ORACLE, 10)[2]}
+
+
+def test_histograms_serve_no_stale_value(monkeypatch):
+    assert set(_oracle_statuses().values()) == {PASS}
+    assert run_check(GAMMA_VERTICES, 10).status == PASS
+    # a reversal that does nothing makes every vertex of a Fibonacci cube its own orbit
+    monkeypatch.setattr(oracle, "_reverse", lambda x, n: x)
+    result = run_check(GAMMA_VERTICES, 10)
+    assert (result.status, result.detail) == (FAIL, "n=2: oracle {1: 3} != {1: 1, 2: 1}")
+    assert _oracle_statuses()[GAMMA_VERTICES.name] == FAIL
+    monkeypatch.undo()
+    assert run_check(GAMMA_VERTICES, 10).status == PASS
+    assert set(_oracle_statuses().values()) == {PASS}
+
+
+def test_memo_ends_with_the_suite_run(monkeypatch):
+    run_suite(ORACLE, 6)
+    assert verify._once is verify._call
+    with _inexact_period(monkeypatch):
+        run_suite(ORACLE, 14)
+    assert verify._once is verify._call
+
+
+def test_suite_run_makes_each_shared_value_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[(name, *args)] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "_census", counted("census", verify._census))
+    monkeypatch.setattr(verify, "_histograms", counted("histograms", verify._histograms))
+    assert {result.status for result in run_suite(ORACLE, 12)[2]} == {PASS}
+    assert sorted(calls) == sorted(
+        [("census", n) for n in range(1, 13)]
+        + [("histograms", n, GAMMA) for n in range(13)]
+        + [("histograms", n, LAMBDA) for n in range(1, 13)]
+    )
+    assert set(calls.values()) == {1}
