@@ -33,7 +33,7 @@ JSON = "json"
 # 778 MB peak RSS on a 2-CPU machine, within the 30 s / 1 GB budget (README "Bounds").
 WITNESS_LIMIT = 200_000_000
 
-# The largest table: at M = 20000 every table took at most 12.3 s and 173 MB peak RSS in any format in three
+# The largest table: at M = 20000 every table took at most 7.7 s and 174 MB peak RSS in any format in three
 # fresh runs (README "Bounds"), and from M = 20558 some cell has more than the 4300 digits Python prints by default.
 TABLE_LIMIT = 20_000
 

@@ -5,17 +5,19 @@ so all counts stay exact at any index.  Divisions that occur inside the
 closed forms are mathematically exact; they are checked at runtime and never
 truncated.
 
-Three private functions hold the costly primitives, under ``functools.lru_cache(maxsize=256)``:
-``_recurrence`` (fast doubling, shared by ``fib`` and ``lucas``), ``_factor`` (the one
-trial-division walk, read by ``euler_phi``, ``lucas_string_classes`` and ``_divisors``) and
-``_divisors``, which ``divisors`` copies.  ``lucas_string_classes`` takes the Moebius signs
-of its sums from the squarefree divisors in ``_factor``.  A table's columns take the same
-values again: ``table lambda-v --max 1500`` makes 6,950 fast-doubling evaluations instead of
-51,356, and ``strings.period`` asks for the divisors of one n once per string.  The public
-names stay plain functions, since the benchmark's tracer and the test that enumeration needs
-no closed form select them by ``inspect.isfunction``.  The bound keeps memory in step with
-output: ``table gamma-v --max 3000 --format csv`` peaks at 1.39 times the characters it
-writes (1.35 uncached, 1.50 with 1,024 entries, 1.64 unbounded).
+``_recurrence``, shared by ``fib`` and ``lucas``, holds the last 256 terms it made in ``_terms``,
+oldest first.  A table's columns ask for terms with n going up, so a term not held is mostly the sum of
+two held ones, and only the rest come from ``_fast_doubling``: ``table lambda-v --max 1500``
+makes 1,085 fast-doubling evaluations, against 6,950 with an LRU cache of 256 terms and 51,356
+uncached.  Two private functions hold the factorizations under ``functools.lru_cache(maxsize=256)``:
+``_factor`` (the one trial-division walk, read by ``euler_phi``, ``lucas_string_classes`` and
+``_divisors``) and ``_divisors``, which ``divisors`` copies.  ``lucas_string_classes`` takes the
+Moebius signs of its sums from the squarefree divisors in ``_factor``, and ``strings.period`` asks
+for the divisors of one n once per string.  The public names stay plain functions, since the
+benchmark's tracer and the test that enumeration needs no closed form select them by
+``inspect.isfunction``.  The bounds keep memory in step with output: ``table gamma-v --max 3000
+--format csv`` peaks at 1.387 times the characters it writes (1.35 uncached; with an LRU cache of
+terms, 1.391 at 256, 1.50 at 1,024 and 1.64 unbounded).
 """
 
 from __future__ import annotations
@@ -50,9 +52,33 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-@functools.lru_cache(maxsize=256)
+_TERMS_HELD = 256
+# the terms of ``_recurrence``, keyed (first, second, n), oldest first
+_terms: dict[tuple[int, int, int], int] = {}
+
+
 def _recurrence(first: int, second: int, n: int) -> int:
     """Term n >= -1 of the sequence first, second, first + second, ... (term 0 is first).
+
+    A held term is returned as held; a term whose two predecessors are held is their sum;
+    any other term comes from ``_fast_doubling``.  The term is then held, and the oldest
+    term goes when ``_TERMS_HELD`` are held.
+    """
+    key = (first, second, n)
+    term = _terms.get(key)
+    if term is not None:
+        return term
+    before = _terms.get((first, second, n - 2))
+    last = _terms.get((first, second, n - 1))
+    term = _fast_doubling(first, second, n) if before is None or last is None else before + last
+    if len(_terms) >= _TERMS_HELD:
+        del _terms[next(iter(_terms))]
+    _terms[key] = term
+    return term
+
+
+def _fast_doubling(first: int, second: int, n: int) -> int:
+    """Term n >= -1 of the sequence first, second, first + second, ... (term 0 is first), uncached.
 
     Term n is first * F(n-1) + second * F(n), with the Fibonacci pair found by fast
     doubling, O(log n) multiplications.

@@ -34,7 +34,7 @@ AUTOMORPHISMS = "automorphisms"
 SUITE_DEFAULT_MAX = {FORMULAS: 200, ORACLE: 14, BIJECTIONS: 16, AUTOMORPHISMS: 8}
 
 # Against the 30 s budget with a quarter of it in hand (README "Bounds", three fresh runs on a 2-CPU
-# host): formulas --max 3400 took 16.7-22.4 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 27
+# host): formulas --max 3400 took 15.5-22.4 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 27
 # took 15.4-16.6 s, but 28 took 28.1 s
 SUITE_HARD_BOUND = {FORMULAS: 3400, ORACLE: 27, BIJECTIONS: 18, AUTOMORPHISMS: 8}
 

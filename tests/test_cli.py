@@ -224,14 +224,24 @@ def test_table_holds_each_cell_once(monkeypatch):
         assert peak / sink.chars < bound, fmt
 
 
-def test_table_columns_share_bounded_caches():
-    # the columns of a table take the same fast-doubling values and factorizations again; uncached,
-    # `table lambda-v --max 1500` made 51,356 fast-doubling calls
-    formulas._recurrence.cache_clear()
+def test_table_columns_share_bounded_caches(monkeypatch):
+    # the columns of a table ask for terms with n going up, so most terms are the sum of two held ones, and
+    # take the same factorizations again; `table lambda-v --max 1500` made 51,356 fast-doubling calls
+    # uncached and 6,950 with 256 terms in a least-recently-used cache
+    calls = []
+    fast_doubling = formulas._fast_doubling
+
+    def counting(*args):
+        calls.append(args)
+        return fast_doubling(*args)
+
+    monkeypatch.setattr(formulas, "_fast_doubling", counting)
+    formulas._terms.clear()
     formulas._factor.cache_clear()
     table_rows("lambda-v", 1500)
-    assert formulas._recurrence.cache_info().misses <= 7500
-    for cached in (formulas._recurrence, formulas._factor, formulas._divisors):
+    assert len(calls) <= 1500
+    assert len(formulas._terms) <= 256
+    for cached in (formulas._factor, formulas._divisors):
         assert cached.cache_info().currsize <= 256
 
 

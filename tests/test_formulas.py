@@ -1,6 +1,7 @@
 """Closed-form counts: published values, identities, and exactness."""
 
 import math
+import random
 
 import pytest
 
@@ -42,10 +43,12 @@ def test_fast_doubling_matches_the_recurrence_loop():
     # each term against a running loop over the sequence, for both seed pairs;
     # lucas is undefined at -1, where the sequence 2, 1, ... has term -1
     for (first, second), closed_form in (((0, 1), fib), ((2, 1), lucas)):
+        # after two terms the memo only adds held terms, so fast doubling is also called at every n
         previous, term = second - first, first  # terms -1 and 0
-        assert formulas._recurrence(first, second, -1) == previous
+        assert formulas._recurrence(first, second, -1) == formulas._fast_doubling(first, second, -1) == previous
         for n in range(0, 5001):
             assert formulas._recurrence(first, second, n) == closed_form(n) == term, (first, second, n)
+            assert formulas._fast_doubling(first, second, n) == term, (first, second, n)
             previous, term = term, previous + term
 
 
@@ -60,6 +63,59 @@ def test_fast_doubling_at_powers_of_two():
         assert (fib(m - 1), fib(m), fib(m + 1)) == (d, b, a), k
         # L(j) = F(j - 1) + F(j + 1)
         assert (lucas(m - 1), lucas(m), lucas(m + 1)) == (2 * b - d, d + a, 2 * b + a), k
+        # fib and lucas may take F(m + 1) as a sum of held terms; fast doubling takes each from the bits
+        assert tuple(formulas._fast_doubling(0, 1, j) for j in (m - 1, m, m + 1)) == (d, b, a), k
+        assert tuple(formulas._fast_doubling(2, 1, j) for j in (m - 1, m, m + 1)) == (2 * b - d, d + a, 2 * b + a), k
+
+
+def test_term_memo_matches_the_recurrence_loop_in_any_order(monkeypatch):
+    # the memo adds two held terms or falls back to fast doubling; asked in any order, with jumps, repeats,
+    # descending runs, both sequences interleaved and more terms than it holds, it answers as the loop does,
+    # and it calls fast doubling exactly for the terms it neither holds nor can add
+    top = 1200
+    loops = {}
+    for seeds in ((0, 1), (2, 1)):
+        column = [seeds[1] - seeds[0], seeds[0]]  # term n at index n + 1
+        while len(column) <= top + 1:
+            column.append(column[-2] + column[-1])
+        loops[seeds] = column
+    rng = random.Random(24)
+    queries = [(seeds, n) for n in (-1, 0, 1) for seeds in loops]
+    while len(queries) < 4000:
+        seeds = rng.choice(list(loops))
+        start = rng.randrange(-1, top + 1)
+        up = range(start, min(start + rng.randrange(2, 40), top + 1))
+        shape = rng.randrange(5)
+        if shape == 0:  # ascending run
+            queries += [(seeds, n) for n in up]
+        elif shape == 1:  # ascending run, both sequences in turn
+            queries += [(each, n) for n in up for each in loops]
+        elif shape == 2:  # descending run
+            queries += [(seeds, n) for n in range(start, max(start - rng.randrange(2, 40), -2), -1)]
+        elif shape == 3:  # repeats
+            queries += [(seeds, start)] * rng.randrange(2, 5)
+        else:  # jump
+            queries.append((seeds, start))
+    assert len(set(queries)) > 256
+    calls = []
+    fast_doubling = formulas._fast_doubling
+
+    def counting(*args):
+        calls.append(args)
+        return fast_doubling(*args)
+
+    monkeypatch.setattr(formulas, "_fast_doubling", counting)
+    formulas._terms.clear()
+    added = 0
+    for seeds, n in queries:
+        held = (*seeds, n) in formulas._terms
+        adds = not held and (*seeds, n - 2) in formulas._terms and (*seeds, n - 1) in formulas._terms
+        doubled = len(calls) + (not held and not adds)
+        assert formulas._recurrence(*seeds, n) == loops[seeds][n + 1], (seeds, n)
+        assert len(calls) == doubled, (seeds, n)
+        assert len(formulas._terms) <= 256
+        added += adds
+    assert added > len(calls) > 0
 
 
 def test_number_theory_helpers():
