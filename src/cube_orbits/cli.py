@@ -130,10 +130,10 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
     # every row is led by the separator from the row before it, which the first row drops
     if isinstance(rows, OrbitRows):
         template = ",\n" + _row_template(columns, (("", "") if rows.edges else "", ""))
-        # json.dumps escapes every NUL it writes, so a NUL in each cell's place marks where the template splits;
-        # a vertex row has one inner part, the text between representative and size
-        lead, *inner, end = (template % (("\0",) * (3 if rows.edges else 2))).split("\0")
-        filled = rows.texts(lead, '"', inner[0], inner[-1], end)
+        # json.dumps escapes every NUL it writes, so a quoted NUL in each cell's place marks where the template
+        # splits, and each piece keeps the cell's quote marks; a vertex row has one inner part, before the size
+        lead, *inner, end = (template % (('"\0"',) * (3 if rows.edges else 2))).split("\0")
+        filled = rows.texts(lead, inner[0], inner[-1], end)
     else:
         template = ",\n" + _row_template(columns, rows[0])
         filled = (template % tuple(map(_quote, row)) for row in rows)
@@ -165,7 +165,7 @@ def _emit(
         rows = list(result.values())[-1]
         if isinstance(rows, OrbitRows):
             # an edge is one cell, u-v
-            out.writelines(rows.texts("", "", "-", ",", "\n"))
+            out.writelines(rows.texts("", "-", ",", "\n"))
         else:
             out.writelines(",".join(row) + "\n" for row in rows)
     else:
@@ -197,8 +197,8 @@ class OrbitRows:
 
     ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, v, size) for each edge orbit.  Every
     format writes the rows through ``texts``, which joins a vertex's string from its high and low halves, read
-    from tables of 2^ceil(n/2) and 2^floor(n/2) entries that also hold the format's fixed text.  ``len()`` is
-    the number of rows; ``texts`` can be called again, and reads the rows anew.
+    from ``halves`` or from tables of them that also hold the format's fixed text.  ``len()`` is the number of
+    rows; ``texts`` can be called again, and reads the rows anew.
     """
 
     def __init__(self, ints: Sequence[int], n: int, edges: bool) -> None:
@@ -212,32 +212,24 @@ class OrbitRows:
     def __len__(self) -> int:
         return len(self.ints) // (3 if self.edges else 2)
 
-    def tables(self, lead: str, quote: str, join: str, mid: str, end: str, empty: str = "") -> tuple[list[str], ...]:
-        """The five tables of an edge row's text, in order: ``lead`` and u's high half, u's low half and
-        ``join``, v's high half, v's low half, then ``mid``, the size and ``end``; each string and size between
-        ``quote`` marks.  A vertex row reads the first, fourth and last.  The empty string of n = 0 is ``empty``.
+    def texts(self, lead: str, join: str, mid: str, end: str, empty: str = "") -> Iterator[str]:
+        """Each row's finished text, in order.  An edge row joins five table entries: ``lead`` and u's high half,
+        u's low half and ``join``, v's high half, v's low half, then ``mid``, the size and ``end``; a vertex row
+        reads the first, fourth and last.  The empty string of n = 0 is ``empty``.
         """
         high, low = self.halves
         # only n = 0 has an empty high half: every other one is at least one bit long
-        return (
-            [f"{lead}{quote}{h or empty}" for h in high],
-            [f"{l}{quote}{join}" for l in low],
-            [quote + h for h in high],
-            [l + quote for l in low],
-            [f"{mid}{quote}{k}{quote}{end}" for k in self.sizes],
-        )
-
-    def texts(self, lead: str, quote: str, join: str, mid: str, end: str, empty: str = "") -> Iterator[str]:
-        """Each row's finished text, in order, its table entries joined (see ``tables``)."""
-        first, joined, second, last, sizes = self.tables(lead, quote, join, mid, end, empty)
+        first = [lead + (h or empty) for h in high]
+        joined = [l + join for l in low]
+        sizes = [mid + k + end for k in self.sizes]
         shift, mask, ints = self.shift, (1 << self.shift) - 1, iter(self.ints)
         # an f-string joins the entries in one step; + would make a string of each partial sum
         if self.edges:
             return (
-                f"{first[u >> shift]}{joined[u & mask]}{second[v >> shift]}{last[v & mask]}{sizes[k]}"
+                f"{first[u >> shift]}{joined[u & mask]}{high[v >> shift]}{low[v & mask]}{sizes[k]}"
                 for u, v, k in zip(ints, ints, ints)
             )
-        return (f"{first[x >> shift]}{last[x & mask]}{sizes[k]}" for x, k in zip(ints, ints))
+        return (f"{first[x >> shift]}{low[x & mask]}{sizes[k]}" for x, k in zip(ints, ints))
 
 
 def _orbit_rows(cube: str, n: int, vertices: bool) -> OrbitRows:
@@ -271,7 +263,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
     def plain() -> Iterable[str]:
         # a row is the representative, u-v for an edge, two spaces and the size; the empty string is ε
-        return chain([header], rows.texts("", "", "-", "  ", "\n", "ε"))
+        return chain([header], rows.texts("", "-", "  ", "\n", "ε"))
 
     return _emit(args, parameters, result, plain, ["representative", "size"])
 

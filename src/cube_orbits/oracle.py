@@ -175,23 +175,16 @@ def _reverse(x: int, n: int) -> int:
 def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
     """Images of a vertex under every automorphism, listed in one fixed order of the group.
 
-    The order is identity then reversal on Fibonacci cubes and on Λ0-Λ2, save Γ1, whose second map swaps its
-    two vertices; that of ``Dihedral.full_group(n)``, rotations then rotations after reversal, on Lucas cubes
-    (n >= 3).  A rotation by j moves the last j positions to the front, as in ``canonical_orbits``.
+    The order is that of ``Dihedral.full_group(n)``, rotations then rotations after reversal, on Lucas cubes
+    (n >= 3), and identity then reversal on the other cubes.  A rotation by j moves the last j positions to the
+    front, as in ``canonical_orbits``.  On Γ1 reversal is the identity, yet its one automorphism swaps the
+    vertices 0 and 1, so its swap is xor'ed onto the reversal; on Γ0, Λ0 and Λ1 reversal is the identity and is
+    counted twice, so each orbit's size still comes out right.
     """
-    n = graph.n
-    if graph.kind == GAMMA or n < 3:
-        # on Γ1 reversal is the identity, yet the vertices 0 and 1 are swapped by its one automorphism; on Γ0,
-        # Λ0 and Λ1 reversal is the identity and is counted twice, so each orbit's size still comes out right
-        swap = int(graph.kind == GAMMA and n == 1)
-        return lambda x: [x, _reverse(x, n) ^ swap]
-    full = (1 << n) - 1
-    return lambda x: [(y >> j | y << n - j) & full for y in (x, _reverse(x, n)) for j in range(n)]
-
-
-def _edge_images(images: Callable[[int], list[int]], u: int, v: int) -> Iterator[Edge]:
-    """Images of the edge (u, v) in the group's order, each with its ends ascending."""
-    return ((a, b) if a < b else (b, a) for a, b in zip(images(u), images(v)))
+    n, full = graph.n, (1 << graph.n) - 1
+    turns = range(n) if graph.kind == LAMBDA and n >= 3 else (0,)
+    swap = int(graph.kind == GAMMA and n == 1)
+    return lambda x: [(y >> j | y << n - j) & full for y in (x, _reverse(x, n) ^ swap) for j in turns]
 
 
 def group_permutations(graph: CubeGraph) -> list[tuple[int | None, ...]]:
@@ -259,7 +252,10 @@ def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge
 def members(graph: CubeGraph, element: int | Edge) -> list:
     """The orbit of one vertex, or of one edge (u, v) with u < v: its distinct images, ascending."""
     images = _images(graph)
-    return sorted(set(images(element) if type(element) is int else _edge_images(images, *element)))
+    if type(element) is int:
+        return sorted(set(images(element)))
+    # each image of the edge, with its ends ascending
+    return sorted({(a, b) if a < b else (b, a) for a, b in zip(*map(images, element))})
 
 
 def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:

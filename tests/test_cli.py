@@ -304,24 +304,15 @@ def test_listings_equal_decoded_orbits(capsys, cube, ground):
 
 @pytest.mark.parametrize("cube", ["gamma", "lambda"])
 def test_json_tables_are_json_dumps(cube):
-    # each table entry of a JSON listing holds its cell as json.dumps quotes it, and a row joined from the
-    # tables is the row template filled with json.dumps of its cells
+    # a JSON listing's rows, joined from the pieces of the row template split at its cells, which keep
+    # the cells' quote marks, are the row template filled with json.dumps of each row's cells
     for n in range(15):
         for vertices in (True, False):
             rows = cli._orbit_rows(cube, n, vertices)
             shape = ("", "") if vertices else (("", ""), "")
             template = ",\n" + cli._row_template(["representative", "size"], shape)
-            lead, *inner, end = (template % (("\0",) * (2 if vertices else 3))).split("\0")
-            join, mid = inner[0], inner[-1]
-            first, joined, second, last, sizes = rows.tables(lead, '"', join, mid, end)
-            high, low = rows.halves
-            assert all(text.startswith(lead) for text in first), n
-            assert [text[len(lead):] + '"' for text in first] == [json.dumps(h) for h in high], n
-            assert [quoted + '"' for quoted in second] == [json.dumps(h) for h in high], n
-            assert ['"' + text for text in last] == [json.dumps(low_half) for low_half in low], n
-            assert ['"' + text for text in joined] == [json.dumps(low_half) + join for low_half in low], n
-            assert sizes == [mid + json.dumps(str(k)) + end for k in range(2 * n + 3)], n
-            texts = list(rows.texts(lead, '"', join, mid, end))
+            lead, *inner, end = (template % (('"\0"',) * (2 if vertices else 3))).split("\0")
+            texts = list(rows.texts(lead, inner[0], inner[-1], end))
             quoted = [
                 template % tuple(json.dumps(s) for s in ((rep,) if vertices else rep) + (size,))
                 for rep, size in decoded_rows(cube, n, oracle.VERTICES if vertices else oracle.EDGES)
@@ -501,33 +492,21 @@ def test_verify_refusal(capsys):
     assert code == 2
 
 
-def test_verify_formulas_bound_refusal_is_immediate(capsys):
-    # a suite refusal is a result line of the report, on stdout like every other
-    bound = verify.SUITE_HARD_BOUND[verify.FORMULAS]
+@pytest.mark.parametrize("suite", verify.SUITE_HARD_BOUND)
+def test_verify_bound_refusal_is_immediate(capsys, suite):
+    # a suite refusal is a result line of the report, on stdout like every other; the oracle suite's bound
+    # lies below the graph bound: at bound + 1 every graph can be built, but the suite would run past its
+    # time budget, so it is refused before the first build
+    bound = verify.SUITE_HARD_BOUND[suite]
+    assert suite != verify.ORACLE or bound < oracle.BUILD_LIMIT
+    what = "closed-form" if suite == verify.FORMULAS else "enumeration"
     started = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "formulas", "--max", str(bound + 1))
+    code, out, err = run_cli(capsys, "verify", suite, "--max", str(bound + 1))
     elapsed = time.perf_counter() - started
     assert (code, err) == (2, "")
     assert out == (
-        f"suite formulas (max n = {bound + 1})\n"
-        f"  REFUSED  max {bound + 1} exceeds the closed-form bound {bound} for this suite\n"
-        "result: REFUSED (0 checks run, some suites skipped)\n"
-    )
-    assert elapsed < 0.1
-
-
-def test_verify_oracle_bound_refusal_is_immediate(capsys):
-    # the suite's bound lies below the graph bound: at bound + 1 every graph can be built, but the
-    # suite would run past its time budget, so it is refused before the first build
-    bound = verify.SUITE_HARD_BOUND[verify.ORACLE]
-    assert bound < oracle.BUILD_LIMIT
-    started = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "oracle-vs-formula", "--max", str(bound + 1))
-    elapsed = time.perf_counter() - started
-    assert (code, err) == (2, "")
-    assert out == (
-        f"suite oracle-vs-formula (max n = {bound + 1})\n"
-        f"  REFUSED  max {bound + 1} exceeds the enumeration bound {bound} for this suite\n"
+        f"suite {suite} (max n = {bound + 1})\n"
+        f"  REFUSED  max {bound + 1} exceeds the {what} bound {bound} for this suite\n"
         "result: REFUSED (0 checks run, some suites skipped)\n"
     )
     assert elapsed < 0.1

@@ -11,6 +11,8 @@ refusal line of ``verify all --max 40``, and nothing else in that capture.
 That line was recorded again when the suite got its own measured bound, 23,
 below the graph bound, again when that bound was measured as 24, and again
 when it was measured as 27 after the string-side rows shared one census.
+The bijections refusal line of the same capture was recorded again when
+that suite's bound, 18, was first measured, as 25.
 To record them again (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
