@@ -36,11 +36,14 @@ def string_to_tiling(u: str) -> str:
 
 
 def tiling_to_string(t: str) -> str:
-    """Inverse of string_to_tiling: decode pieces and drop the trailing 0."""
-    bad = set(t) - {"V", "H"}
-    if bad:
-        raise ValueError(f"tiling may only contain V and H, found {sorted(bad)}")
-    v = "".join("0" if piece == "V" else "10" for piece in t)
+    """Inverse of string_to_tiling: decode pieces and drop the trailing 0.
+
+    Each H becomes 10 and then each V a 0; no piece decodes to a V, so the two replacements read the
+    pieces as one left-to-right pass would.
+    """
+    if t.strip("VH"):
+        raise ValueError(f"tiling may only contain V and H, found {sorted(set(t) - {'V', 'H'})}")
+    v = t.replace("H", "10").replace("V", "0")
     if not v.endswith("0"):
         raise ValueError("decoded string does not end in 0")
     return v[:-1]

@@ -14,7 +14,7 @@ import argparse
 import json
 import re
 import sys
-from itertools import chain, product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -195,14 +195,16 @@ def cmd_table(args: argparse.Namespace) -> int:
 class OrbitRows:
     """The rows of an orbit listing, held as ints; each row's text is made only as it is written.
 
-    ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, v, size) for each edge orbit.  Every
-    format writes the rows through ``texts``, which joins a vertex's string from its high and low halves, read
-    from ``halves`` or from tables of them that also hold the format's fixed text.  ``len()`` is the number of
-    rows; ``texts`` can be called again, and reads the rows anew.
+    ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, bits, size) for each run of edge orbits
+    (``oracle.orbit_walk``), one row for each bit b of ``bits``, the edge (u, u | b).  Every format writes the
+    rows through ``texts``, which joins a vertex's string from its high and low halves, read from ``halves`` or
+    from tables of them that also hold the format's fixed text.  ``len()`` is the number of rows; ``texts`` can
+    be called again, and reads the rows anew.
     """
 
     def __init__(self, ints: Sequence[int], n: int, edges: bool) -> None:
         self.ints, self.edges, self.shift = ints, edges, n // 2
+        self.count = sum(map(int.bit_count, islice(ints, 1, None, 3))) if edges else len(ints) // 2
         # every string of each half's length, ascending, so a half's value indexes its string; of
         # length 0 there is one, the empty string, which is the one vertex of dimension 0
         self.halves = [["".join(bits) for bits in product("01", repeat=w)] for w in (n - self.shift, self.shift)]
@@ -210,12 +212,13 @@ class OrbitRows:
         self.sizes = [str(k) for k in range(2 * n + 3)]
 
     def __len__(self) -> int:
-        return len(self.ints) // (3 if self.edges else 2)
+        return self.count
 
     def texts(self, lead: str, join: str, mid: str, end: str, empty: str = "") -> Iterator[str]:
         """Each row's finished text, in order.  An edge row joins five table entries: ``lead`` and u's high half,
-        u's low half and ``join``, v's high half, v's low half, then ``mid``, the size and ``end``; a vertex row
-        reads the first, fourth and last.  The empty string of n = 0 is ``empty``.
+        u's low half and ``join``, v's high half, v's low half, then ``mid``, the size and ``end``; the rows of a
+        run share one head, its first two entries, and one tail, its last.  A vertex row reads the first, fourth
+        and last.  The empty string of n = 0 is ``empty``.
         """
         high, low = self.halves
         # only n = 0 has an empty high half: every other one is at least one bit long
@@ -224,34 +227,34 @@ class OrbitRows:
         sizes = [mid + k + end for k in self.sizes]
         shift, mask, ints = self.shift, (1 << self.shift) - 1, iter(self.ints)
         # an f-string joins the entries in one step; + would make a string of each partial sum
-        if self.edges:
-            return (
-                f"{first[u >> shift]}{joined[u & mask]}{high[v >> shift]}{low[v & mask]}{sizes[k]}"
-                for u, v, k in zip(ints, ints, ints)
-            )
-        return (f"{first[x >> shift]}{low[x & mask]}{sizes[k]}" for x, k in zip(ints, ints))
+        if not self.edges:
+            return (f"{first[x >> shift]}{low[x & mask]}{sizes[k]}" for x, k in zip(ints, ints))
+
+        def edge_rows() -> Iterator[str]:
+            for u, bits, k in zip(ints, ints, ints):
+                head, tail = first[u >> shift] + joined[u & mask], sizes[k]
+                # the bits are taken here, not from oracle._bits: a generator per run made listings a tenth slower
+                while bits:
+                    b = bits & -bits
+                    v = u | b
+                    yield f"{head}{high[v >> shift]}{low[v & mask]}{tail}"
+                    bits ^= b
+
+        return edge_rows()
 
 
 def _orbit_rows(cube: str, n: int, vertices: bool) -> OrbitRows:
     """The rows of an orbit listing, from one orbit pass made before any output is written.
 
-    A refusal or an internal error therefore leaves stdout empty.  Each orbit the engine yields is kept as
-    ints, 4 bytes each, and the graph is freed before the rows are read.
+    A refusal or an internal error therefore leaves stdout empty.  Each vertex orbit and each run of edge
+    orbits that the walk yields is kept as ints, 4 bytes each, and the graph is freed before the rows are read.
     """
     from array import array  # here, not at the top: only orbit listings need it
 
     graph = oracle.build(n, cube)
     # an unsigned int holds 4 bytes on every platform CPython supports, and a vertex of n <= 32 fits in it
-    ints = array("I")
-    if vertices:
-        ints.extend(chain.from_iterable(oracle.canonical_orbits(graph, oracle.VERTICES)))
-        return OrbitRows(ints, n, False)
-    append = ints.append
-    for (u, v), k in oracle.canonical_orbits(graph, oracle.EDGES):
-        append(u)
-        append(v)
-        append(k)
-    return OrbitRows(ints, n, True)
+    ints = array("I", chain.from_iterable(oracle.orbit_walk(graph, oracle.VERTICES if vertices else oracle.EDGES)))
+    return OrbitRows(ints, n, not vertices)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:

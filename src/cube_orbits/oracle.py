@@ -22,18 +22,22 @@ the tiny cubes included.
 
 Each orbit is reported by its least member in one ascending walk over the
 vertices that keeps no orbit and no record of reached elements
-(``canonical_orbits``; canonical augmentation, after McKay, J. Algorithms 26,
-1998).  A vertex u is kept iff no rotation of u or of its reversal r is
-smaller, the rotations taken one at a time up to the first smaller one; the
-Fibonacci cubes and Λ0-Λ2 have no rotations, so there u is tested against r
-alone.  With s = n // 2, r is read as low[u & (2^s - 1)] | high[u >> s] from
-two tables of 2^s and 2^(n-s) entries, made once per walk from ``_reverse``.
-The images equal to u count its stabilizer, and its orbit's size is the
-group's order over that count.  The group preserves weight, so an image of an
-edge (u, v) going up from u has lower end g(u): the edge is least in its orbit
-iff u is and no element of u's stabilizer maps v below v, and when the
-identity alone fixes u every edge up from u is.  Γ1 alone tests each vertex
-and edge whole, by its orbit from ``members``.  No closed form is used.
+(``orbit_walk``, read by ``canonical_orbits``; canonical augmentation, after
+McKay, J. Algorithms 26, 1998).  A vertex u is kept iff no rotation of u or of
+its reversal r is smaller, the rotations taken one at a time up to the first
+smaller one; the Fibonacci cubes and Λ0-Λ2 have no rotations, so there u is
+tested against r alone.  With s = n // 2, r is read as low[u & (2^s - 1)] |
+high[u >> s] from two tables of 2^s and 2^(n-s) entries, made once per walk
+from ``_reverse``.  The images equal to u count its stabilizer, and its
+orbit's size is the group's order over that count.  The group preserves
+weight, so an image of an edge (u, v) going up from u has lower end g(u): the
+edge is least in its orbit iff u is and no element of u's stabilizer maps v
+below v, and when the identity alone fixes u every edge up from u is.  So the
+walk gives the edge orbits as runs, one for each such u, holding its whole
+free-position mask (``_free_positions``), and one for each edge a stabilized u
+keeps; a run's orbits all have one size, and the edges are made one by one
+only where a caller expands the runs.  Γ1 alone tests each vertex and edge
+whole, by its orbit from ``members``.  No closed form is used.
 """
 
 from __future__ import annotations
@@ -47,9 +51,10 @@ from .strings import enumerate_strings, FIBONACCI
 # Every `orbits` listing up to this n, of either cube and ground and in every format, answered
 # within 22.5 s (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a
 # 2-CPU machine (README "Bounds"). Each listing's rows are written from per-format tables of half
-# strings (cli.OrbitRows.texts); gamma n = 30 edges, the slowest, took 13.8-23.3 s in the three
-# formats over two batches of three runs, the slower batch in a slow phase of the host, at 209 MB,
-# the vertex tuple and the rows, and n = 31 took 22.1-36.6 s.
+# strings (cli.OrbitRows.texts), and an edge listing holds three ints per run of orbits (orbit_walk);
+# gamma n = 30 edges, the slowest, took 7.5-9.0 s in the three formats at 116 MB, the vertex tuple
+# and the runs, where three ints per orbit took 9.5-13.1 s at 209 MB alongside it and up to 23.3 s
+# in slow phases of the host.  Before the runs, n = 31 took 22.1-36.6 s.
 BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
 AUTOMORPHISM_VERTEX_LIMIT = 60
@@ -87,28 +92,28 @@ class EdgeView:
         return self.graph.edge_count
 
     def __iter__(self) -> Iterator[Edge]:
-        up = _upper_ends(self.graph.n, self.graph.kind)
+        free = _free_positions(self.graph.n, self.graph.kind)
         for u in self.graph.vertices:
-            for v in up(u):
-                yield u, v
+            for b in _bits(free(u)):
+                yield u, u | b
 
 
-def _upper_ends(n: int, kind: str) -> Callable[[int], Iterator[int]]:
-    """The upper ends v of the edges (u, v) at vertex u of the cube, ascending: u with one more 1."""
+def _free_positions(n: int, kind: str) -> Callable[[int], int]:
+    """The free-position mask of a vertex u of the cube: the bits b whose u | b is a vertex, u with one more 1."""
     cyclic = kind == LAMBDA
     # a 1 may go where it has no 1 beside it; in a Lucas string the ends are
     # beside each other, and the one position of a 1-cycle is beside itself
     wrap = n - 1 if cyclic and n else 0
     positions = 0 if cyclic and n == 1 else (1 << n) - 1
+    return lambda u: positions & ~(u | u << 1 | u >> 1 | u << wrap | u >> wrap)
 
-    def up(u: int) -> Iterator[int]:
-        free = positions & ~(u | u << 1 | u >> 1 | u << wrap | u >> wrap)
-        while free:
-            low = free & -free
-            yield u | low
-            free ^= low
 
-    return up
+def _bits(mask: int) -> Iterator[int]:
+    """Each set bit of mask as its own power of two, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def build(n: int, kind: str) -> CubeGraph:
@@ -199,17 +204,32 @@ def group_permutations(graph: CubeGraph) -> list[tuple[int | None, ...]]:
 def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge, int]]:
     """Each vertex or edge orbit once, as (its least member, its size), in ascending order of that member.
 
+    The vertex orbits are ``orbit_walk`` itself; the edge orbits are its runs, each expanded to one orbit per bit.
+    """
+    walk = orbit_walk(graph, ground)
+    if ground == VERTICES:
+        return walk
+    return (((u, u | b), size) for u, bits, size in walk for b in _bits(bits))
+
+
+def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
+    """The one ascending walk over the vertices: each vertex orbit as (u, size), or the edge orbits as runs.
+
     The size is the group's order over its stabilizer's.  Orbits are made one at a time and none is kept.
     A vertex u is kept iff no rotation of u or of its reversal r is below u; on Γn and on Λ0-Λ2 there are
-    no rotations, so u is tested against r alone.  Γ1 tests each element whole through ``members``.
+    no rotations, so u is tested against r alone.  A run (u, bits, size) stands for one orbit of ``size``
+    edges, least member (u, u | b), for each bit b of ``bits``.  A kept vertex that the identity alone fixes
+    gives one run of its whole free-position mask, and a stabilized one a single-bit run for each edge it
+    keeps, ascending; so the runs, each expanded, ascend by least member.  Γ1 tests each element whole
+    through ``members``.
     """
-    n = graph.n
+    n, vertices = graph.n, ground == VERTICES
     if graph.kind == GAMMA and n == 1:
         # the swap of Γ1 is not reversal, nor does it preserve weight
-        for x in graph.vertices if ground == VERTICES else graph.edges:
+        for x in graph.vertices if vertices else graph.edges:
             orbit = members(graph, x)
             if orbit[0] == x:
-                yield x, len(orbit)
+                yield (x, len(orbit)) if vertices else (x[0], x[0] ^ x[1], len(orbit))
         return
     # rev(x) is the reversal of x's low s bits, moved to the top, joined to that of its high n - s bits
     s, full = n // 2, (1 << n) - 1
@@ -218,7 +238,7 @@ def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge
     high = [_reverse(x << s, n) for x in range(1 << (n - s))]
     turns = range(1, n) if graph.kind == LAMBDA and n >= 3 else ()
     order = 2 * n if turns else 2
-    up = _upper_ends(n, graph.kind)
+    free = _free_positions(n, graph.kind)
     for u in graph.vertices:
         r = low[u & mask] | high[u >> s]
         if r < u:
@@ -231,22 +251,25 @@ def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge
                 break
             fixes += (a == u) + (b == u)
         else:
-            if ground == VERTICES:
+            if vertices:
                 yield u, order // fixes
             elif fixes == 1:
                 # the identity alone fixes u: each edge up from u is least in an orbit of `order` edges
-                yield from (((u, v), order) for v in up(u))
+                bits = free(u)
+                if bits:
+                    yield u, bits, order
             else:
                 # the group preserves weight, so an image of an edge (u, v) has lower end g(u): the edge is
                 # least in its orbit iff no element of u's stabilizer, (turn, reflected), maps v below v
                 stabilizer = [
                     (j, t) for j in (0, *turns) for t, x in ((0, u), (1, r)) if (x >> j | x << n - j) & full == u
                 ]
-                for v in up(u):
+                for b in _bits(free(u)):
+                    v = u | b
                     w = (v, low[v & mask] | high[v >> s])
                     image = [(w[t] >> j | w[t] << n - j) & full for j, t in stabilizer]
                     if min(image) == v:
-                        yield (u, v), order // image.count(v)
+                        yield u, b, order // image.count(v)
 
 
 def members(graph: CubeGraph, element: int | Edge) -> list:

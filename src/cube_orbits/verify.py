@@ -146,13 +146,15 @@ def _asymmetric_boundary(n: int) -> str | None:
 def _histograms(n: int, kind: str) -> dict[str, dict[int, int]]:
     """Ground -> orbit size -> number of orbits by enumeration, sizes ascending, from one build of the cube.
 
-    A few ints per cube; the graph itself is not kept.
+    A few ints per cube; the graph itself is not kept.  The edge orbits are counted by the bits of each run
+    of ``oracle.orbit_walk``, so an edge is never made on its own.
     """
     graph = oracle.build(n, kind)
-    return {
-        ground: dict(sorted(Counter(size for _, size in oracle.canonical_orbits(graph, ground)).items()))
-        for ground in (VERTICES, EDGES)
-    }
+    edges: Counter[int] = Counter()
+    for _, bits, size in oracle.orbit_walk(graph, EDGES):
+        edges[size] += bits.bit_count()
+    vertices = Counter(size for _, size in oracle.canonical_orbits(graph, VERTICES))
+    return {VERTICES: dict(sorted(vertices.items())), EDGES: dict(sorted(edges.items()))}
 
 
 def _oracle_vs_formula(n: int, kind: str, ground: str, by_size: dict[int, int]) -> str | None:
@@ -246,12 +248,12 @@ def _edges_have_primitive_endpoint(n: int) -> str | None:
     such edge, and in the order of the full ascending edge walk.  The cube is built only to print one.
     """
     non_primitive = _once(_census, n).non_primitive
-    up, is_non_primitive = oracle._upper_ends(n, LAMBDA), set(non_primitive)
+    free, is_non_primitive = oracle._free_positions(n, LAMBDA), set(non_primitive)
     for u in non_primitive:
-        for v in up(u):
-            if v in is_non_primitive:
+        for b in oracle._bits(free(u)):
+            if u | b in is_non_primitive:
                 decode = oracle.build(n, LAMBDA).decode
-                return f"n={n}: edge ({decode(u)}, {decode(v)}) has no primitive endpoint"
+                return f"n={n}: edge ({decode(u)}, {decode(u | b)}) has no primitive endpoint"
     return None
 
 

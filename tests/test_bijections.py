@@ -33,9 +33,9 @@ def test_codec_examples():
     for u in ["2", "0b1", "1 0"]:  # the two replacements would pass other characters through
         with pytest.raises(ValueError, match="other than 0 and 1"):
             string_to_tiling(u)
-    with pytest.raises(ValueError):
-        tiling_to_string("VX")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"may only contain V and H, found \['X', 'x'\]$"):
+        tiling_to_string("xVHX")
+    with pytest.raises(ValueError, match="does not end in 0"):
         tiling_to_string("")
 
 

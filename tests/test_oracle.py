@@ -499,3 +499,23 @@ def test_engine_needs_no_closed_form(monkeypatch):
             if getattr(module, fn, None) is getattr(formulas, fn):
                 monkeypatch.setattr(module, fn, closed_form)
     assert [list(canonical_orbits(g, ground)) for g in graphs for ground in (VERTICES, EDGES)] == before
+
+
+def test_edge_runs_are_whole_masks_or_single_edges():
+    # a run is one orbit per bit: a kept vertex that only the identity fixes holds its whole free-position
+    # mask in one run of the group's order, and a stabilized one a run per kept edge, ascending
+    for kind in (GAMMA, LAMBDA):
+        for n in range(2, 15):
+            g = build(n, kind)
+            order = 2 * n if kind == LAMBDA and n >= 3 else 2
+            free = oracle._free_positions(n, kind)
+            fixed = {u: order // size for u, size in canonical_orbits(g, VERTICES)}
+            runs = list(oracle.orbit_walk(g, EDGES))
+            for u, bits, size in runs:
+                assert bits and bits & free(u) == bits, (kind, n, u)
+                if fixed[u] == 1:
+                    assert (bits, size) == (free(u), order), (kind, n, u)
+                else:
+                    assert bits & bits - 1 == 0, (kind, n, u)
+            ends = [(u, bits) for u, bits, _ in runs]
+            assert ends == sorted(set(ends)), (kind, n)

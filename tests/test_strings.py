@@ -1,5 +1,7 @@
 """String machinery: validity, enumeration, dihedral action, periods, orbits."""
 
+import random
+
 import pytest
 
 from cube_orbits import formulas
@@ -196,6 +198,33 @@ def test_orbit_size_equals_orbit_cardinality(n):
     for u in all_binary(n):
         assert orbit_size(u) == len(dihedral_orbit(u))
         assert (2 * n) % orbit_size(u) == 0
+
+
+def random_lucas(rng, n):
+    """A random Lucas string of length n: a 1 only after a 0, and a last 1 turned to 0 after a first 1."""
+    u = []
+    for _ in range(n):
+        u.append("1" if u[-1:] != ["1"] and rng.random() < 0.4 else "0")
+    if u[0] == u[-1] == "1":
+        u[-1] = "0"
+    return "".join(u)
+
+
+def test_decompose_random_lucas_strings():
+    # the exhaustive tests stop at length 10; random strings up to 64, with powers of random roots so that
+    # non-primitive strings occur, reach roots of every length, the asymmetric ones of 23 and 46 among them
+    rng = random.Random(2026)
+    for n in range(1, 65):
+        samples = [random_lucas(rng, n) for _ in range(12)]
+        samples += [random_lucas(rng, d) * (n // d) for d in range(1, n) if n % d == 0 for _ in range(2)]
+        for u in samples:
+            assert is_lucas(u), u
+            d = decompose(u)
+            assert d.root * d.exponent == u and d.period * d.exponent == n, u
+            assert d.period == min(p for p in range(1, n + 1) if u[p:] + u[:p] == u), u
+            # a primitive root's orbit has one member per rotation when its reversal is one of them, else two
+            assert d.symmetric == (len(dihedral_orbit(d.root)) == d.period), u
+            assert orbit_size(u) == len(dihedral_orbit(u)), u
 
 
 def test_dihedral_orbit_examples():

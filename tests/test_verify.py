@@ -229,8 +229,8 @@ def test_census_equals_the_per_row_walks(monkeypatch, planted):
         assert census.non_primitive == tuple(
             x for x in graph.vertices if strings.decompose(graph.decode(x)).exponent != 1
         ), n
-        up, non_primitive = oracle._upper_ends(n, LAMBDA), set(census.non_primitive)
-        walked = [(u, v) for u in census.non_primitive for v in up(u) if v in non_primitive]
+        free, non_primitive = oracle._free_positions(n, LAMBDA), set(census.non_primitive)
+        walked = [(u, u | b) for u in census.non_primitive for b in oracle._bits(free(u)) if u | b in non_primitive]
         assert walked == _edges_without_primitive_endpoint(n), n
         if n >= ENDPOINTS.lo and not planted:
             assert walked == [], n
@@ -276,6 +276,29 @@ GAMMA_VERTICES = CHECK["gamma vertex orbits: formula equals enumeration"]
 
 def _oracle_statuses():
     return {result.name: result.status for result in run_suite(ORACLE, 10)[2]}
+
+
+def _members_histograms(n, kind):
+    """Ground -> orbit size -> number of orbits, each orbit built whole by ``oracle.members``."""
+    graph = oracle.build(n, kind)
+    histograms = {}
+    for ground, elements in ((oracle.VERTICES, graph.vertices), (oracle.EDGES, graph.edges)):
+        seen, sizes = set(), Counter()
+        for x in elements:
+            if x not in seen:
+                orbit = oracle.members(graph, x)
+                seen.update(orbit)
+                sizes[len(orbit)] += 1
+        histograms[ground] = dict(sorted(sizes.items()))
+    return histograms
+
+
+@pytest.mark.parametrize("kind", [GAMMA, LAMBDA])
+def test_histograms_equal_members_built_orbits(kind):
+    # the edge histogram counts the bits of each run of the walk; the orbits built member by member count
+    # every edge orbit on its own
+    for n in range(15):
+        assert verify._histograms(n, kind) == _members_histograms(n, kind), n
 
 
 def test_histograms_serve_no_stale_value(monkeypatch):
