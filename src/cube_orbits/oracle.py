@@ -180,8 +180,8 @@ def _reverse(x: int, n: int) -> int:
 def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
     """Images of a vertex under every automorphism, listed in one fixed order of the group.
 
-    The order is that of ``Dihedral.full_group(n)``, rotations then rotations after reversal, on Lucas cubes
-    (n >= 3), and identity then reversal on the other cubes.  A rotation by j moves the last j positions to the
+    On Lucas cubes (n >= 3) the order is the rotations right by 0, ..., n - 1, then the same rotations after
+    reversal; on the other cubes it is identity then reversal.  A rotation by j moves the last j positions to the
     front, as in ``canonical_orbits``.  On Γ1 reversal is the identity, yet its one automorphism swaps the
     vertices 0 and 1, so its swap is xor'ed onto the reversal; on Γ0, Λ0 and Λ1 reversal is the identity and is
     counted twice, so each orbit's size still comes out right.

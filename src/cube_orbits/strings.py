@@ -2,9 +2,9 @@
 
 Strings are plain ``str`` objects over "0"/"1"; the usual 1-based position i
 corresponds to index i-1 here.  This module holds the validity predicates for
-Fibonacci/Lucas strings, ordered enumeration, the dihedral action, the
-period/root decomposition, orbit sizes under rotation+reversal, and the
-constructive witnesses for prescribed orbit sizes.
+Fibonacci/Lucas strings, ordered enumeration, the period/root decomposition,
+orbit sizes under rotation+reversal, and the constructive witnesses for
+prescribed orbit sizes.
 """
 
 from __future__ import annotations
@@ -46,43 +46,6 @@ def enumerate_strings(n: int, kind: str) -> list[str]:
     if kind == LUCAS:
         out = [u for u in out if u[0] == "0" or u[-1] == "0"]
     return out
-
-
-def rotate(u: str, j: int) -> str:
-    """Rotate right by j positions: the last j characters move to the front."""
-    n = len(u)
-    if n == 0:
-        raise ValueError("cannot rotate the empty string")
-    j %= n
-    return u[-j:] + u[:-j] if j else u
-
-
-class Dihedral(NamedTuple):
-    """Element of the dihedral group acting on length-n strings.
-
-    Represents rotation**shift when reflected is False, and
-    rotation**shift composed after reversal when reflected is True.
-    """
-
-    shift: int
-    reflected: bool = False
-
-    @classmethod
-    def full_group(cls, n: int) -> list["Dihedral"]:
-        """All 2n elements valid for strings of length n; rotations first."""
-        if n < 1:
-            raise ValueError(f"dihedral group needs n >= 1, got {n}")
-        return [cls(j, r) for r in (False, True) for j in range(n)]
-
-
-def apply(g: Dihedral, u: str) -> str:
-    """Image of u under g: reversal first when g is reflected, then rotation."""
-    n = len(u)
-    if n == 0:
-        raise ValueError("dihedral maps are undefined on the empty string")
-    if not 0 <= g.shift < n:
-        raise ValueError(f"shift {g.shift} out of range for length {n}")
-    return rotate(u[::-1] if g.reflected else u, g.shift)
 
 
 def period(u: str) -> int:

@@ -19,7 +19,6 @@ from typing import Callable, Iterator, NamedTuple
 from . import bijections, formulas, oracle, strings
 from .formulas import GAMMA, LAMBDA
 from .oracle import EDGES, VERTICES
-from .strings import Dihedral, apply
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -218,9 +217,9 @@ def _string_classes_vs_oracle(n: int) -> str | None:
 def _fixing_reflections(u: str) -> int:
     """How many of the len(u) reflections fix u.
 
-    ``Dihedral(j, True)`` maps u to its reversal r rotated right by j, and that
-    equals u iff u occurs in r + r at offset -j mod len(u): each offset below
-    len(u) at which ``str.find`` meets u counts once.
+    Reflection j, the reversal rotated right by j, maps u to r rotated right by j,
+    where r is u reversed, and that equals u iff u occurs in r + r at offset
+    -j mod len(u): each offset below len(u) at which ``str.find`` meets u counts once.
     """
     doubled, end, count = u[::-1] * 2, 2 * len(u) - 1, 0
     offset = doubled.find(u, 0, end)
@@ -290,8 +289,11 @@ def _tiling_counts(m: int) -> str | None:
     return None
 
 
-# one rotation and one reversal generate the dihedral group
-GENERATORS = (Dihedral(1), Dihedral(0, True))
+# one rotation and one reversal generate the dihedral group; each is labelled as a counterexample names it
+GENERATORS = (
+    ("Dihedral(shift=1, reflected=False)", lambda u: u[-1] + u[:-1]),  # rotation right by one
+    ("Dihedral(shift=0, reflected=True)", lambda u: u[::-1]),  # reversal
+)
 
 
 def _edge_map_well_defined(n: int) -> str | None:
@@ -306,10 +308,10 @@ def _edge_map_well_defined(n: int) -> str | None:
         u, v = name[a], name[b]
         base = bijections.lambda_edge_to_gamma_vertex((u, v))
         base_rep = min(base, base[::-1])
-        for g in GENERATORS:
-            image = bijections.lambda_edge_to_gamma_vertex((apply(g, u), apply(g, v)))
+        for label, g in GENERATORS:
+            image = bijections.lambda_edge_to_gamma_vertex((g(u), g(v)))
             if min(image, image[::-1]) != base_rep:
-                return f"n={n}: edge ({u}, {v}) under {g}"
+                return f"n={n}: edge ({u}, {v}) under {label}"
     return None
 
 

@@ -10,16 +10,8 @@ import time
 from cube_orbits import bijections, formulas, oracle
 from cube_orbits.cli import table_rows
 from cube_orbits.formulas import GAMMA, LAMBDA
-from cube_orbits.strings import (
-    FIBONACCI,
-    LUCAS,
-    Dihedral,
-    apply,
-    decompose,
-    enumerate_strings,
-    orbit_size,
-    rotate,
-)
+from cube_orbits.strings import FIBONACCI, LUCAS, decompose, enumerate_strings, orbit_size
+from dihedral import Dihedral, all_binary, apply, dihedral_orbit, rotate
 
 # Published count tables, columns n = 1, 2, 3, ...
 GAMMA_VERTEX_TABLE = [  # n <= 15: |V|, orbits, size-1 orbits, size-2 orbits
@@ -54,15 +46,6 @@ LAMBDA_EDGE_TABLE = [  # n <= 16: orbits, size-n orbits, size-2n orbits
 
 def _report(number, name, started):
     print(f"criterion {number:2d} ({name}): PASS  [{time.perf_counter() - started:.2f}s]")
-
-
-def all_binary(n):
-    return [format(x, f"0{n}b") for x in range(2**n)]
-
-
-def dihedral_orbit(u):
-    """The images of u under every rotation and reversal."""
-    return {apply(g, u) for g in Dihedral.full_group(len(u))}
 
 
 def nonzero(hist):

@@ -14,7 +14,8 @@ from cube_orbits.bijections import (
     verify_edge_orbit_bijection,
 )
 from cube_orbits.formulas import GAMMA, LAMBDA
-from cube_orbits.strings import Dihedral, FIBONACCI, apply, enumerate_strings
+from cube_orbits.strings import FIBONACCI, enumerate_strings
+from dihedral import Dihedral, apply
 
 
 def lucas_edge_strings(n):

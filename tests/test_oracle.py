@@ -24,7 +24,8 @@ from cube_orbits.oracle import (
     group_permutations,
     members,
 )
-from cube_orbits.strings import FIBONACCI, LUCAS, Dihedral, apply, enumerate_strings
+from cube_orbits.strings import FIBONACCI, LUCAS, enumerate_strings
+from dihedral import Dihedral, apply
 
 
 def vertex_strings(g):
@@ -251,7 +252,7 @@ def string_map_permutation(g, d):
 
 
 def test_group_permutations_are_the_string_maps():
-    # the k-th bit map that orbit enumeration applies is the k-th string map of strings.apply
+    # the k-th bit map that orbit enumeration applies is the k-th string map of the test helper dihedral.apply
     for kind, start, group in (
         (GAMMA, 2, lambda n: [Dihedral(0), Dihedral(0, True)]),
         (LAMBDA, 3, Dihedral.full_group),
@@ -364,7 +365,7 @@ def test_oracle_matches_formulas_small():
 
 def string_side_orbits(kind, n):
     """Vertex and edge orbits found on strings alone: the valid strings, the pairs
-    at Hamming distance 1, and the dihedral maps of ``strings.apply``."""
+    at Hamming distance 1, and the dihedral maps of the test helper ``dihedral.apply``."""
     if kind == LAMBDA:
         group = Dihedral.full_group(n)
         names = enumerate_strings(n, LUCAS)

@@ -8,8 +8,6 @@ from cube_orbits import formulas
 from cube_orbits.strings import (
     FIBONACCI,
     LUCAS,
-    Dihedral,
-    apply,
     asymmetric_witness,
     decompose,
     enumerate_strings,
@@ -17,24 +15,9 @@ from cube_orbits.strings import (
     is_lucas,
     orbit_size,
     period,
-    rotate,
     vertex_orbit_witness,
 )
-
-
-def dihedral_orbit(u):
-    """The set of all rotations of u and of its reversal."""
-    n = len(u)
-    if n == 0:
-        raise ValueError("dihedral orbits are undefined for the empty string")
-    doubled = u + u
-    rev = u[::-1]
-    rev_doubled = rev + rev
-    return {doubled[i : i + n] for i in range(n)} | {rev_doubled[i : i + n] for i in range(n)}
-
-
-def all_binary(n):
-    return [format(x, f"0{n}b") if n else "" for x in range(2**n)]
+from dihedral import Dihedral, all_binary, apply, dihedral_orbit, rotate
 
 
 # Independent reference for the dihedral action: the 1-based index formulas,

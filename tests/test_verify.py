@@ -15,8 +15,9 @@ import pytest
 
 from cube_orbits import bijections, formulas, oracle, strings, verify
 from cube_orbits.formulas import GAMMA, LAMBDA
-from cube_orbits.strings import Dihedral, LUCAS, apply, enumerate_strings
+from cube_orbits.strings import LUCAS, enumerate_strings
 from cube_orbits.verify import CHECKS, FAIL, ORACLE, PASS, SKIP, SUITES, run_check, run_suite
+from dihedral import Dihedral, apply
 
 CHECK = {check.name: check for check in CHECKS}
 
@@ -45,13 +46,21 @@ def test_generators_reach_the_whole_orbit(n):
     closure, frontier = {u}, [u]
     while frontier:
         w = frontier.pop()
-        for g in verify.GENERATORS:
-            image = apply(g, w)
+        for _, g in verify.GENERATORS:
+            image = g(w)
             if image not in closure:
                 closure.add(image)
                 frontier.append(image)
     assert closure == {apply(g, u) for g in Dihedral.full_group(n)}
     assert len(closure) == 2 * n
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_each_generator_is_the_element_its_label_names(n):
+    element = {repr(d): d for d in Dihedral.full_group(n)}
+    for label, g in verify.GENERATORS:
+        for u in enumerate_strings(n, LUCAS):
+            assert g(u) == apply(element[label], u), (label, u)
 
 
 def _first_full_group_failure(edge_map):
