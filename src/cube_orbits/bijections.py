@@ -53,12 +53,11 @@ def ordered_partitions(m: int) -> list[tuple[int, ...]]:
     """All ordered sequences of parts 1 and 2 summing to m."""
     if m < 0:
         raise ValueError(f"ordered_partitions requires m >= 0, got {m}")
-    levels: list[list[tuple[int, ...]]] = [[()], [(1,)]]
-    for k in range(2, m + 1):
-        levels.append(
-            [(1,) + c for c in levels[k - 1]] + [(2,) + c for c in levels[k - 2]]
-        )
-    return levels[m]
+    # the partitions of k: 1 before each partition of k - 1, then 2 before each of k - 2
+    shorter, level = [], [()]  # k = 0, with none of -1
+    for _ in range(m):
+        shorter, level = level, [(1,) + c for c in level] + [(2,) + c for c in shorter]
+    return level
 
 
 def enumerate_tilings(m: int) -> list[str]:

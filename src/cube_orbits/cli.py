@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -293,31 +294,23 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     suite_names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     lines: list[str] = []
-    any_fail = False
-    any_refused = False
-    checks_run = 0
+    tally: Counter[str] = Counter()
     for name in suite_names:
         suite, effective, results = verify.run_suite(name, args.max)
         lines.append(f"suite {suite} (max n = {effective})")
         for result in results:
+            tally[result.status] += 1
             if result.status == verify.REFUSED:
-                any_refused = True
                 lines.append(f"  REFUSED  {result.detail}")
                 continue
             lines.append(f"  {result.status}  {result.name}  [{result.scope}]")
-            checks_run += result.status != verify.SKIP
             if result.status == verify.FAIL:
-                any_fail = True
                 lines.append(f"         counterexample: {result.detail}")
-    if any_fail:
-        lines.append(f"result: FAIL ({checks_run} checks run)")
-        code = 1
-    elif any_refused:
-        lines.append(f"result: REFUSED ({checks_run} checks run, some suites skipped)")
-        code = 2
-    else:
-        lines.append(f"result: PASS ({checks_run} checks)")
-        code = 0
+    checks_run = tally[verify.PASS] + tally[verify.FAIL]
+    code = 1 if tally[verify.FAIL] else 2 if tally[verify.REFUSED] else 0
+    summary = (f"PASS ({checks_run} checks)", f"FAIL ({checks_run} checks run)",
+               f"REFUSED ({checks_run} checks run, some suites skipped)")[code]
+    lines.append(f"result: {summary}")
     print("\n".join(lines))
     return code
 

@@ -28,16 +28,16 @@ its reversal r is smaller, the rotations taken one at a time up to the first
 smaller one; the Fibonacci cubes and Λ0-Λ2 have no rotations, so there u is
 tested against r alone.  With s = n // 2, r is read as low[u & (2^s - 1)] |
 high[u >> s] from two tables of 2^s and 2^(n-s) entries, made once per walk
-from ``_reverse``.  The images equal to u count its stabilizer, and its
-orbit's size is the group's order over that count.  The group preserves
-weight, so an image of an edge (u, v) going up from u has lower end g(u): the
-edge is least in its orbit iff u is and no element of u's stabilizer maps v
-below v, and when the identity alone fixes u every edge up from u is.  So the
-walk gives the edge orbits as runs, one for each such u, holding its whole
-free-position mask (``_free_positions``), and one for each edge a stabilized u
-keeps; a run's orbits all have one size, and the edges are made one by one
-only where a caller expands the runs.  Γ1 alone tests each vertex and edge
-whole, by its orbit from ``members``.  No closed form is used.
+from ``_reverse``.  The elements whose image is u, met on the way, are its
+stabilizer, and its orbit's size is the group's order over their count.  The
+group preserves weight, so an image of an edge (u, v) going up from u has
+lower end g(u): the edge is least in its orbit iff u is and no element of u's
+stabilizer maps v below v, and when the identity alone fixes u every edge up
+from u is.  So the walk gives the edge orbits as runs, one for each such u,
+holding its whole free-position mask (``_free_positions``), and one for each
+edge a stabilized u keeps; a run's orbits all have one size, and the edges are
+made one by one only where a caller expands the runs.  Γ1 alone tests each
+vertex and edge whole, by its orbit from ``members``.  No closed form is used.
 """
 
 from __future__ import annotations
@@ -243,27 +243,28 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
         r = low[u & mask] | high[u >> s]
         if r < u:
             continue
-        fixes = 2 if r == u else 1  # the elements that fix u: identity and reversal, then the turns
+        # the elements (turn, reflected) that fix u: the identity, reversal if r is u, then the turns
+        stabilizer = ((0, 0), (0, 1)) if r == u else ((0, 0),)
         for j in turns:
             a = (u >> j | u << n - j) & full
             b = (r >> j | r << n - j) & full
             if a < u or b < u:
                 break
-            fixes += (a == u) + (b == u)
+            if a == u:
+                stabilizer += ((j, 0),)
+            if b == u:
+                stabilizer += ((j, 1),)
         else:
             if vertices:
-                yield u, order // fixes
-            elif fixes == 1:
+                yield u, order // len(stabilizer)
+            elif len(stabilizer) == 1:
                 # the identity alone fixes u: each edge up from u is least in an orbit of `order` edges
                 bits = free(u)
                 if bits:
                     yield u, bits, order
             else:
                 # the group preserves weight, so an image of an edge (u, v) has lower end g(u): the edge is
-                # least in its orbit iff no element of u's stabilizer, (turn, reflected), maps v below v
-                stabilizer = [
-                    (j, t) for j in (0, *turns) for t, x in ((0, u), (1, r)) if (x >> j | x << n - j) & full == u
-                ]
+                # least in its orbit iff no element of u's stabilizer maps v below v
                 for b in _bits(free(u)):
                     v = u | b
                     w = (v, low[v & mask] | high[v >> s])
@@ -285,6 +286,9 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, found by backtracking.
 
     A permutation maps vertex indices (positions in ``graph.vertices``).
+    The cube is an induced subgraph of Q_n, so the neighbours of a vertex
+    are the vertices one bit away from it, listed ascending; the search
+    shares no adjacency rule with orbit enumeration.
     Vertices are mapped in ascending order.  Every x > 0 is adjacent to
     x & (x - 1), which comes before it, so every vertex v but 0 has a mapped
     neighbour: v goes to an unused neighbour of the image of its lowest one,
@@ -299,11 +303,7 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
             f"{count} vertices exceed the automorphism search bound {AUTOMORPHISM_VERTEX_LIMIT}"
         )
     index = {x: i for i, x in enumerate(graph.vertices)}
-    # the edges ascend, so each list holds the lower neighbours, then the upper ones, ascending
-    near: list[list[int]] = [[] for _ in range(count)]
-    for u, v in graph.edges:
-        near[index[u]].append(index[v])
-        near[index[v]].append(index[u])
+    near = [[index[y] for y in sorted(x ^ 1 << k for k in range(graph.n)) if y in index] for x in graph.vertices]
     adj = [sum(1 << j for j in js) for js in near]
 
     results: list[tuple[int, ...]] = []

@@ -243,16 +243,18 @@ def _fib_palindromes_vs_oracle(n: int) -> str | None:
 def _edges_have_primitive_endpoint(n: int) -> str | None:
     """An edge lacks a primitive endpoint iff both its ends are non-primitive.
 
-    Every edge has a lower end, so walking up from the non-primitive vertices, ascending, meets every
-    such edge, and in the order of the full ascending edge walk.  The cube is built only to print one.
+    Such an edge joins a non-primitive vertex u to u with one more bit set, also non-primitive.  Setting
+    each bit of each non-primitive u in turn, both ascending, meets every such edge, and in the order of
+    the full ascending edge walk.  The cube is built only to print one.
     """
     non_primitive = _once(_census, n).non_primitive
-    free, is_non_primitive = oracle._free_positions(n, LAMBDA), set(non_primitive)
+    is_non_primitive = set(non_primitive)
     for u in non_primitive:
-        for b in oracle._bits(free(u)):
-            if u | b in is_non_primitive:
+        for k in range(n):
+            v = u | 1 << k
+            if v != u and v in is_non_primitive:
                 decode = oracle.build(n, LAMBDA).decode
-                return f"n={n}: edge ({decode(u)}, {decode(u | b)}) has no primitive endpoint"
+                return f"n={n}: edge ({decode(u)}, {decode(v)}) has no primitive endpoint"
     return None
 
 

@@ -129,6 +129,32 @@ MUTANTS = (
         "tests/test_verify.py::test_memo_ends_with_the_suite_run",
         "after run_suite('oracle-vs-formula', 6) returns, verify._once is still its memo, holding its values",
     ),
+    Mutant(
+        "neighbour flips stop short of the top bit", "oracle.py",
+        "for k in range(graph.n))", "for k in range(graph.n - 1))",
+        "tests/test_oracle.py::test_automorphism_group_sizes",
+        "automorphism_group(build(3, 'gamma')) finds 4 automorphisms, not 2",
+    ),
+    Mutant(
+        "stabilizer reflected flags swapped", "oracle.py",
+        "stabilizer += ((j, 0),)\n            if b == u:\n                stabilizer += ((j, 1),)",
+        "stabilizer += ((j, 1),)\n            if b == u:\n                stabilizer += ((j, 0),)",
+        "tests/test_oracle.py::test_engine_equals_brute_force_closures[lambda]",
+        "orbits lambda 4 edges gives the orbit of 0001-0101 size 8, not 4",
+    ),
+    Mutant(
+        "stabilizer starts without reversal", "oracle.py",
+        "stabilizer = ((0, 0), (0, 1)) if r == u else ((0, 0),)", "stabilizer = ((0, 0),)",
+        "tests/test_oracle.py::test_fibonacci_cube_orbits_are_reversal_closures",
+        "orbits gamma 3 vertices gives the orbit of 000 size 2, not 1",
+    ),
+    Mutant(
+        "verify status lets REFUSED win over FAIL", "cli.py",
+        "code = 1 if tally[verify.FAIL] else 2 if tally[verify.REFUSED] else 0",
+        "code = 2 if tally[verify.REFUSED] else 1 if tally[verify.FAIL] else 0",
+        "tests/test_cli.py::test_verify_fail_wins_over_refused",
+        "verify all --max 40 with a failing formulas row prints result: REFUSED and exits 2, not FAIL and 1",
+    ),
 )
 
 

@@ -575,6 +575,17 @@ def test_verify_fail_path(capsys, monkeypatch):
     assert lines[-1] == "result: FAIL (12 checks run)"
 
 
+def test_verify_fail_wins_over_refused(capsys, monkeypatch):
+    # formulas runs to 40 and fails at n = 37; the other three suites are refused at 40
+    terms = verify._binomial_terms
+    monkeypatch.setattr(verify, "_binomial_terms", lambda n: (t + (n == 37) for t in terms(n)))
+    code, out, _ = run_cli(capsys, "verify", "all", "--max", "40")
+    lines = out.splitlines()
+    assert sum(line.startswith("  REFUSED") for line in lines) == 3
+    assert any(line.startswith("  FAIL") for line in lines)
+    assert (code, lines[-1]) == (1, "result: FAIL (12 checks run)")
+
+
 def test_verify_bijection_counterexample(capsys, monkeypatch):
     # an edge map that sends every edge of the 5-dimensional Lucas cube to one string
     edge_map = bijections.lambda_edge_to_gamma_vertex
