@@ -1,9 +1,9 @@
 """Brute-force ground truth for orbit structure.
 
 Builds Fibonacci/Lucas cubes as explicit graphs on integer bitmasks, finds
-vertex and edge orbits under the automorphism group, and (for small graphs)
-computes the full automorphism group by exhaustive backtracking so the
-assumed group structure can be validated rather than trusted.
+vertex and edge orbits under the automorphism group, and computes the full
+automorphism group by exhaustive backtracking, to a measured bound of
+``verify``, so the assumed group structure is validated, not trusted.
 
 A vertex is an int whose bit n-1 holds string position 1, so numeric order is
 lexicographic order; ``CubeGraph.decode`` gives the string back where a caller
@@ -57,7 +57,6 @@ from .strings import enumerate_strings, FIBONACCI
 # in slow phases of the host.  Before the runs, n = 31 took 22.1-36.6 s.
 BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
-AUTOMORPHISM_VERTEX_LIMIT = 60
 
 VERTICES = "vertices"
 EDGES = "edges"
@@ -285,41 +284,41 @@ def members(graph: CubeGraph, element: int | Edge) -> list:
 def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, found by backtracking.
 
-    A permutation maps vertex indices (positions in ``graph.vertices``).
-    The cube is an induced subgraph of Q_n, so the neighbours of a vertex
-    are the vertices one bit away from it, listed ascending; the search
-    shares no adjacency rule with orbit enumeration.
-    Vertices are mapped in ascending order.  Every x > 0 is adjacent to
-    x & (x - 1), which comes before it, so every vertex v but 0 has a mapped
-    neighbour: v goes to an unused neighbour of the image of its lowest one,
-    and vertex 0, with none, to any unused vertex.  A candidate is kept when
-    its degree is v's and its adjacency to the used images is exactly the
-    images of v's mapped neighbours.  The search recurses once per vertex.
-    Bounded to 60 vertices.
+    A permutation maps vertex indices (positions in ``graph.vertices``).  The cube is an induced subgraph of
+    Q_n, so the neighbours of a vertex are the vertices one bit away from it, listed ascending; the search
+    shares no adjacency rule with orbit enumeration.  Vertices are mapped in ascending order.  Every x > 0 is
+    adjacent to x & (x - 1), which comes before it, so every vertex v but 0 has a mapped neighbour: v goes to
+    a neighbour of the image of its lowest one, and vertex 0, with none, to any vertex.  A candidate is kept
+    when its degree is v's, its adjacency to the used images is exactly the images of v's mapped neighbours,
+    and it is unused, tested last since it shifts the whole mask.  The search is one loop over a stack of
+    frames, one per vertex being mapped, each holding its candidates left and the adjacency they must match.
     """
     count = len(graph.vertices)
-    if count > AUTOMORPHISM_VERTEX_LIMIT:
-        raise ValueError(
-            f"{count} vertices exceed the automorphism search bound {AUTOMORPHISM_VERTEX_LIMIT}"
-        )
     index = {x: i for i, x in enumerate(graph.vertices)}
     near = [[index[y] for y in sorted(x ^ 1 << k for k in range(graph.n)) if y in index] for x in graph.vertices]
     adj = [sum(1 << j for j in js) for js in near]
 
     results: list[tuple[int, ...]] = []
-    mapping = [-1] * count
-
-    def extend(v: int, used: int) -> None:
-        if v == count:
+    mapping: list[int] = []
+    used, frames = 0, [(iter(range(count)), 0)]
+    while frames:
+        v = len(frames) - 1
+        candidates, required = frames[-1]
+        if len(mapping) > v:
+            # the frame resumes: release the image its vertex took last
+            used ^= 1 << mapping.pop()
+        for w in candidates:
+            if len(near[w]) == len(near[v]) and adj[w] & used == required and not used >> w & 1:
+                mapping.append(w)
+                used |= 1 << w
+                break
+        else:
+            frames.pop()
+            continue
+        if v + 1 == count:
             results.append(tuple(mapping))
-            return
-        # the vertices below v are the mapped ones
-        images = [mapping[u] for u in near[v] if u < v]
-        required = sum(1 << w for w in images)
-        for w in near[images[0]] if images else range(count):
-            if not used >> w & 1 and len(near[w]) == len(near[v]) and adj[w] & used == required:
-                mapping[v] = w
-                extend(v + 1, used | 1 << w)
-
-    extend(0, 0)
+        else:
+            # the vertices up to v are the mapped ones
+            images = [mapping[u] for u in near[v + 1] if u <= v]
+            frames.append((iter(near[images[0]]), sum(1 << j for j in images)))
     return sorted(results)

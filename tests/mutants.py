@@ -136,6 +136,18 @@ MUTANTS = (
         "automorphism_group(build(3, 'gamma')) finds 4 automorphisms, not 2",
     ),
     Mutant(
+        "search keeps a released image used", "oracle.py",
+        "used ^= 1 << mapping.pop()", "mapping.pop()",
+        "tests/test_oracle.py::test_automorphism_group_sizes",
+        "automorphism_group(build(3, 'gamma')) finds 1 automorphism, not 2",
+    ),
+    Mutant(
+        "search drops the last vertex's image from a result", "oracle.py",
+        "results.append(tuple(mapping))", "results.append(tuple(mapping[:-1]))",
+        "tests/test_oracle.py::test_automorphism_search_nests_no_call_per_vertex",
+        "each map of automorphism_group(build(12, 'lambda')) holds 321 images, not 322",
+    ),
+    Mutant(
         "stabilizer reflected flags swapped", "oracle.py",
         "stabilizer += ((j, 0),)\n            if b == u:\n                stabilizer += ((j, 1),)",
         "stabilizer += ((j, 1),)\n            if b == u:\n                stabilizer += ((j, 0),)",
@@ -154,6 +166,12 @@ MUTANTS = (
         "code = 2 if tally[verify.REFUSED] else 1 if tally[verify.FAIL] else 0",
         "tests/test_cli.py::test_verify_fail_wins_over_refused",
         "verify all --max 40 with a failing formulas row prints result: REFUSED and exits 2, not FAIL and 1",
+    ),
+    Mutant(
+        "plain table cells aligned left", "cli.py",
+        'yield "  " + row[i].rjust(w)', 'yield "  " + row[i].ljust(w)',
+        "tests/test_golden_cli.py::test_golden_cli[table lucas-classes --max 9 --format plain]",
+        "table lucas-classes --max 9 ends its first line in '  9 ', not '   9'",
     ),
 )
 

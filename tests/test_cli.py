@@ -491,7 +491,8 @@ def test_verify_refusal(capsys):
     assert any(line.startswith("  REFUSED") for line in lines)
     assert any("fibonacci binomial-sum identity" in line and "PASS" in line for line in lines)
     assert lines[-1].startswith("result: REFUSED")
-    code, out, _ = run_cli(capsys, "verify", "automorphisms", "--max", "9")
+    past = verify.SUITE_HARD_BOUND[verify.AUTOMORPHISMS] + 1
+    code, out, _ = run_cli(capsys, "verify", "automorphisms", "--max", str(past))
     assert code == 2
 
 

@@ -12,7 +12,10 @@ That line was recorded again when the suite got its own measured bound, 23,
 below the graph bound, again when that bound was measured as 24, and again
 when it was measured as 27 after the string-side rows shared one census.
 The bijections refusal line of the same capture was recorded again when
-that suite's bound, 18, was first measured, as 25.
+that suite's bound, 18, was first measured, as 25, and its automorphisms
+refusal line when the guessed bound 8 of that suite was measured as 20;
+``verify automorphisms --max 9``, refused until then, was recorded again
+as the PASS it now prints.
 To record them again (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record

@@ -6,6 +6,7 @@ decode them with ``CubeGraph.decode`` wherever they compare with strings.
 
 import inspect
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -206,9 +207,21 @@ def test_automorphism_group_sizes():
     assert len(automorphism_group(build(1, LAMBDA))) == 1
 
 
-def test_automorphism_group_bound():
-    with pytest.raises(ValueError):
-        automorphism_group(build(9, LAMBDA))  # 76 vertices
+def test_automorphism_search_nests_no_call_per_vertex():
+    # Λ12 has 322 vertices and Γ12 377: with the recursion limit a few frames above the caller's depth, a search
+    # that nested one call per vertex would raise RecursionError
+    lam, gam = build(12, LAMBDA), build(12, GAMMA)
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        found = automorphism_group(lam), automorphism_group(gam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found[0] == sorted(group_permutations(lam)) and len(found[0]) == 24
+    assert found[1] == sorted(group_permutations(gam)) and len(found[1]) == 2
 
 
 def test_automorphisms_are_automorphisms():
@@ -226,7 +239,7 @@ def test_automorphisms_are_automorphisms():
 def test_automorphism_group_equals_networkx_isomorphisms(kind):
     # a differential test: networkx's VF2 matcher lists every automorphism by its own search
     networkx = pytest.importorskip("networkx")
-    for n in range(9):
+    for n in range(11):
         g = build(n, kind)
         index = {x: i for i, x in enumerate(g.vertices)}
         h = networkx.Graph()
