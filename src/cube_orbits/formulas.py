@@ -9,23 +9,28 @@ truncated.
 oldest first.  A table's columns ask for terms with n going up, so a term not held is mostly the sum of
 two held ones, and only the rest come from ``_fast_doubling``: ``table lambda-v --max 1500``
 makes 1,085 fast-doubling evaluations, against 6,950 with an LRU cache of 256 terms and 51,356
-uncached.  Two private functions hold the factorizations under ``functools.lru_cache(maxsize=256)``:
-``_factor`` (the one trial-division walk, read by ``euler_phi``, ``lucas_string_classes`` and
-``_divisors``) and ``_divisors``, which ``divisors`` copies.  ``lucas_string_classes`` takes the
-Moebius signs of its sums from the squarefree divisors in ``_factor``, and ``strings.period`` asks
-for the divisors of one n once per string.  The public names stay plain functions, since the
-benchmark's tracer and the test that enumeration needs no closed form select them by
-``inspect.isfunction``.  The bounds keep memory in step with output: ``table gamma-v --max 3000
---format csv`` peaks at 1.387 times the characters it writes (1.35 uncached; with an LRU cache of
-terms, 1.391 at 256, 1.50 at 1,024 and 1.64 unbounded).  Those are cold readings on Python 3.11, the
-first command of a fresh process, which also count what argparse's first use imports (1.463 on 3.10,
-1.483 on 3.12); once argparse has been used, 1.339 (1.303-1.341 on 3.10-3.13).
+uncached.  Three private functions hold values under ``functools.lru_cache(maxsize=256)``:
+``_factor`` (the one trial-division walk, read by ``euler_phi``, ``_classes`` and ``_divisors``),
+``_divisors``, which ``divisors`` copies, and ``_classes``, the Moebius sums of
+``lucas_string_classes``, keyed on n and on the ``lucas`` and ``fib`` read at call time, so that a
+patched or traced sequence is a new key and never meets a count made from another.  ``_classes``
+takes the Moebius signs from the squarefree divisors in ``_factor``; the Lucas vertex orbit counts
+ask for it at k and k/2 of every size, again for each n that k divides: ``table lambda-v --max 1500``
+asks 3,750 times and makes 2,080, and ``verify formulas --max 330`` asks 5,802 times and makes 768.
+``strings.period`` asks for the divisors of one n once per string.  The public names stay plain
+functions, since the benchmark's tracer and the test that enumeration needs no closed form select
+them by ``inspect.isfunction``.  The bounds keep memory in step with output: ``table gamma-v --max
+3000 --format csv`` peaks at 1.387 times the characters it writes (1.35 uncached; with an LRU cache
+of terms, 1.391 at 256, 1.50 at 1,024 and 1.64 unbounded).  Those are cold readings on Python 3.11,
+the first command of a fresh process, which also count what argparse's first use imports (1.463 on
+3.10, 1.483 on 3.12).  Once argparse has been used, as in ``test_table_holds_each_cell_once``, which
+bounds the ratio by 1.4, it reads 1.339 (1.303-1.341 on 3.10-3.13).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 GAMMA = "gamma"
 LAMBDA = "lambda"
@@ -234,6 +239,12 @@ def lucas_string_classes(n: int) -> StringClassCounts:
     """Counts of primitive, primitive symmetric, and asymmetric Lucas strings of length n."""
     if n < 1:
         raise ValueError(f"lucas_string_classes requires n >= 1, got {n}")
+    return _classes(n, lucas, fib)
+
+
+@functools.lru_cache(maxsize=256)
+def _classes(n: int, lucas: Callable[[int], int], fib: Callable[[int], int]) -> StringClassCounts:
+    """``lucas_string_classes(n)`` as the Moebius sums over the sequences given, which are part of the key."""
     # mu(m) is 0 unless m is squarefree, so only the 2^omega(n) squarefree divisors m of n count,
     # each with mu(m) = (-1)^(number of its primes)
     squarefree = [(1, 1)]

@@ -118,6 +118,21 @@ MUTANTS = (
         "lucas_string_classes(2).primitive is 4, not 2",
     ),
     Mutant(
+        "class count cache keyed on n alone", "formulas.py",
+        "return _classes(n, lucas, fib)\n\n\n@functools.lru_cache(maxsize=256)\n"
+        "def _classes(n: int, lucas: Callable[[int], int], fib: Callable[[int], int])",
+        "return _classes(n)\n\n\n@functools.lru_cache(maxsize=256)\ndef _classes(n: int)",
+        "tests/test_formulas.py::test_lucas_string_classes_follow_the_sequences_they_read",
+        "lucas_string_classes(12), asked once, then asked with formulas.lucas patched to L(d + 1), is still "
+        "(300, 180, 120), not (485, 180, 305)",
+    ),
+    Mutant(
+        "class count cache unbounded", "formulas.py",
+        "@functools.lru_cache(maxsize=256)\ndef _classes(", "@functools.lru_cache(maxsize=None)\ndef _classes(",
+        "tests/test_cli.py::test_table_columns_share_bounded_caches",
+        "table lambda-v --max 1500 leaves 1,500 class counts held, past the bound of 256",
+    ),
+    Mutant(
         "Γ edge orbits fixed count off by one term", "formulas.py",
         "fixed = fib((n + 1) // 2) if", "fixed = fib((n + 3) // 2) if",
         "tests/test_acceptance.py::test_criterion_01_table_reproduction",
@@ -172,6 +187,18 @@ MUTANTS = (
         'yield "  " + row[i].rjust(w)', 'yield "  " + row[i].ljust(w)',
         "tests/test_golden_cli.py::test_golden_cli[table lucas-classes --max 9 --format plain]",
         "table lucas-classes --max 9 ends its first line in '  9 ', not '   9'",
+    ),
+    Mutant(
+        "CSV edge cells joined by two dashes", "cli.py",
+        'rows.texts("", "-", ",", "\\n")', 'rows.texts("", "--", ",", "\\n")',
+        "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format csv]",
+        "orbits gamma 2 edges --format csv prints the row 00--01,2, not 00-01,2",
+    ),
+    Mutant(
+        "edge map reads from the position after the flip", "bijections.py",
+        "start = (i + 2) % n", "start = (i + 1) % n",
+        "tests/test_bijections.py::test_edge_map_examples",
+        "lambda_edge_to_gamma_vertex(('010001', '000001')) is '000', not '001'",
     ),
 )
 

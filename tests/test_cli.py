@@ -228,8 +228,9 @@ def test_table_holds_each_cell_once(monkeypatch):
 
 def test_table_columns_share_bounded_caches(monkeypatch):
     # the columns of a table ask for terms with n going up, so most terms are the sum of two held ones, and
-    # take the same factorizations again; `table lambda-v --max 1500` made 51,356 fast-doubling calls
-    # uncached and 6,950 with 256 terms in a least-recently-used cache
+    # take the same factorizations and string class counts again; `table lambda-v --max 1500` made 51,356
+    # fast-doubling calls uncached and 6,950 with 256 terms in a least-recently-used cache; it asks for 3,750
+    # class counts, of which 2,080 miss their bounded cache
     calls = []
     fast_doubling = formulas._fast_doubling
 
@@ -240,10 +241,12 @@ def test_table_columns_share_bounded_caches(monkeypatch):
     monkeypatch.setattr(formulas, "_fast_doubling", counting)
     formulas._terms.clear()
     formulas._factor.cache_clear()
+    formulas._classes.cache_clear()
     table_rows("lambda-v", 1500)
     assert len(calls) <= 1500
     assert len(formulas._terms) <= 256
-    for cached in (formulas._factor, formulas._divisors):
+    assert formulas._classes.cache_info().misses <= 2100
+    for cached in (formulas._factor, formulas._divisors, formulas._classes):
         assert cached.cache_info().currsize <= 256
 
 

@@ -225,6 +225,29 @@ def test_lucas_string_classes_examples():
         lucas_string_classes(0)
 
 
+def test_lucas_string_classes_follow_the_sequences_they_read(monkeypatch):
+    # the class counts are cached, keyed on n and on the lucas and fib read at call time, so a count made
+    # before either is patched is never served after it
+    quotients = {12: 1, 6: -1, 4: -1, 2: 1}  # d: mu(12 / d), for each d with 12 / d squarefree
+
+    def mobius_sums(lucas_of, fib_of):
+        primitive = sum(mu * lucas_of(d) for d, mu in quotients.items())
+        symmetric = 12 * sum(mu * fib_of(d // 2 + 2) for d, mu in quotients.items())
+        return (primitive, symmetric, primitive - symmetric)
+
+    def shifted(f):
+        return lambda d: f(d + 1)
+
+    assert lucas_string_classes(12) == lucas_string_classes(12) == mobius_sums(lucas, fib) == (300, 180, 120)
+    monkeypatch.setattr(formulas, "lucas", shifted(lucas))
+    assert lucas_string_classes(12) == mobius_sums(shifted(lucas), fib) == (485, 180, 305)
+    monkeypatch.setattr(formulas, "lucas", lucas)
+    monkeypatch.setattr(formulas, "fib", shifted(fib))
+    assert lucas_string_classes(12) == mobius_sums(lucas, shifted(fib)) == (300, 288, 12)
+    monkeypatch.undo()
+    assert lucas_string_classes(12) == (300, 180, 120)
+
+
 def test_lucas_string_classes_identities():
     for n in range(1, 65):
         classes = lucas_string_classes(n)
