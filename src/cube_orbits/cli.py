@@ -244,7 +244,7 @@ class OrbitRows:
         return edge_rows()
 
 
-def _orbit_rows(cube: str, n: int, vertices: bool) -> OrbitRows:
+def _orbit_rows(cube: str, n: int, ground: str) -> OrbitRows:
     """The rows of an orbit listing, from one orbit pass made before any output is written.
 
     A refusal or an internal error therefore leaves stdout empty.  Each vertex orbit and each run of edge
@@ -254,13 +254,12 @@ def _orbit_rows(cube: str, n: int, vertices: bool) -> OrbitRows:
 
     graph = oracle.build(n, cube)
     # an unsigned int holds 4 bytes on every platform CPython supports, and a vertex of n <= 32 fits in it
-    ints = array("I", chain.from_iterable(oracle.orbit_walk(graph, oracle.VERTICES if vertices else oracle.EDGES)))
-    return OrbitRows(ints, n, not vertices)
+    ints = array("I", chain.from_iterable(oracle.orbit_walk(graph, ground)))
+    return OrbitRows(ints, n, ground == oracle.EDGES)
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
-    vertices = args.ground == oracle.VERTICES
-    rows = _orbit_rows(args.cube, args.n, vertices)
+    rows = _orbit_rows(args.cube, args.n, args.ground)
     header = f"{args.cube} n={args.n} {args.ground}: {len(rows)} orbits\n"
     parameters = {"cube": args.cube, "n": args.n, "ground": args.ground}
     result = {"orbit_count": str(len(rows)), "orbits": rows}

@@ -15,10 +15,11 @@ The images of an element are taken under bit maps: reversal on Fibonacci
 cubes and on the Lucas cubes of n <= 2, the full dihedral group, rotations and
 rotations after reversal, on Lucas cubes for n >= 3.  The one exception is the
 1-dimensional Fibonacci cube, a single edge, whose automorphism swaps its
-ends, which reversal does not do.  These maps are the oracle's only group
-action: ``group_permutations`` turns them into vertex permutations, so the
-automorphism search checks exactly the maps that orbit enumeration applies,
-the tiny cubes included.
+ends, which reversal does not do.  ``group_permutations`` turns these maps
+into the permutations the automorphism search checks.  The orbit walk reads
+reversal through ``_reverse`` but writes its turn set and rotation again,
+inline; ``test_engine_equals_brute_force_closures``, the string-side listing
+tests and the oracle-vs-formula rows are what tie them to ``_images``.
 
 Each orbit is reported by its least member in one ascending walk over the
 vertices that keeps no orbit and no record of reached elements
@@ -48,13 +49,12 @@ from . import formulas
 from .formulas import GAMMA, LAMBDA
 from .strings import enumerate_strings, FIBONACCI
 
-# Every `orbits` listing up to this n, of either cube and ground and in every format, answered
-# within 22.5 s (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a
-# 2-CPU machine (README "Bounds"). Each listing's rows are written from per-format tables of half
-# strings (cli.OrbitRows.texts), and an edge listing holds three ints per run of orbits (orbit_walk);
-# gamma n = 30 edges, the slowest, took 7.5-9.0 s in the three formats at 116 MB, the vertex tuple
-# and the runs, where three ints per orbit took 9.5-13.1 s at 209 MB alongside it and up to 23.3 s
-# in slow phases of the host.  Before the runs, n = 31 took 22.1-36.6 s.
+# Every `orbits` listing up to this n, of either cube and ground and in every format, answered within 22.5 s
+# (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a 2-CPU machine (README
+# "Bounds"). Each listing's rows are written from per-format tables of half strings (cli.OrbitRows.texts), and
+# an edge listing holds three ints per run of orbits (orbit_walk); gamma n = 30 edges, the slowest, took
+# 7.5-9.0 s in the three formats at 116 MB, the vertex tuple and the runs, where three ints per orbit took
+# 9.5-13.1 s at 209 MB alongside it and up to 23.3 s in slow phases of the host.
 BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
 
@@ -168,12 +168,8 @@ def _joined_halves(n: int, cyclic: bool) -> tuple[int, ...]:
 
 
 def _reverse(x: int, n: int) -> int:
-    """x with its low n bits (n <= 32) in reverse order."""
-    x = (x & 0x55555555) << 1 | x >> 1 & 0x55555555
-    x = (x & 0x33333333) << 2 | x >> 2 & 0x33333333
-    x = (x & 0x0F0F0F0F) << 4 | x >> 4 & 0x0F0F0F0F
-    x = (x & 0x00FF00FF) << 8 | x >> 8 & 0x00FF00FF
-    return ((x & 0xFFFF) << 16 | x >> 16) >> (32 - n)
+    """The n-bit x with its bits in reverse order."""
+    return int(format(x, f"0{n}b")[::-1], 2)
 
 
 def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
@@ -292,6 +288,7 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
     when its degree is v's, its adjacency to the used images is exactly the images of v's mapped neighbours,
     and it is unused, tested last since it shifts the whole mask.  The search is one loop over a stack of
     frames, one per vertex being mapped, each holding its candidates left and the adjacency they must match.
+    Each vertex tries its candidates ascending, so the maps come out in ascending lexicographic order.
     """
     count = len(graph.vertices)
     index = {x: i for i, x in enumerate(graph.vertices)}
@@ -321,4 +318,4 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
             # the vertices up to v are the mapped ones
             images = [mapping[u] for u in near[v + 1] if u <= v]
             frames.append((iter(near[images[0]]), sum(1 << j for j in images)))
-    return sorted(results)
+    return results

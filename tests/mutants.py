@@ -88,6 +88,12 @@ MUTANTS = (
         "orbits lambda 3 vertices: the high half of 100 indexes a table of two entries, IndexError",
     ),
     Mutant(
+        "reversal keeps the bit order", "oracle.py",
+        'int(format(x, f"0{n}b")[::-1], 2)', 'int(format(x, f"0{n}b"), 2)',
+        "tests/test_oracle.py::test_reverse_matches_string_reversal",
+        "_reverse(1, 3) is 1, not 4",
+    ),
+    Mutant(
         "free positions ignore the wrap", "oracle.py",
         "wrap = n - 1 if cyclic and n else 0", "wrap = 0",
         "tests/test_oracle.py::test_build_examples",
@@ -163,6 +169,19 @@ MUTANTS = (
         "each map of automorphism_group(build(12, 'lambda')) holds 321 images, not 322",
     ),
     Mutant(
+        "lucas group expected two maps short", "verify.py",
+        "LAMBDA, n, 2 * n)", "LAMBDA, n, 2 * n - 2)",
+        "tests/test_golden_cli.py::test_golden_cli[verify automorphisms --max 9]",
+        "verify automorphisms --max 3 prints the counterexample n=3: found 6 automorphisms, expected 4",
+    ),
+    Mutant(
+        "group count counterexample loses its n", "verify.py",
+        'return f"n={n}: found {len(autos)} automorphisms', 'return f"found {len(autos)} automorphisms',
+        "tests/test_verify.py::test_planted_fault_gives_the_rows_counterexample[lambda search drops a map]",
+        "with a map dropped from the search of Λ3 the counterexample is found 5 automorphisms, expected 6, "
+        "not n=3: found 5 automorphisms, expected 6",
+    ),
+    Mutant(
         "stabilizer reflected flags swapped", "oracle.py",
         "stabilizer += ((j, 0),)\n            if b == u:\n                stabilizer += ((j, 1),)",
         "stabilizer += ((j, 1),)\n            if b == u:\n                stabilizer += ((j, 0),)",
@@ -193,6 +212,12 @@ MUTANTS = (
         'rows.texts("", "-", ",", "\\n")', 'rows.texts("", "--", ",", "\\n")',
         "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format csv]",
         "orbits gamma 2 edges --format csv prints the row 00--01,2, not 00-01,2",
+    ),
+    Mutant(
+        "listing reads vertex rows as edge runs", "cli.py",
+        "OrbitRows(ints, n, ground == oracle.EDGES)", "OrbitRows(ints, n, ground != oracle.EDGES)",
+        "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format plain]",
+        "orbits gamma 2 edges prints the row 00  1, not 00-01  2",
     ),
     Mutant(
         "edge map reads from the position after the flip", "bijections.py",

@@ -46,6 +46,10 @@ def test_enumerations():
     ]
     assert enumerate_tilings(3) == ["VVV", "VH", "HV"]
     assert len(enumerate_tilings(10)) == formulas.fib(11)
+    with pytest.raises(ValueError, match=r"^ordered_partitions requires m >= 0, got -1$"):
+        ordered_partitions(-1)
+    with pytest.raises(ValueError, match=r"^enumerate_tilings requires m >= 1, got 0$"):
+        enumerate_tilings(0)
 
 
 def test_round_trips():

@@ -257,7 +257,7 @@ def test_orbit_rows_hold_ints():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        rows = cli._orbit_rows("gamma", 18, False)
+        rows = cli._orbit_rows("gamma", 18, oracle.EDGES)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -313,17 +313,18 @@ def test_json_tables_are_json_dumps(cube):
     # a JSON listing's rows, joined from the pieces of the row template split at its cells, which keep
     # the cells' quote marks, are the row template filled with json.dumps of each row's cells
     for n in range(15):
-        for vertices in (True, False):
-            rows = cli._orbit_rows(cube, n, vertices)
+        for ground in (oracle.VERTICES, oracle.EDGES):
+            vertices = ground == oracle.VERTICES
+            rows = cli._orbit_rows(cube, n, ground)
             shape = ("", "") if vertices else (("", ""), "")
             template = ",\n" + cli._row_template(["representative", "size"], shape)
             lead, *inner, end = (template % (('"\0"',) * (2 if vertices else 3))).split("\0")
             texts = list(rows.texts(lead, inner[0], inner[-1], end))
             quoted = [
                 template % tuple(json.dumps(s) for s in ((rep,) if vertices else rep) + (size,))
-                for rep, size in decoded_rows(cube, n, oracle.VERTICES if vertices else oracle.EDGES)
+                for rep, size in decoded_rows(cube, n, ground)
             ]
-            assert texts == quoted and len(texts) == len(rows), (n, vertices)
+            assert texts == quoted and len(texts) == len(rows), (n, ground)
 
 
 def test_output_is_deterministic(capsys):

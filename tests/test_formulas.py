@@ -261,6 +261,8 @@ def test_lambda_vertex_orbit_size_set_examples():
     assert lambda_vertex_orbit_size_set(9) == {1, 3, 9, 18}
     assert lambda_vertex_orbit_size_set(6) == {1, 2, 3, 6}
     assert lambda_vertex_orbit_size_set(12) == {1, 2, 3, 4, 6, 12, 24}
+    with pytest.raises(ValueError, match=r"^lambda_vertex_orbit_size_set requires n >= 1, got 0$"):
+        lambda_vertex_orbit_size_set(0)
 
 
 def test_lambda_vertex_orbit_count_examples():

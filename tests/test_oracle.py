@@ -224,6 +224,14 @@ def test_automorphism_search_nests_no_call_per_vertex():
     assert found[1] == sorted(group_permutations(gam)) and len(found[1]) == 2
 
 
+def test_automorphism_group_is_found_in_ascending_order():
+    # the maps are returned as the search finds them, not sorted afterwards
+    for kind in (GAMMA, LAMBDA):
+        for n in range(13):
+            found = automorphism_group(build(n, kind))
+            assert found == sorted(found), (kind, n)
+
+
 def test_automorphisms_are_automorphisms():
     for kind, n in ((GAMMA, 4), (LAMBDA, 5)):
         g = build(n, kind)
@@ -402,8 +410,9 @@ def test_orbits_match_string_side(kind, start):
 
 
 def test_reverse_matches_string_reversal():
+    # past the 32 bits that a listing's rows hold, too
     rng = random.Random(4)
-    for n in range(0, BUILD_LIMIT + 1):
+    for n in range(0, 41):
         for x in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
             u = format(x, f"0{n}b") if n else ""
             assert _reverse(x, n) == int(u[::-1] or "0", 2)

@@ -137,6 +137,8 @@ def test_decompose_examples():
     assert decompose("0000") == (1, 4, "0", True)
     with pytest.raises(ValueError):
         decompose("")
+    with pytest.raises(ValueError, match="^the empty string has no period$"):
+        period("")
 
 
 @pytest.mark.parametrize("n", range(1, 11))

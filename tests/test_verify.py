@@ -37,6 +37,103 @@ def test_first_case_passes(check):
     assert result.status == PASS, result.detail
 
 
+# --- each FAIL return of a row, reached by a planted fault
+
+
+def _drop_last_of_several(search):
+    """The search with its last map dropped wherever it finds more than one."""
+
+    def wrong(graph):
+        maps = search(graph)
+        return maps[:-1] if len(maps) > 1 else maps
+
+    return wrong
+
+
+def _swap_first_two(search):
+    """The search with one more map, which swaps the first two vertices, of weights 0 and 1."""
+
+    def wrong(graph):
+        count = len(graph.vertices)
+        return search(graph) + [(1, 0, *range(2, count))] if count > 1 else search(graph)
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name, max_n, patches, counterexample",
+    [
+        pytest.param(
+            "gamma vertex histogram sums", 2,
+            [(formulas, "gamma_vertex_orbits", lambda f: lambda n: f(n)._replace(by_size={1: formulas.fib(n + 2)}))],
+            "n=2: histogram keys [1]", id="every gamma vertex fixed",
+        ),
+        pytest.param(
+            "asymmetric strings appear exactly from length 9", 9,
+            [(formulas, "lucas_string_classes", lambda f: lambda n: f(n)._replace(asymmetric=0))],
+            "n=9: asymmetric count 0", id="no asymmetric strings",
+        ),
+        pytest.param(
+            "lambda edge orbit sizes within {n, 2n}, equal iff n >= 5", 5,
+            [(verify, "_histograms", lambda f: lambda n, kind: {**f(n, kind), oracle.EDGES: {2 * n: 1}})],
+            "n=5: equality with {n, 2n} fails the n >= 5 boundary", id="every lambda edge orbit of size 2n",
+        ),
+        pytest.param(
+            "tiling round trips both directions", 2,
+            [(bijections, "tiling_to_string", lambda f: lambda t: f(t)[::-1])],
+            "string 01", id="tilings decoded reversed",
+        ),
+        pytest.param(
+            "tiling round trips both directions", 0,
+            [(bijections, "enumerate_tilings", lambda f: lambda m: [t.lower() for t in f(m)]),
+             (bijections, "tiling_to_string", lambda f: lambda t: f(t.upper()))],
+            "tiling v", id="tilings enumerated in lower case",
+        ),
+        pytest.param(
+            "palindromes match reflection-invariant tilings", 1,
+            [(bijections, "string_to_tiling", lambda f: lambda u: f(u) + "V")],
+            "string 1, tiling HV", id="tilings one column too wide",
+        ),
+        pytest.param(
+            "distinct tilings and partitions match orbit totals", 3,
+            [(bijections, "distinct_partitions", lambda f: lambda m: len(bijections.ordered_partitions(m)))],
+            "m=3: tilings 2, partitions 3, formula 2", id="partitions not counted up to reversal",
+        ),
+        pytest.param(
+            "edge map surjective", 5,
+            [(strings, "is_lucas", lambda f: lambda u: f(u) and "1" not in u)],
+            "n=5: constructed pair for 00 is not an edge", id="no lucas string holds a 1",
+        ),
+        pytest.param(
+            "fibonacci cubes have exactly 2 automorphisms", 1,
+            [(oracle, "automorphism_group", _drop_last_of_several)],
+            "n=1: found 1 automorphisms, expected 2", id="gamma search drops a map",
+        ),
+        pytest.param(
+            "lucas cubes have exactly 2n automorphisms, all dihedral", 3,
+            [(oracle, "automorphism_group", _drop_last_of_several)],
+            "n=3: found 5 automorphisms, expected 6", id="lambda search drops a map",
+        ),
+        pytest.param(
+            "tiny cubes have the expected groups", 0,
+            [(oracle, "automorphism_group", _drop_last_of_several)],
+            "lambda n=2: found 1 automorphisms, expected 2", id="tiny search drops a map",
+        ),
+        pytest.param(
+            "automorphisms preserve weight", 2,
+            [(oracle, "automorphism_group", _swap_first_two)],
+            "gamma n=2: weight not preserved", id="search adds a weight-changing map",
+        ),
+    ],
+)
+def test_planted_fault_gives_the_rows_counterexample(monkeypatch, name, max_n, patches, counterexample):
+    check = CHECK[name]
+    assert run_check(check, max_n).status == PASS
+    for module, attribute, wrong in patches:
+        monkeypatch.setattr(module, attribute, wrong(getattr(module, attribute)))
+    assert run_check(check, max_n)[2:] == (FAIL, counterexample)
+
+
 # --- the edge map under the group's generators
 
 
