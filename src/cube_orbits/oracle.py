@@ -11,15 +11,13 @@ prints or compares strings.  An edge is a pair (u, v) where v is u with one
 more 1, so |E| is the total weight of the vertices; edges are made on demand
 and never stored.
 
-The images of an element are taken under bit maps: reversal on Fibonacci
-cubes and on the Lucas cubes of n <= 2, the full dihedral group, rotations and
-rotations after reversal, on Lucas cubes for n >= 3.  The one exception is the
+The images of an element are taken under bit maps: the rotations of
+``_turns``, each also after reversal (``_reverse``).  The one exception is the
 1-dimensional Fibonacci cube, a single edge, whose automorphism swaps its
 ends, which reversal does not do.  ``group_permutations`` turns these maps
-into the permutations the automorphism search checks.  The orbit walk reads
-reversal through ``_reverse`` but writes its turn set and rotation again,
-inline; ``test_engine_equals_brute_force_closures``, the string-side listing
-tests and the oracle-vs-formula rows are what tie them to ``_images``.
+into the permutations the automorphism search checks, and the orbit walk
+reads the same ``_turns`` and ``_reverse``, so that check reaches the group
+the walk applies.
 
 Each orbit is reported by its least member in one ascending walk over the
 vertices that keeps no orbit and no record of reached elements
@@ -172,17 +170,20 @@ def _reverse(x: int, n: int) -> int:
     return int(format(x, f"0{n}b")[::-1], 2)
 
 
+def _turns(graph: CubeGraph) -> range:
+    """The group's rotations, each as the j it turns right by: every j < n on Lucas cubes of n >= 3, else j = 0."""
+    return range(graph.n) if graph.kind == LAMBDA and graph.n >= 3 else range(1)
+
+
 def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
     """Images of a vertex under every automorphism, listed in one fixed order of the group.
 
-    On Lucas cubes (n >= 3) the order is the rotations right by 0, ..., n - 1, then the same rotations after
-    reversal; on the other cubes it is identity then reversal.  A rotation by j moves the last j positions to the
-    front, as in ``canonical_orbits``.  On Γ1 reversal is the identity, yet its one automorphism swaps the
-    vertices 0 and 1, so its swap is xor'ed onto the reversal; on Γ0, Λ0 and Λ1 reversal is the identity and is
-    counted twice, so each orbit's size still comes out right.
+    The order is the turns of ``_turns``, then the same turns after reversal.  A rotation by j moves the last j
+    positions to the front, as in ``orbit_walk``.  On Γ1 reversal is the identity, yet its one automorphism swaps
+    the vertices 0 and 1, so its swap is xor'ed onto the reversal; on Γ0, Λ0 and Λ1 reversal is the identity and
+    is counted twice, so each orbit's size still comes out right.
     """
-    n, full = graph.n, (1 << graph.n) - 1
-    turns = range(n) if graph.kind == LAMBDA and n >= 3 else (0,)
+    n, full, turns = graph.n, (1 << graph.n) - 1, _turns(graph)
     swap = int(graph.kind == GAMMA and n == 1)
     return lambda x: [(y >> j | y << n - j) & full for y in (x, _reverse(x, n) ^ swap) for j in turns]
 
@@ -208,15 +209,12 @@ def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge
 
 
 def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
-    """The one ascending walk over the vertices: each vertex orbit as (u, size), or the edge orbits as runs.
+    """The one ascending walk over the vertices, as the module docstring gives it: each vertex orbit as (u, size),
+    or the edge orbits as runs.
 
-    The size is the group's order over its stabilizer's.  Orbits are made one at a time and none is kept.
-    A vertex u is kept iff no rotation of u or of its reversal r is below u; on Γn and on Λ0-Λ2 there are
-    no rotations, so u is tested against r alone.  A run (u, bits, size) stands for one orbit of ``size``
-    edges, least member (u, u | b), for each bit b of ``bits``.  A kept vertex that the identity alone fixes
-    gives one run of its whole free-position mask, and a stabilized one a single-bit run for each edge it
-    keeps, ascending; so the runs, each expanded, ascend by least member.  Γ1 tests each element whole
-    through ``members``.
+    A run (u, bits, size) stands for one orbit of ``size`` edges, least member (u, u | b), for each bit b of
+    ``bits``: the whole free-position mask of a vertex that the identity alone fixes, or one bit for each edge
+    that a stabilized one keeps.  The runs, each expanded, ascend by least member.
     """
     n, vertices = graph.n, ground == VERTICES
     if graph.kind == GAMMA and n == 1:
@@ -231,8 +229,8 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
     mask = (1 << s) - 1
     low = [_reverse(x, n) for x in range(1 << s)]
     high = [_reverse(x << s, n) for x in range(1 << (n - s))]
-    turns = range(1, n) if graph.kind == LAMBDA and n >= 3 else ()
-    order = 2 * n if turns else 2
+    turns = _turns(graph)
+    order, rotations = 2 * len(turns), turns[1:]  # every turn but the identity, which fixes each u
     free = _free_positions(n, graph.kind)
     for u in graph.vertices:
         r = low[u & mask] | high[u >> s]
@@ -240,7 +238,7 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
             continue
         # the elements (turn, reflected) that fix u: the identity, reversal if r is u, then the turns
         stabilizer = ((0, 0), (0, 1)) if r == u else ((0, 0),)
-        for j in turns:
+        for j in rotations:
             a = (u >> j | u << n - j) & full
             b = (r >> j | r << n - j) & full
             if a < u or b < u:

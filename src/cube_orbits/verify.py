@@ -146,14 +146,14 @@ def _asymmetric_boundary(n: int) -> str | None:
 def _histograms(n: int, kind: str) -> dict[str, dict[int, int]]:
     """Ground -> orbit size -> number of orbits by enumeration, sizes ascending, from one build of the cube.
 
-    A few ints per cube; the graph itself is not kept.  The edge orbits are counted by the bits of each run
-    of ``oracle.orbit_walk``, so an edge is never made on its own.
+    A few ints per cube; the graph itself is not kept.  Both grounds come from ``oracle.orbit_walk``, and the
+    edge orbits are counted by the bits of each of its runs, so an edge is never made on its own.
     """
     graph = oracle.build(n, kind)
     edges: Counter[int] = Counter()
     for _, bits, size in oracle.orbit_walk(graph, EDGES):
         edges[size] += bits.bit_count()
-    vertices = Counter(size for _, size in oracle.canonical_orbits(graph, VERTICES))
+    vertices = Counter(size for _, size in oracle.orbit_walk(graph, VERTICES))
     return {VERTICES: dict(sorted(vertices.items())), EDGES: dict(sorted(edges.items()))}
 
 
@@ -246,7 +246,7 @@ def _edges_have_primitive_endpoint(n: int) -> str | None:
 
     Such an edge joins a non-primitive vertex u to u with one more bit set, also non-primitive.  Setting
     each bit of each non-primitive u in turn, both ascending, meets every such edge, and in the order of
-    the full ascending edge walk.  The cube is built only to print one.
+    the full ascending edge walk.
     """
     non_primitive = _once(_census, n).non_primitive
     is_non_primitive = set(non_primitive)
@@ -254,8 +254,7 @@ def _edges_have_primitive_endpoint(n: int) -> str | None:
         for k in range(n):
             v = u | 1 << k
             if v != u and v in is_non_primitive:
-                decode = oracle.build(n, LAMBDA).decode
-                return f"n={n}: edge ({decode(u)}, {decode(v)}) has no primitive endpoint"
+                return f"n={n}: edge ({u:0{n}b}, {v:0{n}b}) has no primitive endpoint"
     return None
 
 
@@ -263,14 +262,18 @@ def _edges_have_primitive_endpoint(n: int) -> str | None:
 
 
 def _tiling_round_trip(n: int) -> str | None:
-    """Strings of length n, and tilings of the 2 x (n + 1) rectangle."""
+    """Strings of length n decode from their tilings, which are the 2 x (n + 1) tilings, each once: the first
+    tiling the two lists hold unequally often is named, an enumerated one first; no enumerated tiling is decoded.
+    """
+    made = []
     for u in strings.enumerate_strings(n, strings.FIBONACCI):
-        if bijections.tiling_to_string(bijections.string_to_tiling(u)) != u:
+        made.append(bijections.string_to_tiling(u))
+        if bijections.tiling_to_string(made[-1]) != u:
             return f"string {u}"
-    for t in bijections.enumerate_tilings(n + 1):
-        if bijections.string_to_tiling(bijections.tiling_to_string(t)) != t:
-            return f"tiling {t}"
-    return None
+    listed = bijections.enumerate_tilings(n + 1)
+    held = Counter(made)
+    held.subtract(listed)
+    return next((f"tiling {t}" for t in listed + made if held[t]), None)
 
 
 def _palindrome_reflection(n: int) -> str | None:
@@ -282,12 +285,11 @@ def _palindrome_reflection(n: int) -> str | None:
 
 
 def _tiling_counts(m: int) -> str | None:
-    if m == 2:
-        return None if bijections.distinct_tilings(2) == 1 else "m=2: expected exactly 1 distinct tiling"
     tilings = bijections.distinct_tilings(m)
     partitions = bijections.distinct_partitions(m)
     expected = formulas.gamma_vertex_orbits(m - 1).total
-    if not tilings == partitions == expected:
+    # the quarter turn of the 2 x 2 square joins its two tilings, but no symmetry joins the partitions 1 + 1 and 2
+    if tilings != expected or (partitions != expected and m > 2):
         return f"m={m}: tilings {tilings}, partitions {partitions}, formula {expected}"
     return None
 
@@ -342,12 +344,9 @@ def _group_mismatch(kind: str, n: int, expected: int) -> str | None:
     return None
 
 
-TINY_AUTOMORPHISM_COUNTS = {(GAMMA, 0): 1, (LAMBDA, 0): 1, (LAMBDA, 1): 1, (LAMBDA, 2): 2}
-
-
 def _tiny_graph_automorphisms(_: int) -> str | None:
     """All tiny cubes in one case: this domain does not grow with the suite's max."""
-    for (kind, dim), size in TINY_AUTOMORPHISM_COUNTS.items():
+    for kind, dim, size in ((GAMMA, 0, 1), (LAMBDA, 0, 1), (LAMBDA, 1, 1), (LAMBDA, 2, 2)):
         mismatch = _group_mismatch(kind, dim, size)
         if mismatch:
             return f"{kind} {mismatch}"
@@ -441,5 +440,7 @@ def run_suite(name: str, max_n: int | None) -> tuple[str, int | None, list[Check
     _once = functools.cache(_call)
     try:
         return name, effective, [run_check(check, effective) for check in SUITES[name]]
+    except ValueError as exc:  # a suite refuses only through a REFUSED result, so a check's ValueError is a bug
+        raise AssertionError(exc) from exc
     finally:
         _once = _call

@@ -64,22 +64,17 @@ MUTANTS = (
         "orbit_size('00000100101010010000001') is 23, its orbit has 46 strings",
     ),
     Mutant(
-        "orbit walk skips the last rotation", "oracle.py",
-        "turns = range(1, n) if", "turns = range(1, n - 1) if",
-        "tests/test_oracle.py::test_lambda_orbits_are_rotation_and_reversal_classes_of_strings",
-        "orbits lambda 3 vertices gives the orbit of 001 size 6, not 3",
+        "shared turn set skips the last rotation", "oracle.py",
+        "return range(graph.n) if", "return range(graph.n - 1) if",
+        "tests/test_golden_cli.py::test_golden_cli[verify automorphisms --max 9]",
+        "verify automorphisms --max 3 prints the counterexample n=3: automorphisms differ from the maps orbit "
+        "enumeration applies",
     ),
     Mutant(
         "orbit walk keeps bits past position n", "oracle.py",
         "a = (u >> j | u << n - j) & full", "a = u >> j | u << n - j",
         "tests/test_oracle.py::test_lambda_orbits_are_rotation_and_reversal_classes_of_strings",
         "orbits lambda 6 vertices gives the orbit of 001001 size 4, not 3",
-    ),
-    Mutant(
-        "group maps skip the last rotation", "oracle.py",
-        "turns = range(n) if", "turns = range(n - 1) if",
-        "tests/test_oracle.py::test_group_permutations_are_the_string_maps",
-        "group_permutations of Λ3 lists 4 maps, not 6",
     ),
     Mutant(
         "half tables with s and n - s swapped", "oracle.py",
@@ -224,6 +219,13 @@ MUTANTS = (
         "start = (i + 2) % n", "start = (i + 1) % n",
         "tests/test_bijections.py::test_edge_map_examples",
         "lambda_edge_to_gamma_vertex(('010001', '000001')) is '000', not '001'",
+    ),
+    Mutant(
+        "a wrong-width tiling enumerated", "bijections.py",
+        "for c in ordered_partitions(m)]", "for c in ordered_partitions(m)] + [\"H\" * (m + 3)]",
+        "tests/test_verify.py::test_first_case_passes[tiling round trips both directions]",
+        "enumerate_tilings(1) is ['V', 'HHHH'], not ['V']; verify bijections --max 1 prints the counterexample "
+        "tiling HHHH",
     ),
 )
 

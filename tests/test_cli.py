@@ -661,6 +661,19 @@ def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
     assert run_cli(capsys, "witness", "asymmetric", "8")[0] == 2
 
 
+def test_a_value_error_inside_verify_is_an_internal_error(capsys, monkeypatch):
+    # verify refuses only through REFUSED results, so a ValueError raised by a check is a bug, not a usage error
+    def refuse(edge):
+        raise ValueError("endpoints must be Lucas strings")
+
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", refuse)
+    code, out, err = run_cli(capsys, "verify", "bijections", "--max", "6")
+    assert (code, out) == (3, "")
+    assert err == "internal error: endpoints must be Lucas strings (this is a bug)\n"
+    assert verify._once is verify._call
+    assert run_cli(capsys, "witness", "asymmetric", "8")[0] == 2
+
+
 def test_a_lost_half_string_is_an_internal_error(capsys, monkeypatch):
     # the vertices still come from string enumeration, checked against the closed forms: a half
     # enumeration that drops its last string makes a graph of the wrong size

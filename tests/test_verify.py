@@ -90,6 +90,16 @@ def _swap_first_two(search):
             "tiling v", id="tilings enumerated in lower case",
         ),
         pytest.param(
+            "tiling round trips both directions", 0,
+            [(bijections, "enumerate_tilings", lambda f: lambda m: f(m) + ["H" * (m + 3)])],
+            "tiling HHHH", id="a tiling of the wrong width enumerated",
+        ),
+        pytest.param(
+            "tiling round trips both directions", 0,
+            [(bijections, "enumerate_tilings", lambda f: lambda m: f(m) + ["VX"])],
+            "tiling VX", id="a tiling that is no V/H string enumerated",
+        ),
+        pytest.param(
             "palindromes match reflection-invariant tilings", 1,
             [(bijections, "string_to_tiling", lambda f: lambda u: f(u) + "V")],
             "string 1, tiling HV", id="tilings one column too wide",
@@ -98,6 +108,11 @@ def _swap_first_two(search):
             "distinct tilings and partitions match orbit totals", 3,
             [(bijections, "distinct_partitions", lambda f: lambda m: len(bijections.ordered_partitions(m)))],
             "m=3: tilings 2, partitions 3, formula 2", id="partitions not counted up to reversal",
+        ),
+        pytest.param(
+            "distinct tilings and partitions match orbit totals", 2,
+            [(bijections, "distinct_tilings", lambda f: lambda m: 2 if m == 2 else f(m))],
+            "m=2: tilings 2, partitions 2, formula 1", id="the 2 x 2 square's tilings not joined",
         ),
         pytest.param(
             "edge map surjective", 5,
@@ -349,6 +364,24 @@ def test_endpoint_walk_finds_the_full_walks_first_edge(monkeypatch):
     result = run_check(ENDPOINTS, 8)
     assert result.status == FAIL
     assert result.detail == f"n={n}: edge ({u}, {v}) has no primitive endpoint"
+
+
+def test_census_rows_need_no_oracle(monkeypatch):
+    # the string route stays independent of the graph route: with the oracle's graph and orbit calls made to
+    # raise, the four rows that read the census give the same results, and a planted census fault gives the
+    # primitive-endpoint row's counterexample, decoded without a graph
+    rows = [NECKLACES, CLASSES, CHECK["reflection fixed-point sum identity"], ENDPOINTS]
+    before = [run_check(check, 14) for check in rows]
+    assert {result.status for result in before} == {PASS}
+
+    def enumeration(*args):
+        raise AssertionError("a census row called the oracle")
+
+    for name in ("build", "orbit_walk", "canonical_orbits", "members"):
+        monkeypatch.setattr(oracle, name, enumeration)
+    assert [run_check(check, 14) for check in rows] == before
+    monkeypatch.setattr(strings, "decompose", _weight_two_up_non_primitive(strings.decompose))
+    assert run_check(ENDPOINTS, 14)[2:] == (FAIL, "n=6: edge (000101, 010101) has no primitive endpoint")
 
 
 def test_census_serves_no_stale_value(monkeypatch):
