@@ -78,14 +78,13 @@ def distinct_tilings(m: int) -> int:
     """Domino tilings of the 2 x m rectangle up to reflections and rotations.
 
     For m >= 3 the only symmetry acting on tilings is the left-right
-    reflection.  The 2 x 2 square additionally has the quarter turn, which
-    identifies its two tilings, so that case is the constant 1.
+    reflection.  The 2 x 2 square also has the quarter turn, which maps its
+    two vertical dominoes (VV) to two horizontal ones (H) and back.
     """
     if m < 2:
         raise ValueError(f"distinct_tilings requires m >= 2, got {m}")
-    if m == 2:
-        return 1
-    return len({min(t, t[::-1]) for t in enumerate_tilings(m)})
+    turn = {"VV": "H", "H": "VV"} if m == 2 else {}
+    return len({min(t, t[::-1], turn.get(t, t)) for t in enumerate_tilings(m)})
 
 
 def lambda_edge_to_gamma_vertex(edge: tuple[str, str]) -> str:

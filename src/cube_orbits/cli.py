@@ -247,7 +247,8 @@ class OrbitRows:
 def _orbit_rows(cube: str, n: int, ground: str) -> OrbitRows:
     """The rows of an orbit listing, from one orbit pass made before any output is written.
 
-    A refusal or an internal error therefore leaves stdout empty.  Each vertex orbit and each run of edge
+    A refusal or an internal error raised by the pass therefore leaves stdout empty; one raised while the rows
+    are written leaves what was written before it, such as the plain header.  Each vertex orbit and each run of edge
     orbits that the walk yields is kept as ints, 4 bytes each, and the graph is freed before the rows are read.
     """
     from array import array  # here, not at the top: only orbit listings need it
@@ -376,8 +377,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, AssertionError) as exc:
-        # a broken internal invariant (an inexact exact division, a graph size mismatch)
+    except OSError:
+        raise
+    except Exception as exc:
+        # any other fault is a bug: a broken invariant (an inexact exact division, a graph size mismatch)
+        # or a failing lookup; exit 1 stays the verdict of a failed check
         print(f"internal error: {exc} (this is a bug)", file=sys.stderr)
         return 3
 

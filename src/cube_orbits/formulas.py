@@ -173,22 +173,17 @@ def graph_counts(n: int, kind: str) -> GraphCounts:
     raise ValueError(f"unknown cube kind {kind!r}")
 
 
-def fib_palindrome_fix(n: int, variant: str = "all") -> int:
-    """Number of palindromic Fibonacci strings of length n.
+def fib_palindrome_fix(n: int) -> tuple[int, int, int]:
+    """Palindromic Fibonacci strings of length n: (all, those starting with 0, those starting with 1).
 
-    variant selects all strings, only those starting with 0, or only those
-    starting with 1.
+    A palindrome is its first ceil(n/2) letters, a Fibonacci string that ends in 0 when n is even,
+    so F(k+2) and F(k+1) start with 0 and 1 for n = 2k+1, F(k) and F(k-1) for n = 2k.
     """
     if n < 1:
         raise ValueError(f"fib_palindrome_fix requires n >= 1, got {n}")
     k, odd = divmod(n, 2)
-    if variant == "all":
-        return fib(k + 3) if odd else fib(k + 1)
-    if variant == "starts0":
-        return fib(k + 2) if odd else fib(k)
-    if variant == "starts1":
-        return fib(k + 1) if odd else fib(k - 1)
-    raise ValueError(f"unknown variant {variant!r}")
+    starts0, starts1 = (fib(k + 2), fib(k + 1)) if odd else (fib(k), fib(k - 1))
+    return starts0 + starts1, starts0, starts1
 
 
 def gamma_vertex_orbits(n: int) -> OrbitSummary:
@@ -201,7 +196,7 @@ def gamma_vertex_orbits(n: int) -> OrbitSummary:
         raise ValueError(f"gamma_vertex_orbits requires n >= 1, got {n}")
     if n == 1:
         return OrbitSummary(1, {1: 0, 2: 1})
-    fixed = fib_palindrome_fix(n)  # reversal fixes exactly the palindromes
+    fixed = fib_palindrome_fix(n)[0]  # reversal fixes exactly the palindromes
     paired = _exact_div(fib(n + 2) - fixed, 2)
     return OrbitSummary(fixed + paired, {1: fixed, 2: paired})
 

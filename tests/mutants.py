@@ -140,6 +140,18 @@ MUTANTS = (
         "gamma_edge_orbits(3) raises ArithmeticError: division 3/2 is not exact",
     ),
     Mutant(
+        "Λ edge count one too many at n = 7", "formulas.py",
+        "return GraphCounts(lucas(n), n * fib(n - 1))", "return GraphCounts(lucas(n), n * fib(n - 1) + (n == 7))",
+        "tests/test_golden_cli.py::test_golden_cli[verify formulas --max 30]",
+        "verify formulas --max 10 prints the counterexample n=7: weighted sum mismatch",
+    ),
+    Mutant(
+        "palindrome total made a difference", "formulas.py",
+        "return starts0 + starts1, starts0, starts1", "return starts0 - starts1, starts0, starts1",
+        "tests/test_formulas.py::test_fib_palindrome_fix_counts_palindromes_by_first_letter",
+        "fib_palindrome_fix(3) is (1, 2, 1), not (3, 2, 1)",
+    ),
+    Mutant(
         "verify keeps its memo past the suite run", "verify.py",
         "    finally:\n        _once = _call", "    finally:\n        pass",
         "tests/test_verify.py::test_memo_ends_with_the_suite_run",
@@ -197,6 +209,13 @@ MUTANTS = (
         "verify all --max 40 with a failing formulas row prints result: REFUSED and exits 2, not FAIL and 1",
     ),
     Mutant(
+        "main reports only broken invariants as internal errors", "cli.py",
+        "    except OSError:\n        raise\n    except Exception as exc:",
+        "    except (ArithmeticError, AssertionError) as exc:",
+        "tests/test_cli.py::test_a_fault_of_any_other_type_is_an_internal_error",
+        "a KeyError from the edge map makes verify bijections --max 6 exit 1, the status of a failed check, not 3",
+    ),
+    Mutant(
         "plain table cells aligned left", "cli.py",
         'yield "  " + row[i].rjust(w)', 'yield "  " + row[i].ljust(w)',
         "tests/test_golden_cli.py::test_golden_cli[table lucas-classes --max 9 --format plain]",
@@ -219,6 +238,13 @@ MUTANTS = (
         "start = (i + 2) % n", "start = (i + 1) % n",
         "tests/test_bijections.py::test_edge_map_examples",
         "lambda_edge_to_gamma_vertex(('010001', '000001')) is '000', not '001'",
+    ),
+    Mutant(
+        "2 x 2 quarter turn dropped", "bijections.py",
+        'turn = {"VV": "H", "H": "VV"} if m == 2 else {}', "turn = {}",
+        "tests/test_verify.py::test_first_case_passes[distinct tilings and partitions match orbit totals]",
+        "distinct_tilings(2) is 2, not 1; verify bijections --max 2 prints the counterexample m=2: tilings 2, "
+        "partitions 2, formula 1",
     ),
     Mutant(
         "a wrong-width tiling enumerated", "bijections.py",

@@ -693,3 +693,22 @@ def test_an_inexact_rotation_class_count_is_an_internal_error(capsys, monkeypatc
     code, out, err = run_cli(capsys, "verify", "oracle-vs-formula", "--max", "11")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: division 995/11 is not exact")
+
+
+def test_a_fault_of_any_other_type_is_an_internal_error(capsys, monkeypatch):
+    # exit 1 is the verdict of a failed check, so a lookup that fails inside the program must not end with it
+    def unknown(edge):
+        raise KeyError("0101")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bijections, "lambda_edge_to_gamma_vertex", unknown)
+        code, out, err = run_cli(capsys, "verify", "bijections", "--max", "6")
+    assert (code, out) == (3, "")
+    assert err == "internal error: '0101' (this is a bug)\n"
+    # a size past the listing's table of sizes fails as the rows are written, after the header
+    walk = oracle.orbit_walk
+    monkeypatch.setattr(oracle, "orbit_walk", lambda graph, ground: ((x, 99) for x, _ in walk(graph, ground)))
+    code, out, err = run_cli(capsys, "orbits", "lambda", "6", "vertices")
+    assert (code, out) == (3, "lambda n=6 vertices: 5 orbits\n")
+    assert err == "internal error: list index out of range (this is a bug)\n"
+

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from cube_orbits.formulas import (
     lucas_string_classes,
     necklace_count,
 )
+from cube_orbits.strings import FIBONACCI, enumerate_strings
 
 
 def test_fib_values():
@@ -145,21 +147,13 @@ def test_graph_counts():
         graph_counts(3, "qube")
 
 
-def test_fib_palindrome_fix_examples():
-    assert fib_palindrome_fix(4, "all") == 2
-    assert fib_palindrome_fix(5, "all") == 5
-    assert fib_palindrome_fix(5, "starts1") == 2
+def test_fib_palindrome_fix_counts_palindromes_by_first_letter():
+    for n in range(1, 21):
+        palindromes = [u for u in enumerate_strings(n, FIBONACCI) if u == u[::-1]]
+        first = Counter(u[0] for u in palindromes)
+        assert fib_palindrome_fix(n) == (len(palindromes), first["0"], first["1"]), n
     with pytest.raises(ValueError):
         fib_palindrome_fix(0)
-    with pytest.raises(ValueError):
-        fib_palindrome_fix(4, "starts2")
-
-
-def test_fib_palindrome_fix_splits():
-    for n in range(1, 30):
-        assert fib_palindrome_fix(n, "all") == fib_palindrome_fix(
-            n, "starts0"
-        ) + fib_palindrome_fix(n, "starts1")
 
 
 def test_gamma_vertex_orbits_examples():

@@ -60,6 +60,15 @@ def _swap_first_two(search):
     return wrong
 
 
+def _one_more(ground, kind, at):
+    """``formulas.graph_counts`` wrapped to count one element of ``ground`` too many on the ``kind`` cube ``at``."""
+
+    def wrap(counts):
+        return lambda n, k: counts(n, k)._replace(**{ground: getattr(counts(n, k), ground) + (k == kind and n == at)})
+
+    return wrap
+
+
 @pytest.mark.parametrize(
     "name, max_n, patches, counterexample",
     [
@@ -67,6 +76,21 @@ def _swap_first_two(search):
             "gamma vertex histogram sums", 2,
             [(formulas, "gamma_vertex_orbits", lambda f: lambda n: f(n)._replace(by_size={1: formulas.fib(n + 2)}))],
             "n=2: histogram keys [1]", id="every gamma vertex fixed",
+        ),
+        pytest.param(
+            "lambda edge histogram sums", 10,
+            [(formulas, "graph_counts", _one_more("edges", LAMBDA, 7))],
+            "n=7: weighted sum mismatch", id="one lambda edge too many at n = 7",
+        ),
+        pytest.param(
+            "gamma vertex histogram sums", 10,
+            [(formulas, "graph_counts", _one_more("vertices", GAMMA, 6))],
+            "n=6: weighted sum mismatch", id="one gamma vertex too many at n = 6",
+        ),
+        pytest.param(
+            "lambda vertex histogram sums", 10,
+            [(formulas, "graph_counts", _one_more("vertices", LAMBDA, 9))],
+            "n=9: weighted sum mismatch", id="one lambda vertex too many at n = 9",
         ),
         pytest.param(
             "asymmetric strings appear exactly from length 9", 9,
@@ -113,6 +137,11 @@ def _swap_first_two(search):
             "distinct tilings and partitions match orbit totals", 2,
             [(bijections, "distinct_tilings", lambda f: lambda m: 2 if m == 2 else f(m))],
             "m=2: tilings 2, partitions 2, formula 1", id="the 2 x 2 square's tilings not joined",
+        ),
+        pytest.param(
+            "distinct tilings and partitions match orbit totals", 3,
+            [(bijections, "enumerate_tilings", lambda f: lambda m: f(m) + ["HH"] if m == 2 else f(m))],
+            "m=2: tilings 2, partitions 2, formula 1", id="one more 2 x 2 tiling enumerated",
         ),
         pytest.param(
             "edge map surjective", 5,
