@@ -381,8 +381,10 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except Exception as exc:
         # any other fault is a bug: a broken invariant (an inexact exact division, a graph size mismatch)
-        # or a failing lookup; exit 1 stays the verdict of a failed check
-        print(f"internal error: {exc} (this is a bug)", file=sys.stderr)
+        # or a failing lookup; exit 1 stays the verdict of a failed check. A fault raised from another, as
+        # verify's AssertionError from a check's ValueError, is named by the type of the one it wraps
+        fault = exc.__cause__ or exc
+        print(f"internal error: {type(fault).__name__}: {exc} (this is a bug)", file=sys.stderr)
         return 3
 
 

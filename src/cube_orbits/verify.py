@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import bijections, formulas, oracle, strings
 from .formulas import GAMMA, LAMBDA
@@ -92,18 +92,45 @@ def _mismatch(n: int, what: str, got: object, want: object) -> str | None:
 # --- formulas suite: identities that need no graph enumeration
 
 
-def _binomial_terms(n: int) -> Iterator[int]:
-    """C(n - k, k) for k = 0, ..., n // 2: none at n = -1, the one term 1 at n = 0.
+# the last two diagonals of Pascal's triangle that _binomial_terms made: (n, diagonal n - 1, diagonal n)
+_diagonals: tuple[int, list[int], list[int]] = (0, [], [1])
 
-    Each term comes from the one before by the exact ratio
-    C(n - k, k) = C(n - k + 1, k - 1) (n - 2k + 2)(n - 2k + 1) / (k (n - k + 1)),
-    and every division is checked.
+
+def _binomial_terms(n: int) -> list[int]:
+    """C(n - k, k) for k = 0, ..., n // 2, in a new list: none at n = -1, the one term 1 at n = 0.
+
+    Diagonal n of Pascal's triangle comes from the two before it by Pascal's rule,
+    C(n - k, k) = C(n - 1 - k, k) + C(n - 1 - k, k - 1), with a last term 1 when n is even.
+    The last two diagonals are held, so n asked in turn costs one addition per term; an n
+    below them walks up again from diagonals -1 and 0.
     """
-    term = 1
-    for k in range(n // 2 + 1):
-        if k:
-            term = formulas._exact_div(term * ((n - 2 * k + 2) * (n - 2 * k + 1)), k * (n - k + 1))
-        yield term
+    global _diagonals
+    top, before, last = _diagonals
+    if n < top - 1:
+        top, before, last = 0, [], [1]
+    for m in range(top + 1, n + 1):
+        before, last = last, [a + b for a, b in zip(last, [0] + before)] + [1] * (m % 2 == 0)
+    top = max(top, n)
+    _diagonals = top, before, last
+    return list(last if n == top else before)
+
+
+def _prefix(f: Callable[[int], int], n: int) -> list[int]:
+    """f(0), ..., f(n) (and maybe more), in one list per suite run that each call extends as far as it needs."""
+    values = _once(_held, f)
+    while len(values) <= n:
+        values.append(f(len(values)))
+    return values
+
+
+def _held(f: Callable[[int], int]) -> list[int]:
+    """A new list for the values of ``f``: under ``_once``, one per suite run and function."""
+    return []
+
+
+def _convolution_identity(n: int) -> str | None:
+    fibs, lucases = _prefix(formulas.fib, n), _prefix(formulas.lucas, n)
+    return _mismatch(n, "convolution", sum(fibs[i] * lucases[n - i] for i in range(n + 1)), (n + 1) * fibs[n])
 
 
 def _lucas_binomial_identity(n: int) -> str | None:
@@ -371,9 +398,7 @@ CHECKS = (
     Check(FORMULAS, "fibonacci binomial-sum identity", -1, lambda n: _mismatch(
         n, "binomial sum", sum(_binomial_terms(n)), formulas.fib(n + 1))),
     Check(FORMULAS, "lucas binomial-sum identity", 1, _lucas_binomial_identity),
-    Check(FORMULAS, "fibonacci-lucas convolution identity", 0, lambda n: _mismatch(
-        n, "convolution", sum(_once(formulas.fib, i) * _once(formulas.lucas, n - i) for i in range(n + 1)),
-        (n + 1) * formulas.fib(n))),
+    Check(FORMULAS, "fibonacci-lucas convolution identity", 0, _convolution_identity),
     Check(FORMULAS, "lucas from fibonacci neighbors", 1, lambda n: _mismatch(
         n, "lucas", formulas.lucas(n), formulas.fib(n - 1) + formulas.fib(n + 1))),
     Check(FORMULAS, "primitive counts sum to lucas over divisors", 1, lambda n: _mismatch(

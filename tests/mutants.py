@@ -152,6 +152,25 @@ MUTANTS = (
         "fib_palindrome_fix(3) is (1, 2, 1), not (3, 2, 1)",
     ),
     Mutant(
+        "Pascal diagonal loses its last term at even n", "verify.py",
+        "] + [1] * (m % 2 == 0)", "]",
+        "tests/test_verify.py::test_binomial_terms_equal_math_comb",
+        "_binomial_terms(2) is [1], not [1, 1]; verify formulas --max 2 prints the counterexample n=2: binomial "
+        "sum 1 != 2",
+    ),
+    Mutant(
+        "Pascal's rule adds the wrong neighbour", "verify.py",
+        "zip(last, [0] + before)", "zip(last, before + [0])",
+        "tests/test_verify.py::test_binomial_terms_in_any_order",
+        "_binomial_terms(2) is [2, 1], not [1, 1]",
+    ),
+    Mutant(
+        "held prefix stops one term short", "verify.py",
+        "while len(values) <= n:", "while len(values) < n:",
+        "tests/test_verify.py::test_convolution_reads_each_term_once_per_suite_run",
+        "verify formulas --max 1 exits 3 with internal error: IndexError: list index out of range, not 0",
+    ),
+    Mutant(
         "verify keeps its memo past the suite run", "verify.py",
         "    finally:\n        _once = _call", "    finally:\n        pass",
         "tests/test_verify.py::test_memo_ends_with_the_suite_run",

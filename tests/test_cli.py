@@ -647,7 +647,7 @@ def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "orbits", "gamma", "4", "vertices")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: graph construction mismatch for gamma n=4")
+    assert err.startswith("internal error: AssertionError: graph construction mismatch for gamma n=4")
     assert err.rstrip().endswith("(this is a bug)")
 
     def inexact(n, kind):
@@ -656,7 +656,7 @@ def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
     monkeypatch.setattr(formulas, "graph_counts", inexact)
     code, out, err = run_cli(capsys, "table", "gamma-e", "--max", "3")
     assert code == 3
-    assert err == "internal error: division 7/5 is not exact (this is a bug)\n"
+    assert err == "internal error: ArithmeticError: division 7/5 is not exact (this is a bug)\n"
     # a bad value from outside stays a usage error
     assert run_cli(capsys, "witness", "asymmetric", "8")[0] == 2
 
@@ -669,7 +669,7 @@ def test_a_value_error_inside_verify_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", refuse)
     code, out, err = run_cli(capsys, "verify", "bijections", "--max", "6")
     assert (code, out) == (3, "")
-    assert err == "internal error: endpoints must be Lucas strings (this is a bug)\n"
+    assert err == "internal error: ValueError: endpoints must be Lucas strings (this is a bug)\n"
     assert verify._once is verify._call
     assert run_cli(capsys, "witness", "asymmetric", "8")[0] == 2
 
@@ -683,7 +683,7 @@ def test_a_lost_half_string_is_an_internal_error(capsys, monkeypatch):
         oracle.build(6, "gamma")
     code, out, err = run_cli(capsys, "orbits", "gamma", "6", "vertices")
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: graph construction mismatch for gamma n=6")
+    assert err.startswith("internal error: AssertionError: graph construction mismatch for gamma n=6")
 
 
 def test_an_inexact_rotation_class_count_is_an_internal_error(capsys, monkeypatch):
@@ -692,7 +692,7 @@ def test_an_inexact_rotation_class_count_is_an_internal_error(capsys, monkeypatc
     monkeypatch.setattr(strings, "period", lambda u: 2 if len(u) == 11 else period(u))
     code, out, err = run_cli(capsys, "verify", "oracle-vs-formula", "--max", "11")
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: division 995/11 is not exact")
+    assert err.startswith("internal error: ArithmeticError: division 995/11 is not exact")
 
 
 def test_a_fault_of_any_other_type_is_an_internal_error(capsys, monkeypatch):
@@ -704,11 +704,11 @@ def test_a_fault_of_any_other_type_is_an_internal_error(capsys, monkeypatch):
         patch.setattr(bijections, "lambda_edge_to_gamma_vertex", unknown)
         code, out, err = run_cli(capsys, "verify", "bijections", "--max", "6")
     assert (code, out) == (3, "")
-    assert err == "internal error: '0101' (this is a bug)\n"
+    assert err == "internal error: KeyError: '0101' (this is a bug)\n"
     # a size past the listing's table of sizes fails as the rows are written, after the header
     walk = oracle.orbit_walk
     monkeypatch.setattr(oracle, "orbit_walk", lambda graph, ground: ((x, 99) for x, _ in walk(graph, ground)))
     code, out, err = run_cli(capsys, "orbits", "lambda", "6", "vertices")
     assert (code, out) == (3, "lambda n=6 vertices: 5 orbits\n")
-    assert err == "internal error: list index out of range (this is a bug)\n"
+    assert err == "internal error: IndexError: list index out of range (this is a bug)\n"
 

@@ -3,10 +3,12 @@
 The rewritten checks are held to what they replaced: the edge map is tested
 under the group's two generators, shared values are made once per suite run,
 the Lucas strings of each length in one census, fixed reflections by a
-substring search and binomial coefficients by term ratios; each must still
-fail where the old loop failed.
+substring search, binomial coefficients by Pascal's rule and the convolution's
+terms from one held list per sequence; each must still fail where the old
+loop failed.
 """
 
+import functools
 import math
 import re
 from collections import Counter
@@ -287,12 +289,42 @@ def test_memo_serves_no_stale_value(monkeypatch, name, function, wrong, first):
     assert run_check(check, 40).status == PASS
 
 
-# --- binomial coefficients by term ratios
+def test_convolution_reads_each_term_once_per_suite_run(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(n):
+            calls[name] += 1
+            return f(n)
+
+        return wrapper
+
+    monkeypatch.setattr(formulas, "fib", counted("fib", formulas.fib))
+    monkeypatch.setattr(formulas, "lucas", counted("lucas", formulas.lucas))
+    monkeypatch.setattr(verify, "_once", functools.cache(verify._call))
+    assert run_check(CHECK["fibonacci-lucas convolution identity"], 300).status == PASS
+    assert calls["fib"] <= 301 and calls["lucas"] <= 301, calls
+
+
+# --- binomial coefficients by Pascal's rule
 
 
 def test_binomial_terms_equal_math_comb():
     for n in range(-1, 601):
         assert list(verify._binomial_terms(n)) == [math.comb(n - k, k) for k in range(n // 2 + 1)], n
+
+
+def test_binomial_terms_in_any_order():
+    # down from 200, each n asked twice, then n - 2, just below the two diagonals held, with n = -1 and 0
+    # asked between
+    for n in [m for step in range(200, 0, -7) for m in (step, step, step - 2, -1, step - 1, 0, step + 1)]:
+        assert verify._binomial_terms(n) == [math.comb(n - k, k) for k in range(n // 2 + 1)], n
+    # a caller that changes the list it was given changes no diagonal held for the next call
+    for n in (50, 51, 52):
+        verify._binomial_terms(n)[1:3] = [0, 0]
+        verify._binomial_terms(n - 1).append(7)
+    for n in (51, 52, 53):
+        assert verify._binomial_terms(n) == [math.comb(n - k, k) for k in range(n // 2 + 1)], n
 
 
 @pytest.mark.parametrize(
