@@ -106,8 +106,17 @@ def _row_template(columns: list[str], row: tuple) -> str:
     return _ROW_PAD + re.sub(r"null(?=,?$)", "%s", text, flags=re.MULTILINE)
 
 
+def _batched(rows: Iterator[str]) -> Iterator[str]:
+    """The texts of ``rows`` joined 256 at a time, for one ``write`` each; the last batch holds the rows left over.
+    A row's text is never empty, so only the end of the rows makes an empty batch.
+    """
+    while batch := "".join(islice(rows, 256)):
+        yield batch
+
+
 def _json(envelope: dict, columns: list[str] | None = None) -> None:
-    """Write ``json.dumps(envelope, indent=2)`` and a newline to stdout, the rows one by one.
+    """Write ``json.dumps(envelope, indent=2)`` and a newline to stdout, a table's rows one by one and an orbit
+    listing's 256 to a write (``_batched``).
 
     When the last value of ``envelope["result"]`` is a list or an ``OrbitRows``, it holds the rows, each written
     as an object of ``columns`` from one template; the text around the rows is json.dumps of the envelope with
@@ -115,7 +124,7 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
     (``OrbitRows.texts``): a representative is 0s and 1s, an edge's a pair of them, and a size is digits, each
     of which JSON quotes with two quote marks.  A list's rows are tuples of strings in the order of ``columns``,
     each quoted into the template as json.dumps quotes strings by default (``ensure_ascii``); a cell that is not
-    a string raises TypeError.
+    a string raises TypeError.  The first row, or the first batch, goes out with the text before the rows.
     """
     out = sys.stdout
     result = envelope["result"]
@@ -134,7 +143,7 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
         # json.dumps escapes every NUL it writes, so a quoted NUL in each cell's place marks where the template
         # splits, and each piece keeps the cell's quote marks; a vertex row has one inner part, before the size
         lead, *inner, end = (template % (('"\0"',) * (3 if rows.edges else 2))).split("\0")
-        filled = rows.texts(lead, inner[0], inner[-1], end)
+        filled = _batched(rows.texts(lead, inner[0], inner[-1], end))
     else:
         template = ",\n" + _row_template(columns, rows[0])
         filled = (template % tuple(map(_quote, row)) for row in rows)
@@ -154,9 +163,11 @@ def _emit(
     """Write a command's output to stdout piece by piece: the JSON envelope, CSV rows, or the plain lines.
 
     The last value of ``result``, when it is a list or an ``OrbitRows``, holds the rows: a list holds tuples of
-    strings in the order of ``columns``, written as they are, and an orbit listing writes each row's text in
-    every format (``OrbitRows.texts``).  ``plain`` gives the plain text in pieces, a table's cell by cell; it is
-    called only for plain output, so JSON and CSV do not pay for its layout.
+    strings in the order of ``columns``, written as they are, one per write, and an orbit listing writes its
+    rows' texts (``OrbitRows.texts``) 256 to a write in every format (``_batched``); a table row grows with n,
+    to about 1 KB in CSV at M = 3000, so a batch of them would hold hundreds of KB at once.  ``plain`` gives the
+    plain text in pieces, a table's cell by cell; it is called only for plain output, so JSON and CSV do not pay
+    for its layout.
     """
     out = sys.stdout
     if args.format == JSON:
@@ -166,7 +177,7 @@ def _emit(
         rows = list(result.values())[-1]
         if isinstance(rows, OrbitRows):
             # an edge is one cell, u-v
-            out.writelines(rows.texts("", "-", ",", "\n"))
+            out.writelines(_batched(rows.texts("", "-", ",", "\n")))
         else:
             out.writelines(",".join(row) + "\n" for row in rows)
     else:
@@ -198,9 +209,10 @@ class OrbitRows:
 
     ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, bits, size) for each run of edge orbits
     (``oracle.orbit_walk``), one row for each bit b of ``bits``, the edge (u, u | b).  Every format writes the
-    rows through ``texts``, which joins a vertex's string from its high and low halves, read from ``halves`` or
-    from tables of them that also hold the format's fixed text.  ``len()`` is the number of rows; ``texts`` can
-    be called again, and reads the rows anew.
+    rows through ``texts``, which yields one text per row, joining a vertex's string from its high and low
+    halves, read from ``halves`` or from tables of them that also hold the format's fixed text; the writer joins
+    the texts in batches (``_batched``).  ``len()`` is the number of rows; ``texts`` can be called again, and
+    reads the rows anew.
     """
 
     def __init__(self, ints: Sequence[int], n: int, edges: bool) -> None:
@@ -248,8 +260,9 @@ def _orbit_rows(cube: str, n: int, ground: str) -> OrbitRows:
     """The rows of an orbit listing, from one orbit pass made before any output is written.
 
     A refusal or an internal error raised by the pass therefore leaves stdout empty; one raised while the rows
-    are written leaves what was written before it, such as the plain header.  Each vertex orbit and each run of edge
-    orbits that the walk yields is kept as ints, 4 bytes each, and the graph is freed before the rows are read.
+    are written leaves the header, or the JSON text before the rows, and the whole batches of 256 rows written
+    before it (``_batched``); the rows made since the last batch are lost.  Each vertex orbit and each run of
+    edge orbits that the walk yields is kept as ints, 4 bytes each, and the graph is freed before the rows are read.
     """
     from array import array  # here, not at the top: only orbit listings need it
 
@@ -267,7 +280,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
     def plain() -> Iterable[str]:
         # a row is the representative, u-v for an edge, two spaces and the size; the empty string is ε
-        return chain([header], rows.texts("", "-", "  ", "\n", "ε"))
+        return chain([header], _batched(rows.texts("", "-", "  ", "\n", "ε")))
 
     return _emit(args, parameters, result, plain, ["representative", "size"])
 

@@ -49,10 +49,10 @@ from .strings import enumerate_strings, FIBONACCI
 
 # Every `orbits` listing up to this n, of either cube and ground and in every format, answered within 22.5 s
 # (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a 2-CPU machine (README
-# "Bounds"). Each listing's rows are written from per-format tables of half strings (cli.OrbitRows.texts), and
-# an edge listing holds three ints per run of orbits (orbit_walk); gamma n = 30 edges, the slowest, took
-# 7.5-9.0 s in the three formats at 116 MB, the vertex tuple and the runs, where three ints per orbit took
-# 9.5-13.1 s at 209 MB alongside it and up to 23.3 s in slow phases of the host.
+# "Bounds"). Each listing's rows are made from per-format tables of half strings (cli.OrbitRows.texts) and written
+# 256 to a write, and an edge listing holds three ints per run of orbits (orbit_walk); gamma n = 30 edges, the
+# slowest, took 4.2-6.7 s in the three formats at 116 MB, the vertex tuple and the runs, where one write per row
+# took 9.0-13.2 s alongside it; three ints per orbit took 9.5-13.1 s at 209 MB, and up to 23.3 s in slow phases.
 BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
 

@@ -92,8 +92,9 @@ def _mismatch(n: int, what: str, got: object, want: object) -> str | None:
 # --- formulas suite: identities that need no graph enumeration
 
 
-# the last two diagonals of Pascal's triangle that _binomial_terms made: (n, diagonal n - 1, diagonal n)
-_diagonals: tuple[int, list[int], list[int]] = (0, [], [1])
+def _diagonals() -> list:
+    """[n, diagonal n - 1, diagonal n] of Pascal's triangle for ``_binomial_terms``; one per suite run (``_once``)."""
+    return [0, [], [1]]
 
 
 def _binomial_terms(n: int) -> list[int]:
@@ -101,17 +102,16 @@ def _binomial_terms(n: int) -> list[int]:
 
     Diagonal n of Pascal's triangle comes from the two before it by Pascal's rule,
     C(n - k, k) = C(n - 1 - k, k) + C(n - 1 - k, k - 1), with a last term 1 when n is even.
-    The last two diagonals are held, so n asked in turn costs one addition per term; an n
-    below them walks up again from diagonals -1 and 0.
+    A suite run holds the last two diagonals (``_diagonals``), so n asked in turn costs one
+    addition per term; an n below them, or any n outside a run, walks up from diagonals -1 and 0.
     """
-    global _diagonals
-    top, before, last = _diagonals
+    top, before, last = held = _once(_diagonals)
     if n < top - 1:
         top, before, last = 0, [], [1]
     for m in range(top + 1, n + 1):
         before, last = last, [a + b for a, b in zip(last, [0] + before)] + [1] * (m % 2 == 0)
     top = max(top, n)
-    _diagonals = top, before, last
+    held[:] = top, before, last
     return list(last if n == top else before)
 
 

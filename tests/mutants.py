@@ -253,6 +253,13 @@ MUTANTS = (
         "orbits gamma 2 edges prints the row 00  1, not 00-01  2",
     ),
     Mutant(
+        "a listing drops its last partial batch", "cli.py",
+        'while batch := "".join(islice(rows, 256)):\n        yield batch',
+        'while len(batch := list(islice(rows, 256))) == 256:\n        yield "".join(batch)',
+        "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format plain]",
+        "orbits gamma 2 edges prints its header but not its one row, a partial batch",
+    ),
+    Mutant(
         "edge map reads from the position after the flip", "bijections.py",
         "start = (i + 2) % n", "start = (i + 1) % n",
         "tests/test_bijections.py::test_edge_map_examples",

@@ -712,3 +712,20 @@ def test_a_fault_of_any_other_type_is_an_internal_error(capsys, monkeypatch):
     assert (code, out) == (3, "lambda n=6 vertices: 5 orbits\n")
     assert err == "internal error: IndexError: list index out of range (this is a bug)\n"
 
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_a_fault_partway_through_a_listing_keeps_whole_batches(capsys, monkeypatch, fmt):
+    # a listing's rows go out 256 to a write: sizes past the size table from the 300th orbit on end the
+    # second batch unwritten, so stdout is the text before the rows and the first 256 rows, whole
+    argv = ("orbits", "gamma", "15", "vertices", "--format", fmt)
+    code, whole, _ = run_cli(capsys, *argv)
+    # a row ends its last line in plain text and CSV, and ends with its closing brace in JSON, whose head ends
+    # no line so; the plain and CSV header is one line
+    mark, before = ("\n      }", 0) if fmt == "json" else ("\n", 1)
+    assert code == 0 and whole.count(mark) == before + 826
+    walk = oracle.orbit_walk
+    monkeypatch.setattr(oracle, "orbit_walk", lambda graph, ground: (
+        (x, 99 if i >= 299 else size) for i, (x, size) in enumerate(walk(graph, ground))))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (3, "internal error: IndexError: list index out of range (this is a bug)\n")
+    assert out == mark.join(whole.split(mark)[:before + 256]) + mark

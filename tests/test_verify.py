@@ -314,17 +314,33 @@ def test_binomial_terms_equal_math_comb():
         assert list(verify._binomial_terms(n)) == [math.comb(n - k, k) for k in range(n // 2 + 1)], n
 
 
-def test_binomial_terms_in_any_order():
-    # down from 200, each n asked twice, then n - 2, just below the two diagonals held, with n = -1 and 0
-    # asked between
-    for n in [m for step in range(200, 0, -7) for m in (step, step, step - 2, -1, step - 1, 0, step + 1)]:
-        assert verify._binomial_terms(n) == [math.comb(n - k, k) for k in range(n // 2 + 1)], n
-    # a caller that changes the list it was given changes no diagonal held for the next call
-    for n in (50, 51, 52):
-        verify._binomial_terms(n)[1:3] = [0, 0]
-        verify._binomial_terms(n - 1).append(7)
-    for n in (51, 52, 53):
-        assert verify._binomial_terms(n) == [math.comb(n - k, k) for k in range(n // 2 + 1)], n
+def test_binomial_terms_in_any_order(monkeypatch):
+    # outside a suite run each call walks up afresh; inside one memo the last two diagonals are held
+    for memo in (verify._call, functools.cache(verify._call)):
+        monkeypatch.setattr(verify, "_once", memo)
+        # down from 200, each n asked twice, then n - 2, just below the two diagonals held, with n = -1 and 0
+        # asked between
+        for n in [m for step in range(200, 0, -7) for m in (step, step, step - 2, -1, step - 1, 0, step + 1)]:
+            assert verify._binomial_terms(n) == [math.comb(n - k, k) for k in range(n // 2 + 1)], (memo, n)
+        # a caller that changes the list it was given changes no diagonal held for the next call
+        for n in (50, 51, 52):
+            verify._binomial_terms(n)[1:3] = [0, 0]
+            verify._binomial_terms(n - 1).append(7)
+        for n in (51, 52, 53):
+            assert verify._binomial_terms(n) == [math.comb(n - k, k) for k in range(n // 2 + 1)], (memo, n)
+
+
+def test_no_diagonal_outlives_a_suite_run():
+    # the diagonals are held for one suite run, as every value read through _once, so a run to 3400 leaves
+    # no 0.88 MB of ints behind
+    _, _, results = run_suite(verify.FORMULAS, 400)
+    assert {result.status for result in results} == {PASS}
+    diagonals = [[math.comb(n - k, k) for k in range(n // 2 + 1)] for n in (399, 400)]
+
+    def holds(value):
+        return value in diagonals or isinstance(value, (tuple, list)) and any(map(holds, value))
+
+    assert not [name for name, value in vars(verify).items() if holds(value)]
 
 
 @pytest.mark.parametrize(
