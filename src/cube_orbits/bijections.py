@@ -127,8 +127,8 @@ def verify_edge_orbit_bijection(n: int) -> str | None:
     counts when the map is not injective or not surjective.
     """
     lucas_cube, fibonacci_cube = oracle.build(n, LAMBDA), oracle.build(n - 3, GAMMA)
-    vertex_reps = [x for x, _ in oracle.canonical_orbits(fibonacci_cube, VERTICES)]
-    edge_reps = [edge for edge, _ in oracle.canonical_orbits(lucas_cube, EDGES)]
+    vertex_reps = [x for x, _ in oracle.orbit_walk(fibonacci_cube, VERTICES)]
+    edge_reps = [(u, u | b) for u, bits, _ in oracle.orbit_walk(lucas_cube, EDGES) for b in oracle._bits(bits)]
     orbit_of = {fibonacci_cube.decode(y): k for k, x in enumerate(vertex_reps)
                 for y in oracle.members(fibonacci_cube, x)}
     name = {x: lucas_cube.decode(x) for x in lucas_cube.vertices}

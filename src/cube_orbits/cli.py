@@ -395,9 +395,16 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # any other fault is a bug: a broken invariant (an inexact exact division, a graph size mismatch)
         # or a failing lookup; exit 1 stays the verdict of a failed check. A fault raised from another, as
-        # verify's AssertionError from a check's ValueError, is named by the type of the one it wraps
+        # verify's AssertionError from a check's ValueError, is named by the type and the innermost frame of the
+        # one it wraps
+        from os.path import basename  # here, not at the top: only an internal error needs it
+
         fault = exc.__cause__ or exc
-        print(f"internal error: {type(fault).__name__}: {exc} (this is a bug)", file=sys.stderr)
+        tb = fault.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        where = f"{basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno} in {tb.tb_frame.f_code.co_name}"
+        print(f"internal error: {type(fault).__name__}: {exc} at {where} (this is a bug)", file=sys.stderr)
         return 3
 
 

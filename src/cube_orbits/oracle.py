@@ -21,7 +21,7 @@ the walk applies.
 
 Each orbit is reported by its least member in one ascending walk over the
 vertices that keeps no orbit and no record of reached elements
-(``orbit_walk``, read by ``canonical_orbits``; canonical augmentation, after
+(``orbit_walk``, the one iterator over orbits; canonical augmentation, after
 McKay, J. Algorithms 26, 1998).  A vertex u is kept iff no rotation of u or of
 its reversal r is smaller, the rotations taken one at a time up to the first
 smaller one; the Fibonacci cubes and Λ0-Λ2 have no rotations, so there u is
@@ -197,17 +197,6 @@ def group_permutations(graph: CubeGraph) -> list[tuple[int | None, ...]]:
     return [tuple(map(index.get, column)) for column in zip(*map(_images(graph), graph.vertices))]
 
 
-def canonical_orbits(graph: CubeGraph, ground: str) -> Iterator[tuple[int | Edge, int]]:
-    """Each vertex or edge orbit once, as (its least member, its size), in ascending order of that member.
-
-    The vertex orbits are ``orbit_walk`` itself; the edge orbits are its runs, each expanded to one orbit per bit.
-    """
-    walk = orbit_walk(graph, ground)
-    if ground == VERTICES:
-        return walk
-    return (((u, u | b), size) for u, bits, size in walk for b in _bits(bits))
-
-
 def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
     """The one ascending walk over the vertices, as the module docstring gives it: each vertex orbit as (u, size),
     or the edge orbits as runs.
@@ -219,7 +208,7 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
     n, vertices = graph.n, ground == VERTICES
     if graph.kind == GAMMA and n == 1:
         # the swap of Γ1 is not reversal, nor does it preserve weight
-        for x in graph.vertices if vertices else graph.edges:
+        for x in graph.vertices if vertices else [(0, 1)]:
             orbit = members(graph, x)
             if orbit[0] == x:
                 yield (x, len(orbit)) if vertices else (x[0], x[0] ^ x[1], len(orbit))

@@ -168,7 +168,8 @@ MUTANTS = (
         "held prefix stops one term short", "verify.py",
         "while len(values) <= n:", "while len(values) < n:",
         "tests/test_verify.py::test_convolution_reads_each_term_once_per_suite_run",
-        "verify formulas --max 1 exits 3 with internal error: IndexError: list index out of range, not 0",
+        "verify formulas --max 1 exits 3 with internal error: IndexError: list index out of range at verify.py:133 in "
+        "<genexpr>, the convolution's sum, not 0",
     ),
     Mutant(
         "verify keeps its memo past the suite run", "verify.py",
@@ -213,6 +214,13 @@ MUTANTS = (
         "stabilizer += ((j, 1),)\n            if b == u:\n                stabilizer += ((j, 0),)",
         "tests/test_oracle.py::test_engine_equals_brute_force_closures[lambda]",
         "orbits lambda 4 edges gives the orbit of 0001-0101 size 8, not 4",
+    ),
+    Mutant(
+        "Γ1's one edge named with its ends swapped", "oracle.py",
+        "for x in graph.vertices if vertices else [(0, 1)]:", "for x in graph.vertices if vertices else [(1, 0)]:",
+        "tests/test_golden_cli.py::test_golden_cli[orbits gamma 1 edges --format plain]",
+        "orbits gamma 1 edges prints gamma n=1 edges: 0 orbits: the orbit of (1, 0) from members is [(0, 1)], "
+        "whose least member is not (1, 0)",
     ),
     Mutant(
         "stabilizer starts without reversal", "oracle.py",
@@ -264,6 +272,13 @@ MUTANTS = (
         "start = (i + 2) % n", "start = (i + 1) % n",
         "tests/test_bijections.py::test_edge_map_examples",
         "lambda_edge_to_gamma_vertex(('010001', '000001')) is '000', not '001'",
+    ),
+    Mutant(
+        "bijection check expands only each run's lowest bit", "bijections.py",
+        "for b in oracle._bits(bits)]", "for b in [bits & -bits]]",
+        "tests/test_bijections.py::test_verify_edge_orbit_bijection",
+        "verify_edge_orbit_bijection(10) is n=10: 20 edge orbits map onto 20 of 21 vertex orbits, not None; Λ10 is "
+        "the first Lucas cube whose walk yields a run of more than one edge orbit",
     ),
     Mutant(
         "2 x 2 quarter turn dropped", "bijections.py",

@@ -12,6 +12,7 @@ from cube_orbits.cli import table_rows
 from cube_orbits.formulas import GAMMA, LAMBDA
 from cube_orbits.strings import FIBONACCI, LUCAS, decompose, enumerate_strings, orbit_size
 from dihedral import Dihedral, all_binary, apply, dihedral_orbit, rotate
+from orbits import canonical_orbits
 
 # Published count tables, columns n = 1, 2, 3, ...
 GAMMA_VERTEX_TABLE = [  # n <= 15: |V|, orbits, size-1 orbits, size-2 orbits
@@ -56,7 +57,7 @@ def orbit_sizes(n, kind, ground):
     """The size of each orbit by enumeration, checked against the orbit's members."""
     graph = oracle.build(n, kind)
     sizes = []
-    for rep, size in oracle.canonical_orbits(graph, ground):
+    for rep, size in canonical_orbits(graph, ground):
         assert len(oracle.members(graph, rep)) == size, (kind, n, rep)
         sizes.append(size)
     return sizes

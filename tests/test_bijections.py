@@ -16,6 +16,7 @@ from cube_orbits.bijections import (
 from cube_orbits.formulas import GAMMA, LAMBDA
 from cube_orbits.strings import FIBONACCI, enumerate_strings
 from dihedral import Dihedral, apply
+from orbits import canonical_orbits
 
 
 def lucas_edge_strings(n):
@@ -167,8 +168,10 @@ def test_edge_map_surjective():
 def test_verify_edge_orbit_bijection():
     assert verify_edge_orbit_bijection(5) is None
     assert verify_edge_orbit_bijection(9) is None
-    assert len(list(oracle.canonical_orbits(oracle.build(9, LAMBDA), oracle.EDGES))) == 12
-    assert len(list(oracle.canonical_orbits(oracle.build(6, GAMMA), oracle.VERTICES))) == 12
+    # Λ10 is the first Lucas cube whose walk yields a run of more than one edge orbit
+    assert verify_edge_orbit_bijection(10) is None
+    assert len(canonical_orbits(oracle.build(9, LAMBDA), oracle.EDGES)) == 12
+    assert len(list(oracle.orbit_walk(oracle.build(6, GAMMA), oracle.VERTICES))) == 12
     # below 5 the edge map is undefined; above the graph bound neither cube is built
     with pytest.raises(ValueError):
         verify_edge_orbit_bijection(4)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from cube_orbits import bijections, cli, formulas, oracle, strings, verify
 from cube_orbits.cli import TABLE_LIMIT, TABLES, WITNESS_LIMIT, build_parser, main, table_rows
+from orbits import canonical_orbits
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
@@ -271,7 +273,7 @@ def decoded_rows(cube, n, ground):
     graph = oracle.build(n, cube)
     return [
         (graph.decode(rep) if type(rep) is int else tuple(map(graph.decode, rep)), str(size))
-        for rep, size in oracle.canonical_orbits(graph, ground)
+        for rep, size in canonical_orbits(graph, ground)
     ]
 
 
@@ -604,6 +606,24 @@ def test_verify_bijection_counterexample(capsys, monkeypatch):
     assert lines[failed + 1] == "         counterexample: n=5: 2 edge orbits map onto 1 of 2 vertex orbits"
 
 
+def test_a_walk_fault_reaches_the_bijection_row(capsys, monkeypatch):
+    # the row reads the edge orbits from the walk's runs: with the last run of Λn edges dropped, Λ5 keeps
+    # one of its two edge orbits
+    walk = oracle.orbit_walk
+
+    def short(graph, ground):
+        runs = list(walk(graph, ground))
+        return runs[:-1] if (graph.kind, ground) == ("lambda", oracle.EDGES) else runs
+
+    monkeypatch.setattr(oracle, "orbit_walk", short)
+    assert bijections.verify_edge_orbit_bijection(5) == "n=5: 1 edge orbits map onto 1 of 2 vertex orbits"
+    code, out, _ = run_cli(capsys, "verify", "bijections", "--max", "6")
+    assert code == 1
+    lines = out.splitlines()
+    failed = lines.index("  FAIL  edge orbit bijection holds  [n in [5, 6]]")
+    assert lines[failed + 1] == "         counterexample: n=5: 1 edge orbits map onto 1 of 2 vertex orbits"
+
+
 def test_verify_automorphisms_checks_the_enumeration_maps(capsys, monkeypatch):
     # a reversal that does nothing leaves the searched groups twice as large as the applied ones
     monkeypatch.setattr(oracle, "_reverse", lambda x, n: x)
@@ -641,14 +661,21 @@ def test_verify_searches_each_cube_once(capsys, monkeypatch):
         assert sorted(searched) == sorted(cubes * runs)
 
 
+def internal_error(fault, file, function):
+    """The pattern of an internal error's one stderr line: ``fault``, a pattern of its type and message, raised
+    in ``function`` of ``file`` at any line."""
+    return rf"internal error: {fault} at {re.escape(file)}:\d+ in {re.escape(function)} \(this is a bug\)\n"
+
+
 def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
     counts = formulas.graph_counts
     monkeypatch.setattr(formulas, "graph_counts", lambda n, kind: counts(n, kind)._replace(edges=-1))
     code, out, err = run_cli(capsys, "orbits", "gamma", "4", "vertices")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: AssertionError: graph construction mismatch for gamma n=4")
-    assert err.rstrip().endswith("(this is a bug)")
+    # raised inside the program, so the line names the file and function of the check that broke
+    mismatch = r"AssertionError: graph construction mismatch for gamma n=4: got \(8, 10\), expected \(8, -1\)"
+    assert re.fullmatch(internal_error(mismatch, "oracle.py", "build"), err)
 
     def inexact(n, kind):
         raise ArithmeticError("division 7/5 is not exact")
@@ -656,7 +683,7 @@ def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
     monkeypatch.setattr(formulas, "graph_counts", inexact)
     code, out, err = run_cli(capsys, "table", "gamma-e", "--max", "3")
     assert code == 3
-    assert err == "internal error: ArithmeticError: division 7/5 is not exact (this is a bug)\n"
+    assert re.fullmatch(internal_error("ArithmeticError: division 7/5 is not exact", "test_cli.py", "inexact"), err)
     # a bad value from outside stays a usage error
     assert run_cli(capsys, "witness", "asymmetric", "8")[0] == 2
 
@@ -669,7 +696,8 @@ def test_a_value_error_inside_verify_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", refuse)
     code, out, err = run_cli(capsys, "verify", "bijections", "--max", "6")
     assert (code, out) == (3, "")
-    assert err == "internal error: ValueError: endpoints must be Lucas strings (this is a bug)\n"
+    # the AssertionError that run_suite raises from the ValueError names the ValueError's frame
+    assert re.fullmatch(internal_error("ValueError: endpoints must be Lucas strings", "test_cli.py", "refuse"), err)
     assert verify._once is verify._call
     assert run_cli(capsys, "witness", "asymmetric", "8")[0] == 2
 
@@ -683,7 +711,8 @@ def test_a_lost_half_string_is_an_internal_error(capsys, monkeypatch):
         oracle.build(6, "gamma")
     code, out, err = run_cli(capsys, "orbits", "gamma", "6", "vertices")
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: AssertionError: graph construction mismatch for gamma n=6")
+    assert re.fullmatch(internal_error("AssertionError: graph construction mismatch for gamma n=6: .*", "oracle.py",
+                                       "build"), err)
 
 
 def test_an_inexact_rotation_class_count_is_an_internal_error(capsys, monkeypatch):
@@ -692,7 +721,8 @@ def test_an_inexact_rotation_class_count_is_an_internal_error(capsys, monkeypatc
     monkeypatch.setattr(strings, "period", lambda u: 2 if len(u) == 11 else period(u))
     code, out, err = run_cli(capsys, "verify", "oracle-vs-formula", "--max", "11")
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: ArithmeticError: division 995/11 is not exact")
+    assert re.fullmatch(internal_error("ArithmeticError: division 995/11 is not exact", "formulas.py", "_exact_div"),
+                        err)
 
 
 def test_a_fault_of_any_other_type_is_an_internal_error(capsys, monkeypatch):
@@ -704,13 +734,13 @@ def test_a_fault_of_any_other_type_is_an_internal_error(capsys, monkeypatch):
         patch.setattr(bijections, "lambda_edge_to_gamma_vertex", unknown)
         code, out, err = run_cli(capsys, "verify", "bijections", "--max", "6")
     assert (code, out) == (3, "")
-    assert err == "internal error: KeyError: '0101' (this is a bug)\n"
+    assert re.fullmatch(internal_error("KeyError: '0101'", "test_cli.py", "unknown"), err)
     # a size past the listing's table of sizes fails as the rows are written, after the header
     walk = oracle.orbit_walk
     monkeypatch.setattr(oracle, "orbit_walk", lambda graph, ground: ((x, 99) for x, _ in walk(graph, ground)))
     code, out, err = run_cli(capsys, "orbits", "lambda", "6", "vertices")
     assert (code, out) == (3, "lambda n=6 vertices: 5 orbits\n")
-    assert err == "internal error: IndexError: list index out of range (this is a bug)\n"
+    assert re.fullmatch(internal_error("IndexError: list index out of range", "cli.py", "<genexpr>"), err)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
@@ -727,5 +757,6 @@ def test_a_fault_partway_through_a_listing_keeps_whole_batches(capsys, monkeypat
     monkeypatch.setattr(oracle, "orbit_walk", lambda graph, ground: (
         (x, 99 if i >= 299 else size) for i, (x, size) in enumerate(walk(graph, ground))))
     code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (3, "internal error: IndexError: list index out of range (this is a bug)\n")
+    assert code == 3
+    assert re.fullmatch(internal_error("IndexError: list index out of range", "cli.py", "<genexpr>"), err)
     assert out == mark.join(whole.split(mark)[:before + 256]) + mark

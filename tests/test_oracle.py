@@ -21,12 +21,12 @@ from cube_orbits.oracle import (
     _reverse,
     automorphism_group,
     build,
-    canonical_orbits,
     group_permutations,
     members,
 )
 from cube_orbits.strings import FIBONACCI, LUCAS, enumerate_strings
 from dihedral import Dihedral, apply
+from orbits import canonical_orbits
 
 
 def vertex_strings(g):
@@ -146,7 +146,7 @@ def test_edges_differ_in_one_position():
 
 def test_vertex_orbit_examples():
     gam2 = build(2, GAMMA)
-    assert list(canonical_orbits(gam2, VERTICES)) == [(0b00, 1), (0b01, 2)]
+    assert list(oracle.orbit_walk(gam2, VERTICES)) == [(0b00, 1), (0b01, 2)]
     assert expanded(gam2, VERTICES) == ((0b00,), (0b01, 0b10))
     assert orbit_strings(gam2, expanded(gam2, VERTICES)) == (("00",), ("01", "10"))
     # the 1-cube is a single edge whose endpoints swap
@@ -363,7 +363,7 @@ def test_gamma_vertex_orbits_at_one_match_the_oracle():
     total, by_size = formulas.gamma_vertex_orbits(1)
     g = build(1, GAMMA)
     assert {k: v for k, v in by_size.items() if v} == histogram(g, VERTICES) == {2: 1}
-    assert total == len(list(canonical_orbits(g, VERTICES)))
+    assert total == len(list(oracle.orbit_walk(g, VERTICES)))
 
 
 def test_oracle_matches_formulas_small():
@@ -458,7 +458,7 @@ def test_gamma_orbits_apply_the_one_reversal_routine(monkeypatch):
     # identity, every vertex is its own orbit
     monkeypatch.setattr(oracle, "_reverse", lambda x, n: x)
     g = build(5, GAMMA)
-    assert list(canonical_orbits(g, VERTICES)) == [(x, 1) for x in g.vertices]
+    assert list(oracle.orbit_walk(g, VERTICES)) == [(x, 1) for x in g.vertices]
     assert len(g.vertices) == 13
 
 
@@ -469,7 +469,7 @@ def test_lambda_orbits_apply_the_one_reversal_routine(monkeypatch):
     monkeypatch.setattr(oracle, "_reverse", lambda x, n: x)
     g = build(6, LAMBDA)
     classes = sorted({min(u[j:] + u[:j] for j in range(6)) for u in vertex_strings(g)})
-    assert [(name(g, rep), size) for rep, size in canonical_orbits(g, VERTICES)] == [
+    assert [(name(g, rep), size) for rep, size in oracle.orbit_walk(g, VERTICES)] == [
         (u, (u + u).find(u, 1)) for u in classes
     ]
     assert len(classes) == 5
@@ -532,7 +532,7 @@ def test_edge_runs_are_whole_masks_or_single_edges():
             g = build(n, kind)
             order = 2 * n if kind == LAMBDA and n >= 3 else 2
             free = oracle._free_positions(n, kind)
-            fixed = {u: order // size for u, size in canonical_orbits(g, VERTICES)}
+            fixed = {u: order // size for u, size in oracle.orbit_walk(g, VERTICES)}
             runs = list(oracle.orbit_walk(g, EDGES))
             for u, bits, size in runs:
                 assert bits and bits & free(u) == bits, (kind, n, u)

@@ -454,7 +454,7 @@ def test_census_rows_need_no_oracle(monkeypatch):
     def enumeration(*args):
         raise AssertionError("a census row called the oracle")
 
-    for name in ("build", "orbit_walk", "canonical_orbits", "members"):
+    for name in ("build", "orbit_walk", "members"):
         monkeypatch.setattr(oracle, name, enumeration)
     assert [run_check(check, 14) for check in rows] == before
     monkeypatch.setattr(strings, "decompose", _weight_two_up_non_primitive(strings.decompose))
