@@ -64,7 +64,12 @@ def enumerate_tilings(m: int) -> list[str]:
     """All tilings of the 2 x m rectangle, as V/H strings."""
     if m < 1:
         raise ValueError(f"enumerate_tilings requires m >= 1, got {m}")
-    return ["".join("V" if part == 1 else "H" for part in c) for c in ordered_partitions(m)]
+    # the tilings of width k: V before each tiling of width k - 1, then H before each of width k - 2, the order
+    # of ordered_partitions with V for a part 1 and H for a part 2
+    shorter, level = [], [""]  # width 0, with none of width -1
+    for _ in range(m):
+        shorter, level = level, ["V" + t for t in level] + ["H" + t for t in shorter]
+    return level
 
 
 def distinct_partitions(m: int) -> int:
@@ -132,13 +137,16 @@ def verify_edge_orbit_bijection(n: int) -> str | None:
     orbit_of = {fibonacci_cube.decode(y): k for k, x in enumerate(vertex_reps)
                 for y in oracle.members(fibonacci_cube, x)}
     name = {x: lucas_cube.decode(x) for x in lucas_cube.vertices}
+    turned = oracle._images(lucas_cube)
     images = set()
-    for rep in edge_reps:
-        edges = [(name[a], name[b]) for a, b in oracle.members(lucas_cube, rep)]
+    for u, v in edge_reps:
+        # the group preserves weight on Λn, n >= 5, so each image of the edge has its lower end first
+        edges = set(zip(turned(u), turned(v)))
         # the edge map stays a global looked up per edge, so a map set on the module attribute is the one checked
-        targets = {orbit_of.get(lambda_edge_to_gamma_vertex(e)) for e in edges}
+        targets = {orbit_of.get(lambda_edge_to_gamma_vertex((name[a], name[b]))) for a, b in edges}
         if len(targets) != 1 or None in targets:
-            return f"n={n}: the edge orbit of {'-'.join(edges[0])} does not map into one vertex orbit"
+            a, b = min(edges)
+            return f"n={n}: the edge orbit of {name[a]}-{name[b]} does not map into one vertex orbit"
         images |= targets
     if not len(images) == len(edge_reps) == len(vertex_reps):
         return f"n={n}: {len(edge_reps)} edge orbits map onto {len(images)} of {len(vertex_reps)} vertex orbits"

@@ -27,12 +27,17 @@ its reversal r is smaller, the rotations taken one at a time up to the first
 smaller one; the Fibonacci cubes and Λ0-Λ2 have no rotations, so there u is
 tested against r alone.  With s = n // 2, r is read as low[u & (2^s - 1)] |
 high[u >> s] from two tables of 2^s and 2^(n-s) entries, made once per walk
-from ``_reverse``.  The elements whose image is u, met on the way, are its
-stabilizer, and its orbit's size is the group's order over their count.  The
-group preserves weight, so an image of an edge (u, v) going up from u has
-lower end g(u): the edge is least in its orbit iff u is and no element of u's
-stabilizer maps v below v, and when the identity alone fixes u every edge up
-from u is.  So the walk gives the edge orbits as runs, one for each such u,
+from ``_reverse``.  Where there are rotations, the turn by one maps an even
+u > 0 to u >> 1, below u, so only 0 and the odd vertices are tested, 17,712 of
+Λ23's 64,079; u and r are doubled once, u << n | u, and each turn right by j
+is the doubled bits shifted by j, read through n bits.  Neither the filter nor
+the doubling runs on a cube without rotations.  The elements whose image is u,
+met on the way, are its stabilizer, and its orbit's size is the group's order
+over their count.  The group preserves weight, so an image of an edge (u, v)
+going up from u has lower end g(u): the edge is least in its orbit iff u is
+and no element of u's stabilizer maps v below v, so no edge up from a skipped
+u is lost, and when the identity alone fixes u every edge up from u is least.
+So the walk gives the edge orbits as runs, one for each such u,
 holding its whole free-position mask (``_free_positions``), and one for each
 edge a stabilized u keeps; a run's orbits all have one size, and the edges are
 made one by one only where a caller expands the runs.  Γ1 alone tests each
@@ -137,7 +142,7 @@ def build(n: int, kind: str) -> CubeGraph:
         vertices = (0, 1) if n == 1 and kind == GAMMA else (0,)
     else:
         vertices = _joined_halves(n, kind == LAMBDA)
-    edge_count = sum(x.bit_count() for x in vertices)
+    edge_count = sum(map(int.bit_count, vertices))
     if (len(vertices), edge_count) != (expected.vertices, expected.edges):
         raise AssertionError(
             f"graph construction mismatch for {kind} n={n}: "
@@ -179,13 +184,14 @@ def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
     """Images of a vertex under every automorphism, listed in one fixed order of the group.
 
     The order is the turns of ``_turns``, then the same turns after reversal.  A rotation by j moves the last j
-    positions to the front, as in ``orbit_walk``.  On Γ1 reversal is the identity, yet its one automorphism swaps
-    the vertices 0 and 1, so its swap is xor'ed onto the reversal; on Γ0, Λ0 and Λ1 reversal is the identity and
-    is counted twice, so each orbit's size still comes out right.
+    positions to the front: as in ``orbit_walk``, it is x doubled, x << n | x, shifted right by j and read through
+    n bits.  On Γ1 reversal is the identity, yet its one automorphism swaps the vertices 0 and 1, so its swap is
+    xor'ed onto the reversal; on Γ0, Λ0 and Λ1 reversal is the identity and is counted twice, so each orbit's size
+    still comes out right.
     """
     n, full, turns = graph.n, (1 << graph.n) - 1, _turns(graph)
     swap = int(graph.kind == GAMMA and n == 1)
-    return lambda x: [(y >> j | y << n - j) & full for y in (x, _reverse(x, n) ^ swap) for j in turns]
+    return lambda x: [d >> j & full for r in [_reverse(x, n) ^ swap] for d in (x << n | x, r << n | r) for j in turns]
 
 
 def group_permutations(graph: CubeGraph) -> list[tuple[int | None, ...]]:
@@ -221,21 +227,29 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
     turns = _turns(graph)
     order, rotations = 2 * len(turns), turns[1:]  # every turn but the identity, which fixes each u
     free = _free_positions(n, graph.kind)
-    for u in graph.vertices:
+    # the turn by one maps an even u > 0 to u >> 1, below u, so where there are turns only 0 and the odd u can
+    # be least; an edge is kept only if its lower end is, so no edge up from a skipped u is lost
+    tested = (u for u in graph.vertices if u & 1 or not u) if rotations else graph.vertices
+    for u in tested:
         r = low[u & mask] | high[u >> s]
         if r < u:
             continue
         # the elements (turn, reflected) that fix u: the identity, reversal if r is u, then the turns
         stabilizer = ((0, 0), (0, 1)) if r == u else ((0, 0),)
+        if rotations:
+            # u and r doubled, each turn right by j is the doubled bits shifted by j, read through n bits
+            du, dr = u << n | u, r << n | r
         for j in rotations:
-            a = (u >> j | u << n - j) & full
-            b = (r >> j | r << n - j) & full
-            if a < u or b < u:
-                break
-            if a == u:
-                stabilizer += ((j, 0),)
-            if b == u:
-                stabilizer += ((j, 1),)
+            a = du >> j & full
+            b = dr >> j & full
+            if a <= u or b <= u:
+                # most turns move u and r above u, so this one test passes them
+                if a < u or b < u:
+                    break
+                if a == u:
+                    stabilizer += ((j, 0),)
+                if b == u:
+                    stabilizer += ((j, 1),)
         else:
             if vertices:
                 yield u, order // len(stabilizer)
@@ -249,8 +263,9 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
                 # least in its orbit iff no element of u's stabilizer maps v below v
                 for b in _bits(free(u)):
                     v = u | b
-                    w = (v, low[v & mask] | high[v >> s])
-                    image = [(w[t] >> j | w[t] << n - j) & full for j, t in stabilizer]
+                    rv = low[v & mask] | high[v >> s]
+                    w = (v << n | v, rv << n | rv)
+                    image = [w[t] >> j & full for j, t in stabilizer]
                     if min(image) == v:
                         yield u, b, order // image.count(v)
 

@@ -334,16 +334,25 @@ def _edge_map_well_defined(n: int) -> str | None:
 
     Every group element is a product of generators and the edge set is closed
     under the group, so a class kept at each step of the product is kept by it.
+    Each edge is mapped once: the group keeps weight, so a generator's image of
+    an edge is a kept edge, lower end first; only a broken generator makes a
+    pair that is not kept, which is mapped afresh.
     """
     graph = oracle.build(n, LAMBDA)
     name = {x: graph.decode(x) for x in graph.vertices}
+    kept = {}
     for a, b in graph.edges:
-        u, v = name[a], name[b]
-        base = bijections.lambda_edge_to_gamma_vertex((u, v))
-        base_rep = min(base, base[::-1])
+        edge = name[a], name[b]
+        image = bijections.lambda_edge_to_gamma_vertex(edge)
+        kept[edge] = min(image, image[::-1])
+    for (u, v), base_rep in kept.items():
         for label, g in GENERATORS:
-            image = bijections.lambda_edge_to_gamma_vertex((g(u), g(v)))
-            if min(image, image[::-1]) != base_rep:
+            pair = g(u), g(v)
+            rep = kept.get(pair)
+            if rep is None:
+                image = bijections.lambda_edge_to_gamma_vertex(pair)
+                rep = min(image, image[::-1])
+            if rep != base_rep:
                 return f"n={n}: edge ({u}, {v}) under {label}"
     return None
 

@@ -72,9 +72,15 @@ MUTANTS = (
     ),
     Mutant(
         "orbit walk keeps bits past position n", "oracle.py",
-        "a = (u >> j | u << n - j) & full", "a = u >> j | u << n - j",
+        "a = du >> j & full", "a = du >> j",
         "tests/test_oracle.py::test_lambda_orbits_are_rotation_and_reversal_classes_of_strings",
         "orbits lambda 6 vertices gives the orbit of 001001 size 4, not 3",
+    ),
+    Mutant(
+        "orbit walk skips vertex 0", "oracle.py",
+        "if u & 1 or not u)", "if u & 1)",
+        "tests/test_oracle.py::test_the_walk_tests_only_0_and_the_odd_lucas_vertices",
+        "orbits lambda 3 vertices lists the one orbit of 001, not also the orbit of 000",
     ),
     Mutant(
         "half tables with s and n - s swapped", "oracle.py",
@@ -210,8 +216,8 @@ MUTANTS = (
     ),
     Mutant(
         "stabilizer reflected flags swapped", "oracle.py",
-        "stabilizer += ((j, 0),)\n            if b == u:\n                stabilizer += ((j, 1),)",
-        "stabilizer += ((j, 1),)\n            if b == u:\n                stabilizer += ((j, 0),)",
+        "stabilizer += ((j, 0),)\n                if b == u:\n                    stabilizer += ((j, 1),)",
+        "stabilizer += ((j, 1),)\n                if b == u:\n                    stabilizer += ((j, 0),)",
         "tests/test_oracle.py::test_engine_equals_brute_force_closures[lambda]",
         "orbits lambda 4 edges gives the orbit of 0001-0101 size 8, not 4",
     ),
@@ -289,10 +295,17 @@ MUTANTS = (
     ),
     Mutant(
         "a wrong-width tiling enumerated", "bijections.py",
-        "for c in ordered_partitions(m)]", "for c in ordered_partitions(m)] + [\"H\" * (m + 3)]",
+        'shorter, level = [], [""]', 'shorter, level = [""], [""]',
         "tests/test_verify.py::test_first_case_passes[tiling round trips both directions]",
-        "enumerate_tilings(1) is ['V', 'HHHH'], not ['V']; verify bijections --max 1 prints the counterexample "
-        "tiling HHHH",
+        "enumerate_tilings(1) is ['V', 'H'], not ['V']; verify bijections --max 1 prints the counterexample "
+        "tiling H",
+    ),
+    Mutant(
+        "edge map check reads each image under the edge itself", "verify.py",
+        "rep = kept.get(pair)", "rep = kept.get((u, v))",
+        "tests/test_verify.py::test_generators_fail_where_the_full_group_fails[_fixed_window]",
+        "with the edge map reading max(edge)[2:-1], the row edge map constant on orbits passes to n = 12, "
+        "not FAIL n=5: edge (00000, 00010) under Dihedral(shift=1, reflected=False)",
     ),
 )
 

@@ -51,6 +51,9 @@ def test_enumerations():
         ordered_partitions(-1)
     with pytest.raises(ValueError, match=r"^enumerate_tilings requires m >= 1, got 0$"):
         enumerate_tilings(0)
+    # the tilings are built as strings, not from the partitions: V is a part 1 and H a part 2, in one order
+    for m in range(1, 17):
+        assert enumerate_tilings(m) == ["".join("V" if part == 1 else "H" for part in c) for c in ordered_partitions(m)]
 
 
 def test_round_trips():

@@ -542,3 +542,16 @@ def test_edge_runs_are_whole_masks_or_single_edges():
                     assert bits & bits - 1 == 0, (kind, n, u)
             ends = [(u, bits) for u, bits, _ in runs]
             assert ends == sorted(set(ends)), (kind, n)
+
+
+def test_the_walk_tests_only_0_and_the_odd_lucas_vertices():
+    # on Λn, n >= 3, the walk skips every even u > 0 untested: its orbit from members holds a smaller vertex,
+    # so neither a vertex orbit nor an edge run starts at it, and the orbits start at every least member
+    for n in range(3, 17):
+        g = build(n, LAMBDA)
+        even = {u for u in g.vertices if u and not u & 1}
+        assert all(members(g, u)[0] < u for u in even), n
+        starts = [u for u, _ in oracle.orbit_walk(g, VERTICES)]
+        assert starts == sorted({members(g, u)[0] for u in g.vertices}), n
+        runs = {u for u, _, _ in oracle.orbit_walk(g, EDGES)}
+        assert not even & (set(starts) | runs), n

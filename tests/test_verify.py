@@ -256,6 +256,20 @@ def test_generators_fail_where_the_full_group_fails(monkeypatch, edge_map):
     assert result.detail == COUNTEREXAMPLE[edge_map]
 
 
+def test_edge_map_check_maps_each_edge_once(monkeypatch):
+    # each generator's image of an edge is an edge whose class was kept, so the map runs once per edge of Λn
+    calls = Counter()
+
+    def edge_map(edge):
+        calls[len(edge[0])] += 1
+        return _true_edge_map(edge)
+
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", edge_map)
+    check = CHECK["edge map constant on orbits"]
+    assert run_check(check, check.cap).status == PASS
+    assert calls == {n: len(oracle.build(n, LAMBDA).edges) for n in range(check.lo, check.cap + 1)}
+
+
 # --- shared values made once per suite run, never stale
 
 
