@@ -27,13 +27,14 @@ its reversal r is smaller, the rotations taken one at a time up to the first
 smaller one; the Fibonacci cubes and Λ0-Λ2 have no rotations, so there u is
 tested against r alone.  With s = n // 2, r is read as low[u & (2^s - 1)] |
 high[u >> s] from two tables of 2^s and 2^(n-s) entries, made once per walk
-from ``_reverse``.  Where there are rotations, the turn by one maps an even
-u > 0 to u >> 1, below u, so only 0 and the odd vertices are tested, 17,712 of
-Λ23's 64,079; u and r are doubled once, u << n | u, and each turn right by j
-is the doubled bits shifted by j, read through n bits.  Neither the filter nor
-the doubling runs on a cube without rotations.  The elements whose image is u,
-met on the way, are its stabilizer, and its orbit's size is the group's order
-over their count.  The group preserves weight, so an image of an edge (u, v)
+from the n reversals of single bits by ``_reverse`` (``_half_reversals``).
+Where there are rotations, the turn by one maps an even u > 0 to u >> 1,
+below u, so only 0 and the odd vertices are tested, 17,712 of Λ23's 64,079;
+u and r are doubled once, u << n | u, and each turn right by j is the doubled
+bits shifted by j, read through n bits.  Neither the filter nor the doubling
+runs on a cube without rotations.  The elements whose image is u, met on the
+way, are its stabilizer, and its orbit's size is the group's order over
+their count.  The group preserves weight, so an image of an edge (u, v)
 going up from u has lower end g(u): the edge is least in its orbit iff u is
 and no element of u's stabilizer maps v below v, so no edge up from a skipped
 u is lost, and when the identity alone fixes u every edge up from u is least.
@@ -56,8 +57,9 @@ from .strings import enumerate_strings, FIBONACCI
 # (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a 2-CPU machine (README
 # "Bounds"). Each listing's rows are made from per-format tables of half strings (cli.OrbitRows.texts) and written
 # 256 to a write, and an edge listing holds three ints per run of orbits (orbit_walk); gamma n = 30 edges, the
-# slowest, took 4.2-6.7 s in the three formats at 116 MB, the vertex tuple and the runs, where one write per row
-# took 9.0-13.2 s alongside it; three ints per orbit took 9.5-13.1 s at 209 MB, and up to 23.3 s in slow phases.
+# slowest, took 4.2-6.4 s in the three formats at 116 MB, the vertex tuple and the runs, against 4.0-6.9 s for the
+# walk with one _reverse call per table entry, run alternately; one write per row took 9.0-13.2 s, and three ints
+# per orbit 9.5-13.1 s at 209 MB, up to 23.3 s in slow phases.
 BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
 
@@ -175,6 +177,19 @@ def _reverse(x: int, n: int) -> int:
     return int(format(x, f"0{n}b")[::-1], 2)
 
 
+def _half_reversals(n: int) -> tuple[list[int], list[int]]:
+    """The n-bit reversals of x for x below 2^s and of x << s for x below 2^(n-s), s = n // 2, as two lists.
+
+    Reversal moves each bit on its own, so each list starts as [0], and each bit j of its half doubles it: every
+    entry is followed by itself with the reversal of 1 << j set.  Only those n reversals come from ``_reverse``.
+    """
+    s, tables = n // 2, ([0], [0])
+    for j in range(n):
+        table, r = tables[j >= s], _reverse(1 << j, n)
+        table += [x | r for x in table]
+    return tables
+
+
 def _turns(graph: CubeGraph) -> range:
     """The group's rotations, each as the j it turns right by: every j < n on Lucas cubes of n >= 3, else j = 0."""
     return range(graph.n) if graph.kind == LAMBDA and graph.n >= 3 else range(1)
@@ -222,8 +237,7 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
     # rev(x) is the reversal of x's low s bits, moved to the top, joined to that of its high n - s bits
     s, full = n // 2, (1 << n) - 1
     mask = (1 << s) - 1
-    low = [_reverse(x, n) for x in range(1 << s)]
-    high = [_reverse(x << s, n) for x in range(1 << (n - s))]
+    low, high = _half_reversals(n)
     turns = _turns(graph)
     order, rotations = 2 * len(turns), turns[1:]  # every turn but the identity, which fixes each u
     free = _free_positions(n, graph.kind)
@@ -232,6 +246,8 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
     tested = (u for u in graph.vertices if u & 1 or not u) if rotations else graph.vertices
     for u in tested:
         r = low[u & mask] | high[u >> s]
+        # where there are turns a tested u > 0 is odd, so it starts with a 0 and r with a 1, above u: there r
+        # serves the turns and u = 0, and the test stays so that every cube takes this one path
         if r < u:
             continue
         # the elements (turn, reflected) that fix u: the identity, reversal if r is u, then the turns

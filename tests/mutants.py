@@ -84,9 +84,17 @@ MUTANTS = (
     ),
     Mutant(
         "half tables with s and n - s swapped", "oracle.py",
-        "high = [_reverse(x << s, n) for x in range(1 << (n - s))]", "high = [_reverse(x << s, n) for x in range(1 << s)]",
-        "tests/test_oracle.py::test_lambda_orbits_are_rotation_and_reversal_classes_of_strings",
-        "orbits lambda 3 vertices: the high half of 100 indexes a table of two entries, IndexError",
+        "table, r = tables[j >= s], _reverse(1 << j, n)", "table, r = tables[j >= n - s], _reverse(1 << j, n)",
+        "tests/test_oracle.py::test_half_reversals_are_the_reversals_of_each_entry",
+        "_half_reversals(3) has the high table [0, 1], not [0, 2, 1, 3]; orbits gamma 3 vertices exits 3 with "
+        "an IndexError at 101, whose high half indexes that table",
+    ),
+    Mutant(
+        "half tables bypass _reverse", "oracle.py",
+        "table, r = tables[j >= s], _reverse(1 << j, n)", "table, r = tables[j >= s], 1 << n - 1 - j",
+        "tests/test_oracle.py::test_gamma_orbits_apply_the_one_reversal_routine",
+        "with _reverse made the identity, the walk on Γ5 still pairs 00001 with 10000, so the routine that "
+        "verify automorphisms checks no longer reaches the walk",
     ),
     Mutant(
         "reversal keeps the bit order", "oracle.py",

@@ -475,6 +475,29 @@ def test_lambda_orbits_apply_the_one_reversal_routine(monkeypatch):
     assert len(classes) == 5
 
 
+def test_half_reversals_are_the_reversals_of_each_entry():
+    # the walk's two tables, doubled from the n single-bit reversals, equal _reverse entry by entry
+    for n in range(BUILD_LIMIT + 1):
+        s = n // 2
+        low, high = oracle._half_reversals(n)
+        assert low == [_reverse(x, n) for x in range(1 << s)], n
+        assert high == [_reverse(x << s, n) for x in range(1 << (n - s))], n
+
+
+def test_the_walk_calls_reverse_once_per_bit(monkeypatch):
+    # the half tables are doubled from the reversals of the n single bits, not made one _reverse call per entry
+    calls = []
+    monkeypatch.setattr(oracle, "_reverse", lambda x, n: calls.append(x) or _reverse(x, n))
+    for kind in (GAMMA, LAMBDA):
+        for n in range(2, 21):
+            g = build(n, kind)
+            for ground in (VERTICES, EDGES):
+                calls.clear()
+                for _ in oracle.orbit_walk(g, ground):
+                    pass
+                assert sorted(calls) == [1 << j for j in range(n)], (kind, n, ground)
+
+
 def string_maps(g):
     """Maps on strings that generate the group of g: the searched group on the tiny cubes, else reversal,
     and rotation by one position on Lucas cubes."""
@@ -555,3 +578,15 @@ def test_the_walk_tests_only_0_and_the_odd_lucas_vertices():
         assert starts == sorted({members(g, u)[0] for u in g.vertices}), n
         runs = {u for u, _, _ in oracle.orbit_walk(g, EDGES)}
         assert not even & (set(starts) | runs), n
+
+
+def test_reversal_lies_above_every_tested_lucas_vertex_but_0():
+    # the walk tests 0 and the odd vertices of Λn, n >= 3: an odd u starts with a 0 and its reversal r with a
+    # 1, so the walk's r < u never fires there, and r == u only at 0
+    for n in range(3, 24):
+        g = build(n, LAMBDA)
+        s = n // 2
+        low, high = oracle._half_reversals(n)
+        tested = [u for u in g.vertices if u & 1 or not u]
+        assert tested[0] == 0 and low[0] | high[0] == 0, n
+        assert all(low[u & (1 << s) - 1] | high[u >> s] > u for u in tested[1:]), n
