@@ -301,31 +301,31 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
     A permutation maps vertex indices (positions in ``graph.vertices``).  The cube is an induced subgraph of
     Q_n, so the neighbours of a vertex are the vertices one bit away from it, listed ascending; the search
     shares no adjacency rule with orbit enumeration.  Vertices are mapped in ascending order.  Every x > 0 is
-    adjacent to x & (x - 1), which comes before it, so every vertex v but 0 has a mapped neighbour: v goes to
-    a neighbour of the image of its lowest one, and vertex 0, with none, to any vertex.  A candidate is kept
-    when its degree is v's, its adjacency to the used images is exactly the images of v's mapped neighbours,
-    and it is unused, tested last since it shifts the whole mask.  The search is one loop over a stack of
-    frames, one per vertex being mapped, each holding its candidates left and the adjacency they must match.
-    Each vertex tries its candidates ascending, so the maps come out in ascending lexicographic order.
+    adjacent to x & (x - 1), which precedes it, so every vertex v but 0 has a mapped neighbour: v goes to a
+    neighbour of the image of its lowest one, and vertex 0, with none, to any vertex.  A candidate must have v's
+    degree, be unused and neighbour the images of v's mapped neighbours.  Non-edges need no test: a one-to-one
+    map of a finite graph sending edges to edges sends the edge set onto itself, and so non-edges to non-edges.
+    The search is one loop over a stack of frames, one per vertex being mapped, each holding its candidates left
+    and the images they must neighbour.  Candidates are tried ascending, so the maps come out sorted.
     """
     count = len(graph.vertices)
     index = {x: i for i, x in enumerate(graph.vertices)}
     near = [[index[y] for y in sorted(x ^ 1 << k for k in range(graph.n)) if y in index] for x in graph.vertices]
-    adj = [sum(1 << j for j in js) for js in near]
+    adjacent = [frozenset(js) for js in near]
 
     results: list[tuple[int, ...]] = []
     mapping: list[int] = []
-    used, frames = 0, [(iter(range(count)), 0)]
+    used, frames = bytearray(count), [(iter(range(count)), [])]
     while frames:
         v = len(frames) - 1
         candidates, required = frames[-1]
         if len(mapping) > v:
             # the frame resumes: release the image its vertex took last
-            used ^= 1 << mapping.pop()
+            used[mapping.pop()] = 0
         for w in candidates:
-            if len(near[w]) == len(near[v]) and adj[w] & used == required and not used >> w & 1:
+            if len(near[w]) == len(near[v]) and not used[w] and adjacent[w].issuperset(required):
                 mapping.append(w)
-                used |= 1 << w
+                used[w] = 1
                 break
         else:
             frames.pop()
@@ -335,5 +335,5 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
         else:
             # the vertices up to v are the mapped ones
             images = [mapping[u] for u in near[v + 1] if u <= v]
-            frames.append((iter(near[images[0]]), sum(1 << j for j in images)))
+            frames.append((iter(near[images[0]]), images))
     return results

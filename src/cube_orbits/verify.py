@@ -32,10 +32,8 @@ AUTOMORPHISMS = "automorphisms"
 
 SUITE_DEFAULT_MAX = {FORMULAS: 200, ORACLE: 14, BIJECTIONS: 16, AUTOMORPHISMS: 8}
 
-# Against the 30 s budget with a quarter of it in hand (README "Bounds", three fresh runs on a 2-CPU
-# host): formulas --max 3400 took 15.5-22.4 s, but 3500 took 22.3-23.7 s; oracle-vs-formula --max 27
-# took 15.4-16.6 s, but 28 took 28.1 s; bijections --max 25 took 12.8-13.6 s, but 26 took 24.1 s;
-# automorphisms --max 20 took 13.1-13.3 s, but 21 took 27.3 s
+# Each bound is the largest n (for formulas, the largest multiple of 100) at which each of three fresh runs of
+# its suite ended within 22.5 s, a quarter of the 30 s budget in hand; README "Bounds" gives the times measured
 SUITE_HARD_BOUND = {FORMULAS: 3400, ORACLE: 27, BIJECTIONS: 25, AUTOMORPHISMS: 20}
 
 

@@ -199,9 +199,15 @@ MUTANTS = (
     ),
     Mutant(
         "search keeps a released image used", "oracle.py",
-        "used ^= 1 << mapping.pop()", "mapping.pop()",
+        "used[mapping.pop()] = 0", "mapping.pop()",
         "tests/test_oracle.py::test_automorphism_group_sizes",
         "automorphism_group(build(3, 'gamma')) finds 1 automorphism, not 2",
+    ),
+    Mutant(
+        "search keeps no edge", "oracle.py",
+        "adjacent[w].issuperset(required)", "True",
+        "tests/test_oracle.py::test_automorphism_group_sizes",
+        "automorphism_group(build(4, 'lambda')) finds 16 automorphisms, not 8",
     ),
     Mutant(
         "search drops the last vertex's image from a result", "oracle.py",

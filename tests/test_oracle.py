@@ -233,14 +233,17 @@ def test_automorphism_group_is_found_in_ascending_order():
 
 
 def test_automorphisms_are_automorphisms():
-    for kind, n in ((GAMMA, 4), (LAMBDA, 5)):
-        g = build(n, kind)
-        index = {x: i for i, x in enumerate(g.vertices)}
-        edges = {(index[u], index[v]) for u, v in g.edges}
-        for perm in automorphism_group(g):
-            assert sorted(perm) == list(range(len(g.vertices)))
-            mapped = {tuple(sorted((perm[i], perm[j]))) for i, j in edges}
-            assert mapped == edges
+    # the search tests edges to mapped images and never non-edges, so each map it returns must be shown to
+    # be a permutation that sends the edge set onto itself; this needs no networkx, so it runs everywhere
+    for kind in (GAMMA, LAMBDA):
+        for n in range(11):
+            g = build(n, kind)
+            index = {x: i for i, x in enumerate(g.vertices)}
+            edges = {(index[u], index[v]) for u, v in g.edges}
+            for perm in automorphism_group(g):
+                assert sorted(perm) == list(range(len(g.vertices))), (kind, n)
+                mapped = {tuple(sorted((perm[i], perm[j]))) for i, j in edges}
+                assert mapped == edges, (kind, n)
 
 
 @pytest.mark.parametrize("kind", [GAMMA, LAMBDA])
@@ -465,14 +468,16 @@ def test_gamma_orbits_apply_the_one_reversal_routine(monkeypatch):
 def test_lambda_orbits_apply_the_one_reversal_routine(monkeypatch):
     # Λn reads its reversal from the same half tables: with _reverse made the identity, only the inline
     # rotations move a vertex, so each orbit is a rotation class, of size its period (the least rotation
-    # that fixes it, found in the doubled string)
+    # that fixes it, found in the doubled string); every Lucas string of length 6 is a rotation of its
+    # reversal, so Λ9 and Λ10, where some are not, are what show a walk that bypasses _reverse
     monkeypatch.setattr(oracle, "_reverse", lambda x, n: x)
-    g = build(6, LAMBDA)
-    classes = sorted({min(u[j:] + u[:j] for j in range(6)) for u in vertex_strings(g)})
-    assert [(name(g, rep), size) for rep, size in oracle.orbit_walk(g, VERTICES)] == [
-        (u, (u + u).find(u, 1)) for u in classes
-    ]
-    assert len(classes) == 5
+    for n, count in ((6, 5), (9, 10), (10, 15)):
+        g = build(n, LAMBDA)
+        classes = sorted({min(u[j:] + u[:j] for j in range(n)) for u in vertex_strings(g)})
+        assert [(name(g, rep), size) for rep, size in oracle.orbit_walk(g, VERTICES)] == [
+            (u, (u + u).find(u, 1)) for u in classes
+        ], n
+        assert len(classes) == count, n
 
 
 def test_half_reversals_are_the_reversals_of_each_entry():
