@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
+from os.path import basename
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import formulas, oracle, verify
@@ -397,8 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         # or a failing lookup; exit 1 stays the verdict of a failed check. A fault raised from another, as
         # verify's AssertionError from a check's ValueError, is named by the type and the innermost frame of the
         # one it wraps
-        from os.path import basename  # here, not at the top: only an internal error needs it
-
         fault = exc.__cause__ or exc
         tb = fault.__traceback__
         while tb.tb_next:

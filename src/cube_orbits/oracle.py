@@ -14,10 +14,10 @@ and never stored.
 The images of an element are taken under bit maps: the rotations of
 ``_turns``, each also after reversal (``_reverse``).  The one exception is the
 1-dimensional Fibonacci cube, a single edge, whose automorphism swaps its
-ends, which reversal does not do.  ``group_permutations`` turns these maps
-into the permutations the automorphism search checks, and the orbit walk
-reads the same ``_turns`` and ``_reverse``, so that check reaches the group
-the walk applies.
+ends, which reversal does not do.  ``group_permutations`` lists these maps
+in the form the automorphism search returns, the images of the vertices in
+order, and the orbit walk reads the same ``_turns`` and ``_reverse``, so that
+check reaches the group the walk applies.
 
 Each orbit is reported by its least member in one ascending walk over the
 vertices that keeps no orbit and no record of reached elements
@@ -209,13 +209,12 @@ def _images(graph: CubeGraph) -> Callable[[int], list[int]]:
     return lambda x: [d >> j & full for r in [_reverse(x, n) ^ swap] for d in (x << n | x, r << n | r) for j in turns]
 
 
-def group_permutations(graph: CubeGraph) -> list[tuple[int | None, ...]]:
-    """One vertex-index permutation per group element, in the order of ``_images``.
+def group_permutations(graph: CubeGraph) -> list[tuple[int, ...]]:
+    """One map per group element, in the order of ``_images``, each as the images of ``graph.vertices``.
 
-    An image outside the graph is None, so a broken map is a mismatch, not an error.
+    An image outside the graph is an int that no searched map holds, so a broken map is a mismatch, not an error.
     """
-    index = {x: i for i, x in enumerate(graph.vertices)}
-    return [tuple(map(index.get, column)) for column in zip(*map(_images(graph), graph.vertices))]
+    return list(zip(*map(_images(graph), graph.vertices)))
 
 
 def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
@@ -296,17 +295,18 @@ def members(graph: CubeGraph, element: int | Edge) -> list:
 
 
 def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations, found by backtracking.
+    """All adjacency-preserving vertex permutations, found by backtracking, each as the images of the vertices.
 
-    A permutation maps vertex indices (positions in ``graph.vertices``).  The cube is an induced subgraph of
-    Q_n, so the neighbours of a vertex are the vertices one bit away from it, listed ascending; the search
-    shares no adjacency rule with orbit enumeration.  Vertices are mapped in ascending order.  Every x > 0 is
-    adjacent to x & (x - 1), which precedes it, so every vertex v but 0 has a mapped neighbour: v goes to a
-    neighbour of the image of its lowest one, and vertex 0, with none, to any vertex.  A candidate must have v's
-    degree, be unused and neighbour the images of v's mapped neighbours.  Non-edges need no test: a one-to-one
-    map of a finite graph sending edges to edges sends the edge set onto itself, and so non-edges to non-edges.
-    The search is one loop over a stack of frames, one per vertex being mapped, each holding its candidates left
-    and the images they must neighbour.  Candidates are tried ascending, so the maps come out sorted.
+    The search maps vertex indices (positions in ``graph.vertices``) and reads each map through the vertices once,
+    as it records it.  The cube is an induced subgraph of Q_n, so the neighbours of a vertex are the vertices one
+    bit away from it, listed ascending; the search shares no adjacency rule with orbit enumeration.  Vertices are
+    mapped in ascending order.  Every x > 0 is adjacent to x & (x - 1), which precedes it, so every vertex v but 0
+    has a mapped neighbour: v goes to a neighbour of the image of its lowest one, and vertex 0, with none, to any
+    vertex.  A candidate must have v's degree, be unused and neighbour the images of v's mapped neighbours.
+    Non-edges need no test: a one-to-one map of a finite graph sending edges to edges sends the edge set onto
+    itself, and so non-edges to non-edges.  The search is one loop over a stack of frames, one per vertex being
+    mapped, each holding its candidates left and the images they must neighbour.  Candidates are tried ascending and
+    the vertices ascend, so the maps come out sorted.
     """
     count = len(graph.vertices)
     index = {x: i for i, x in enumerate(graph.vertices)}
@@ -331,7 +331,7 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
             frames.pop()
             continue
         if v + 1 == count:
-            results.append(tuple(mapping))
+            results.append(tuple(map(graph.vertices.__getitem__, mapping)))
         else:
             # the vertices up to v are the mapped ones
             images = [mapping[u] for u in near[v + 1] if u <= v]

@@ -211,7 +211,8 @@ MUTANTS = (
     ),
     Mutant(
         "search drops the last vertex's image from a result", "oracle.py",
-        "results.append(tuple(mapping))", "results.append(tuple(mapping[:-1]))",
+        "results.append(tuple(map(graph.vertices.__getitem__, mapping)))",
+        "results.append(tuple(map(graph.vertices.__getitem__, mapping[:-1])))",
         "tests/test_oracle.py::test_automorphism_search_nests_no_call_per_vertex",
         "each map of automorphism_group(build(12, 'lambda')) holds 321 images, not 322",
     ),
@@ -261,6 +262,13 @@ MUTANTS = (
         "    except (ArithmeticError, AssertionError) as exc:",
         "tests/test_cli.py::test_a_fault_of_any_other_type_is_an_internal_error",
         "a KeyError from the edge map makes verify bijections --max 6 exit 1, the status of a failed check, not 3",
+    ),
+    Mutant(
+        "main reports a write error as an internal error", "cli.py",
+        "    except OSError:\n        raise\n    except Exception as exc:", "    except Exception as exc:",
+        "tests/test_cli.py::test_a_write_error_is_raised_not_reported",
+        "a BrokenPipeError from cmd_table makes main print internal error: BrokenPipeError: [Errno 32] Broken pipe "
+        "... and return 3, not raise it",
     ),
     Mutant(
         "plain table cells aligned left", "cli.py",
@@ -320,6 +328,13 @@ MUTANTS = (
         "tests/test_verify.py::test_generators_fail_where_the_full_group_fails[_fixed_window]",
         "with the edge map reading max(edge)[2:-1], the row edge map constant on orbits passes to n = 12, "
         "not FAIL n=5: edge (00000, 00010) under Dihedral(shift=1, reflected=False)",
+    ),
+    Mutant(
+        "edge map check keeps the edge's class for a pair that is no edge", "verify.py",
+        "rep = kept.get(pair)", "rep = kept.get(pair, base_rep)",
+        "tests/test_verify.py::test_edge_map_check_maps_a_pair_that_is_no_edge_afresh",
+        "with a generator that writes the last letter over the first, verify bijections --max 5 prints result: PASS "
+        "and exits 0, not an internal error and 3",
     ),
 )
 

@@ -311,7 +311,7 @@ def test_listings_equal_decoded_orbits(capsys, cube, ground):
 
 
 @pytest.mark.parametrize("cube", ["gamma", "lambda"])
-def test_json_tables_are_json_dumps(cube):
+def test_json_listing_rows_are_json_dumps(cube):
     # a JSON listing's rows, joined from the pieces of the row template split at its cells, which keep
     # the cells' quote marks, are the row template filled with json.dumps of each row's cells
     for n in range(15):
@@ -741,6 +741,17 @@ def test_a_fault_of_any_other_type_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "orbits", "lambda", "6", "vertices")
     assert (code, out) == (3, "lambda n=6 vertices: 5 orbits\n")
     assert re.fullmatch(internal_error("IndexError: list index out of range", "cli.py", "<genexpr>"), err)
+
+
+def test_a_write_error_is_raised_not_reported(capsys, monkeypatch):
+    # an OSError is the process's to handle (``run`` ends a closed pipe by SIGPIPE), so main lets it through
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_table", closed)
+    with pytest.raises(BrokenPipeError):
+        main(["table", "gamma-v", "--max", "3"])
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])

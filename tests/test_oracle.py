@@ -238,11 +238,11 @@ def test_automorphisms_are_automorphisms():
     for kind in (GAMMA, LAMBDA):
         for n in range(11):
             g = build(n, kind)
-            index = {x: i for i, x in enumerate(g.vertices)}
-            edges = {(index[u], index[v]) for u, v in g.edges}
-            for perm in automorphism_group(g):
-                assert sorted(perm) == list(range(len(g.vertices))), (kind, n)
-                mapped = {tuple(sorted((perm[i], perm[j]))) for i, j in edges}
+            edges = set(g.edges)
+            for images in automorphism_group(g):
+                assert sorted(images) == list(g.vertices), (kind, n)
+                image = dict(zip(g.vertices, images))
+                mapped = {tuple(sorted((image[u], image[v]))) for u, v in edges}
                 assert mapped == edges, (kind, n)
 
 
@@ -252,12 +252,11 @@ def test_automorphism_group_equals_networkx_isomorphisms(kind):
     networkx = pytest.importorskip("networkx")
     for n in range(11):
         g = build(n, kind)
-        index = {x: i for i, x in enumerate(g.vertices)}
         h = networkx.Graph()
-        h.add_nodes_from(range(len(g.vertices)))
-        h.add_edges_from((index[u], index[v]) for u, v in g.edges)
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
         found = networkx.isomorphism.GraphMatcher(h, h).isomorphisms_iter()
-        expected = sorted(tuple(m[i] for i in range(len(g.vertices))) for m in found)
+        expected = sorted(tuple(m[x] for x in g.vertices) for m in found)
         assert automorphism_group(g) == expected, (kind, n)
 
 
@@ -270,9 +269,8 @@ def test_lambda_automorphisms_are_dihedral():
 
 
 def string_map_permutation(g, d):
-    """The vertex-index permutation of the dihedral string map d, on decoded vertices."""
-    index = {u: i for i, u in enumerate(vertex_strings(g))}
-    return tuple(index[apply(d, u)] for u in vertex_strings(g))
+    """The dihedral string map d as the images of the vertices, each read from the string of its image."""
+    return tuple(int(apply(d, u), 2) for u in vertex_strings(g))
 
 
 def test_group_permutations_are_the_string_maps():
@@ -294,11 +292,12 @@ def test_group_permutations_of_tiny_cubes_are_the_searched_group():
 
 
 def test_group_permutations_mark_images_outside_the_graph(monkeypatch):
-    # a broken map shows as a None entry, not as an error
+    # a broken map holds an int that is no vertex, 011, and raises no error
     monkeypatch.setattr(oracle, "_reverse", lambda x, n: x | 1)
-    identity, broken = group_permutations(build(3, GAMMA))  # 000 001 010 100 101
-    assert identity == (0, 1, 2, 3, 4)
-    assert broken == (1, 1, None, 4, 4)
+    g = build(3, GAMMA)
+    identity, broken = group_permutations(g)  # 000 001 010 100 101
+    assert identity == g.vertices == (0, 1, 2, 4, 5)
+    assert broken == (1, 1, 3, 5, 5) and 3 not in g.vertices
 
 
 def closure_orbits(elements, maps):
@@ -323,8 +322,7 @@ def test_fibonacci_cube_orbits_are_reversal_closures():
     for n in range(15):
         g = build(n, GAMMA)
         if n == 1:
-            maps = [dict(zip(vertex_strings(g), (vertex_strings(g)[j] for j in perm))).get
-                    for perm in automorphism_group(g)]
+            maps = [dict(zip(vertex_strings(g), map(g.decode, images))).get for images in automorphism_group(g)]
         else:
             maps = [lambda u: u[::-1]]
         vertex_closures = closure_orbits(vertex_strings(g), maps)
@@ -348,9 +346,9 @@ def test_automorphisms_preserve_weight():
     for kind, start, stop in ((GAMMA, 2, 6), (LAMBDA, 1, 7)):
         for n in range(start, stop):
             g = build(n, kind)
-            for perm in automorphism_group(g):
-                for i, j in enumerate(perm):
-                    assert g.decode(g.vertices[i]).count("1") == g.decode(g.vertices[j]).count("1")
+            for images in automorphism_group(g):
+                for x, y in zip(g.vertices, images):
+                    assert g.decode(x).count("1") == g.decode(y).count("1")
 
 
 def test_bit_count_is_string_weight():
@@ -507,8 +505,7 @@ def string_maps(g):
     """Maps on strings that generate the group of g: the searched group on the tiny cubes, else reversal,
     and rotation by one position on Lucas cubes."""
     if g.n < (2 if g.kind == GAMMA else 3):
-        names = vertex_strings(g)
-        return [dict(zip(names, (names[j] for j in perm))).get for perm in automorphism_group(g)]
+        return [dict(zip(vertex_strings(g), map(g.decode, images))).get for images in automorphism_group(g)]
     maps = [lambda u: u[::-1]]
     if g.kind == LAMBDA:
         maps.append(lambda u: u[-1:] + u[:-1])

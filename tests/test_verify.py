@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from cube_orbits import bijections, formulas, oracle, strings, verify
+from cube_orbits import bijections, cli, formulas, oracle, strings, verify
 from cube_orbits.formulas import GAMMA, LAMBDA
 from cube_orbits.strings import LUCAS, enumerate_strings
 from cube_orbits.verify import CHECKS, FAIL, ORACLE, PASS, SKIP, SUITES, run_check, run_suite
@@ -56,8 +56,8 @@ def _swap_first_two(search):
     """The search with one more map, which swaps the first two vertices, of weights 0 and 1."""
 
     def wrong(graph):
-        count = len(graph.vertices)
-        return search(graph) + [(1, 0, *range(2, count))] if count > 1 else search(graph)
+        vertices = graph.vertices
+        return search(graph) + [(vertices[1], vertices[0], *vertices[2:])] if len(vertices) > 1 else search(graph)
 
     return wrong
 
@@ -268,6 +268,18 @@ def test_edge_map_check_maps_each_edge_once(monkeypatch):
     check = CHECK["edge map constant on orbits"]
     assert run_check(check, check.cap).status == PASS
     assert calls == {n: len(oracle.build(n, LAMBDA).edges) for n in range(check.lo, check.cap + 1)}
+
+
+def test_edge_map_check_maps_a_pair_that_is_no_edge_afresh(capsys, monkeypatch):
+    # a broken generator that writes the last letter over the first sends the edge (00000, 00001) to
+    # (00000, 10001), which is no edge: the row maps that pair itself, and the edge map refuses it
+    broken = ("broken", lambda u: u[-1] + u[1:])
+    monkeypatch.setattr(verify, "GENERATORS", verify.GENERATORS + (broken,))
+    with pytest.raises(ValueError, match="endpoints must be Lucas strings"):
+        verify._edge_map_well_defined(5)
+    assert cli.main(["verify", "bijections", "--max", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ValueError: endpoints must be Lucas strings")
 
 
 # --- shared values made once per suite run, never stale
