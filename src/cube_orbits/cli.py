@@ -10,7 +10,6 @@ refusal, 3 internal error (a bug).
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -18,6 +17,7 @@ from collections import Counter
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from os.path import basename
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import formulas, oracle, verify
@@ -155,7 +155,7 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
 
 
 def _emit(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     parameters: dict,
     result: dict,
     plain: Callable[[], Iterable[str]],
@@ -198,7 +198,7 @@ def _plain_table(columns: list[str], rows: list[tuple[str, ...]]) -> Iterator[st
         yield "\n"
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     max_n = args.max if args.max is not None else TABLES[args.which].default_max
     columns, rows = table_rows(args.which, max_n)
     parameters = {"table": args.which, "max": max_n}
@@ -273,7 +273,7 @@ def _orbit_rows(cube: str, n: int, ground: str) -> OrbitRows:
     return OrbitRows(ints, n, ground == oracle.EDGES)
 
 
-def cmd_orbits(args: argparse.Namespace) -> int:
+def cmd_orbits(args: SimpleNamespace) -> int:
     rows = _orbit_rows(args.cube, args.n, args.ground)
     header = f"{args.cube} n={args.n} {args.ground}: {len(rows)} orbits\n"
     parameters = {"cube": args.cube, "n": args.n, "ground": args.ground}
@@ -286,7 +286,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return _emit(args, parameters, result, plain, ["representative", "size"])
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: SimpleNamespace) -> int:
     if args.n > WITNESS_LIMIT:
         raise ValueError(f"length {args.n} exceeds the witness bound {WITNESS_LIMIT}")
     if args.kind == "asymmetric":
@@ -305,7 +305,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return _emit(args, parameters, {"witness": witness, "orbit_size": str(size)}, lambda: plain)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     suite_names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     lines: list[str] = []
     tally: Counter[str] = Counter()
@@ -330,64 +330,153 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _integer(least: int) -> Callable[[str], int]:
-    """An argparse type for integers >= least (0 or 1); every other text gets the same message."""
+    """A reader of integers >= least (0 or 1); every other text gets the same message."""
     what = ("nonnegative", "positive")[least]
 
-    def parse(text: str) -> int:
+    def read(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = least - 1  # not an integer: refused with the message of an out-of-range one
         if value < least:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text}")
+            raise ValueError(f"expected a {what} integer, got {text}")
         return value
 
-    return parse
+    return read
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cube-orbits",
-        description="Exact orbit counts for Fibonacci and Lucas cubes, with brute-force cross-checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    """A command's help line, its positionals and its options, each named with its choices or the reader of its
+    value.  The positionals past the first ``required`` may be left out and read None; an option left out reads
+    None, and ``--format`` plain."""
 
-    p_table = sub.add_parser("table", help="reproduce a published count table")
-    p_table.add_argument("which", choices=sorted(TABLES))
-    p_table.add_argument("--max", type=_integer(1), default=None, help="largest n column")
-    p_table.add_argument("--format", choices=(PLAIN, CSV, JSON), default=PLAIN)
-    p_table.set_defaults(func=cmd_table)
+    help: str
+    positionals: tuple[tuple[str, tuple[str, ...] | Callable[[str], int]], ...]
+    options: dict[str, tuple[str, ...] | Callable[[str], int]]
+    required: int
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p_verify.add_argument("--max", type=_integer(1), default=None, help="largest n to check")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_orbits = sub.add_parser("orbits", help="list orbits computed by enumeration")
-    p_orbits.add_argument("cube", choices=(GAMMA, LAMBDA))
-    p_orbits.add_argument("n", type=_integer(0))
-    p_orbits.add_argument("ground", choices=(oracle.VERTICES, oracle.EDGES))
-    p_orbits.add_argument("--format", choices=(PLAIN, CSV, JSON), default=PLAIN)
-    p_orbits.set_defaults(func=cmd_orbits)
+COMMANDS = {
+    "table": Command("reproduce a published count table", (("which", tuple(sorted(TABLES))),),
+                     {"--max": _integer(1), "--format": (PLAIN, CSV, JSON)}, 1),
+    "verify": Command("run a verification suite", (("suite", (*sorted(verify.SUITES), "all")),),
+                      {"--max": _integer(1)}, 1),
+    "orbits": Command("list orbits computed by enumeration",
+                      (("cube", (GAMMA, LAMBDA)), ("n", _integer(0)), ("ground", (oracle.VERTICES, oracle.EDGES))),
+                      {"--format": (PLAIN, CSV, JSON)}, 3),
+    "witness": Command("construct a string with prescribed orbit size",
+                       (("kind", ("asymmetric", "vertex-orbit-size")), ("n", _integer(1)), ("k", _integer(1))),
+                       {"--format": (PLAIN, JSON)}, 2),
+}
 
-    p_witness = sub.add_parser("witness", help="construct a string with prescribed orbit size")
-    p_witness.add_argument("kind", choices=("asymmetric", "vertex-orbit-size"))
-    p_witness.add_argument("n", type=_integer(1))
-    p_witness.add_argument("k", type=_integer(1), nargs="?", default=None)
-    p_witness.add_argument("--format", choices=(PLAIN, JSON), default=PLAIN)
-    p_witness.set_defaults(func=cmd_witness)
+HELP = ("-h", "--help")
 
-    return parser
+# a token that reads as a negative number is a positional, so `orbits lambda -2 edges` refuses n = -2
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _usage() -> str:
+    """The text of ``--help``: each command of ``COMMANDS`` with its arguments and its help line."""
+
+    def shown(name: str, read: tuple[str, ...] | Callable[[str], int]) -> str:
+        return "{" + ",".join(read) + "}" if isinstance(read, tuple) else name
+
+    lines = ["usage: cube-orbits <command> [args] [--max N] [--format plain|csv|json]", "", "commands:"]
+    for command, (text, positionals, options, required) in COMMANDS.items():
+        words = [shown(name, read) for name, read in positionals]
+        words[required:] = (f"[{word}]" for word in words[required:])
+        words += (f"[{name} {shown('N', read)}]" for name, read in options.items())
+        lines += [f"  {command} {' '.join(words)}", f"      {text}"]
+    return "\n".join(lines) + "\n"
+
+
+def _read(name: str, read: tuple[str, ...] | Callable[[str], int], text: str) -> str | int:
+    if isinstance(read, tuple):
+        if text not in read:
+            raise ValueError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, read))})")
+        return text
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
+
+
+def _option(token: str, names: Sequence[str]) -> tuple[str | None, str | None] | None:
+    """The option of ``names`` that ``token`` names, and the value it gives after ``=``; None for a positional.
+
+    A long option may be named by a unique prefix (``--ma``, ``--f=csv``); a prefix of several raises ValueError,
+    and a token that looks like an option but names none gives the name None.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    found = [name] if name in names else [option for option in names if name[:2] == "--" and option.startswith(name)]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return None if _NUMBER.match(token) or " " in token else (None, None)
+
+
+def parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The command and the values that ``argv`` gives it, or None when it asks for ``--help``.
+
+    The tokens are read in order, as argparse read them: options may come before, between or after the
+    positionals, the last of a repeated option wins, and after ``--`` every token is a positional.  A value is
+    read as its token is, so a bad one is refused before a later ``--help``; unknown options and surplus
+    positionals are refused once every token is read.  Every refusal raises ValueError.
+    """
+    command, values, waiting, names, stray = None, {}, [], HELP, []
+    ended = placed = False  # past "--"; the last token was read as a positional
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and not ended:
+            # as argparse, a "--" is taken only right after a positional or before one still to come
+            ended = True
+            if not (placed or waiting):
+                stray.append(token)
+            continue
+        option = None if ended else _option(token, names)
+        placed = option is None and bool(waiting)
+        if option is None and command is None:
+            command = COMMANDS[_read("command", tuple(COMMANDS), token)]
+            values = {"command": token, **dict.fromkeys(name for name, _ in command.positionals),
+                      **{name[2:]: PLAIN if name == "--format" else None for name in command.options}}
+            waiting, names = list(command.positionals), (*HELP, *command.options)
+        elif option is None and waiting:
+            name, read = waiting.pop(0)
+            values[name] = _read(name, read, token)
+        elif option is None or option[0] is None:
+            stray.append(token)
+        elif option[0] in HELP:
+            if option[1] is not None:
+                raise ValueError(f"argument -h/--help: ignored explicit argument {option[1]!r}")
+            return None
+        else:
+            name, value = option
+            if value is None:
+                value = next(tokens, "--")
+                # a value is a token that names no option, and "--" ends the options
+                if value == "--" or _option(value, names):
+                    raise ValueError(f"argument {name}: expected one argument")
+            values[name[2:]] = _read(name, command.options[name], value)
+    missing = ["command"] if command is None else [
+        name for name, _ in command.positionals[:command.required] if values[name] is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if stray:
+        raise ValueError(f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
+        args = parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_usage())
+            return 0
+        # looked up as main runs, so a replaced or wrapped cmd_* is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

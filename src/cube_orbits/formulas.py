@@ -20,11 +20,11 @@ asks 3,750 times and makes 2,080, and ``verify formulas --max 330`` asks 5,802 t
 ``strings.period`` asks for the divisors of one n once per string.  The public names stay plain
 functions, since the benchmark's tracer and the test that enumeration needs no closed form select
 them by ``inspect.isfunction``.  The bounds keep memory in step with output: ``table gamma-v --max
-3000 --format csv`` peaks at 1.387 times the characters it writes (1.35 uncached; with an LRU cache
-of terms, 1.391 at 256, 1.50 at 1,024 and 1.64 unbounded).  Those are cold readings on Python 3.11,
-the first command of a fresh process, which also count what argparse's first use imports (1.463 on
-3.10, 1.483 on 3.12).  Once argparse has been used, as in ``test_table_holds_each_cell_once``, which
-bounds the ratio by 1.4, it reads 1.339 (1.303-1.341 on 3.10-3.13).
+3000 --format csv`` peaks at 1.330 times the characters it writes on Python 3.11 (1.294-1.332 on
+3.10-3.13), as the first command of a fresh process and as any later one alike, since the CLI's
+parser imports and caches nothing on its first use; ``test_table_holds_each_cell_once`` bounds the
+ratio by 1.4.  Cold readings with argparse, whose first use added its imports, were 1.387 (1.35
+uncached; with an LRU cache of terms, 1.391 at 256, 1.50 at 1,024 and 1.64 unbounded).
 """
 
 from __future__ import annotations

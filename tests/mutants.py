@@ -296,6 +296,36 @@ MUTANTS = (
         "orbits gamma 2 edges prints its header but not its one row, a partial batch",
     ),
     Mutant(
+        "cli imports argparse again", "cli.py",
+        "from types import SimpleNamespace\n", "import argparse  # noqa: F401\nfrom types import SimpleNamespace\n",
+        "tests/test_cli.py::test_a_command_loads_no_argparse",
+        "import cube_orbits.cli loads argparse, the 1.5 ms of setup that each command paid for it",
+    ),
+    Mutant(
+        "an option's value read from the token after the next", "cli.py",
+        'value = next(tokens, "--")', 'value = next(tokens, "--") and next(tokens, "--")',
+        "tests/test_parse.py::test_parse_reads_every_argv_as_argparse_did",
+        "table gamma-v --max 3 refuses with argument --max: expected one argument, not max = 3",
+    ),
+    Mutant(
+        "a unique prefix names no option", "cli.py",
+        "option.startswith(name)]", "option == name]",
+        "tests/test_parse.py::test_parse_reads_every_argv_as_argparse_did",
+        "table gamma-v --ma 3 refuses with unrecognized arguments: --ma 3, not max = 3",
+    ),
+    Mutant(
+        "-2 read as an option", "cli.py",
+        '_NUMBER = re.compile(r"-\\d+$|-\\d*\\.\\d+$")', '_NUMBER = re.compile(r"(?!)")',
+        "tests/test_parse.py::test_parse_reads_every_argv_as_argparse_did",
+        "orbits gamma -2 --help prints help and exits 0, where the n = -2 it read first was refused with exit 2",
+    ),
+    Mutant(
+        "witness's k made required", "cli.py",
+        '{"--format": (PLAIN, JSON)}, 2),', '{"--format": (PLAIN, JSON)}, 3),',
+        "tests/test_parse.py::test_parse_reads_every_argv_as_argparse_did",
+        "witness asymmetric 9 refuses with the following arguments are required: k, not k = None",
+    ),
+    Mutant(
         "edge map reads from the position after the flip", "bijections.py",
         "start = (i + 2) % n", "start = (i + 1) % n",
         "tests/test_bijections.py::test_edge_map_examples",

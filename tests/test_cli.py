@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cube_orbits import bijections, cli, formulas, oracle, strings, verify
-from cube_orbits.cli import TABLE_LIMIT, TABLES, WITNESS_LIMIT, build_parser, main, table_rows
+from cube_orbits.cli import COMMANDS, TABLE_LIMIT, TABLES, WITNESS_LIMIT, main, parse, table_rows
 from orbits import canonical_orbits
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
@@ -212,9 +212,12 @@ def test_output_is_streamed(monkeypatch):
 def test_table_holds_each_cell_once(monkeypatch):
     # a table's cells are held as strings only, made column by column: held also as ints, and transposed
     # twice, they peaked at 1.88 (CSV) and 1.67 (JSON) times the characters written; plain text, with each
-    # line built whole, peaked at 1.53, and it writes each padded cell as it is made; argparse is used once
-    # first, so the figure does not count what its first use in a process imports and caches
-    build_parser().parse_args(["table", "gamma-v", "--max", "3000", "--format", "csv"])
+    # line built whole, peaked at 1.53, and it writes each padded cell as it is made; the parser is used once
+    # first, so the figure never counts what a parser's first use in a process imports and caches: argparse's
+    # took a cold CSV reading from 1.339 to 1.387, and with the CLI's own parser the cold and warm readings
+    # are the same, 1.330 (CSV), 1.221 (JSON) and 0.948 (plain) on Python 3.11, 1.294-1.332, 1.189-1.225 and
+    # 0.922-0.950 on 3.10-3.13
+    parse(["table", "gamma-v", "--max", "3000", "--format", "csv"])
     for fmt, bound in (("csv", 1.4), ("json", 1.4), ("plain", 1.2)):
         sink = CountingSink()
         monkeypatch.setattr(sys, "stdout", sink)
@@ -523,10 +526,29 @@ def test_verify_bound_refusal_is_immediate(capsys, suite):
 
 
 def test_usage_errors(capsys):
-    assert run_cli(capsys, "table", "gamma-x")[0] == 2
+    # one parser gives one text on every Python version, where argparse worded its messages differently
+    for argv, line in (
+        (["table", "gamma-x"],
+         "argument which: invalid choice: 'gamma-x' (choose from 'gamma-e', 'gamma-v', 'lambda-e', 'lambda-v', "
+         "'lucas-classes')"),
+        (["orbits", "gamma", "3"], "the following arguments are required: ground"),
+        (["table", "gamma-v", "--bogus"], "unrecognized arguments: --bogus"),
+        (["table", "gamma-v", "--format"], "argument --format: expected one argument"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n"), argv
     assert run_cli(capsys, "table", "gamma-v", "--max", "zero")[0] == 2
     assert run_cli(capsys, "orbits", "gamma", "-3", "vertices")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *([command, "--help"] for command in COMMANDS)], ids=" ".join)
+def test_help_lists_every_command_and_choice(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    for name, command in COMMANDS.items():
+        assert f"  {name} " in out and command.help in out, name
+        for read in [read for _, read in command.positionals] + list(command.options.values()):
+            assert not isinstance(read, tuple) or "{" + ",".join(read) + "}" in out, name
 
 
 def test_module_invocation():
@@ -551,6 +573,16 @@ def test_startup_loads_neither_dataclasses_nor_inspect():
     added = _modules_loaded_by("import cube_orbits.cli") - _modules_loaded_by("pass")
     assert "cube_orbits.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_a_command_loads_no_argparse():
+    # argparse's first use in a process took 2.3-3.8 ms of a command before any work: gettext imported locale,
+    # five parsers were built and the arguments parsed; the CLI reads them from its own table instead
+    for statement in ("import cube_orbits.cli",
+                      "from cube_orbits.cli import main; main(['table', 'gamma-v', '--max', '1'])"):
+        loaded = _modules_loaded_by(statement)
+        assert "cube_orbits.cli" in loaded
+        assert not loaded & {"argparse", "gettext", "locale"}, statement
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
