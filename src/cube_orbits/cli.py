@@ -24,9 +24,6 @@ from . import formulas, oracle, verify
 from .formulas import GAMMA, LAMBDA
 from .strings import asymmetric_witness, orbit_size, vertex_orbit_witness
 
-# the rows of a listing are items of the envelope's result's last value, two levels deep
-_ROW_PAD = " " * 6
-
 PLAIN = "plain"
 CSV = "csv"
 JSON = "json"
@@ -35,7 +32,7 @@ JSON = "json"
 # 778 MB peak RSS on a 2-CPU machine, within the 30 s / 1 GB budget (README "Bounds").
 WITNESS_LIMIT = 200_000_000
 
-# The largest table: at M = 20000 every table took at most 7.7 s and 174 MB peak RSS in any format in three
+# The largest table: at M = 20000 every table took at most 7.5 s and 181 MB peak RSS in any format in three
 # fresh runs (README "Bounds"), and from M = 20558 some cell has more than the 4300 digits Python prints by default.
 TABLE_LIMIT = 20_000
 
@@ -95,18 +92,6 @@ def table_rows(which: str, max_n: int) -> tuple[list[str], list[tuple[str, ...]]
     return ["n", *labels], [(str(n), *map(str, column(n))) for n in range(1, max_n + 1)]
 
 
-def _row_template(columns: list[str], row: tuple) -> str:
-    """A row as ``json.dumps(..., indent=2)`` writes it as an object of ``columns`` in the listing.
-
-    The template has ``%s`` where each cell's quoted text goes, one per string of an edge.  It comes from
-    json.dumps of the row with ``null`` for each string: in indented JSON a value ends its line, and a key,
-    quoted on one line, never does, so each ``null`` at the end of a line is a cell.
-    """
-    blank = {name: None if type(cell) is str else [None] * len(cell) for name, cell in zip(columns, row)}
-    text = json.dumps(blank, indent=2).replace("%", "%%").replace("\n", "\n" + _ROW_PAD)
-    return _ROW_PAD + re.sub(r"null(?=,?$)", "%s", text, flags=re.MULTILINE)
-
-
 def _batched(rows: Iterator[str]) -> Iterator[str]:
     """The texts of ``rows`` joined 256 at a time, for one ``write`` each; the last batch holds the rows left over.
     A row's text is never empty, so only the end of the rows makes an empty batch.
@@ -120,38 +105,41 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
     listing's 256 to a write (``_batched``).
 
     When the last value of ``envelope["result"]`` is a list or an ``OrbitRows``, it holds the rows, each written
-    as an object of ``columns`` from one template; the text around the rows is json.dumps of the envelope with
-    that listing empty.  An ``OrbitRows`` writes its rows from the template split at its cells
-    (``OrbitRows.texts``): a representative is 0s and 1s, an edge's a pair of them, and a size is digits, each
-    of which JSON quotes with two quote marks.  A list's rows are tuples of strings in the order of ``columns``,
-    each quoted into the template as json.dumps quotes strings by default (``ensure_ascii``); a cell that is not
-    a string raises TypeError.  The first row, or the first batch, goes out with the text before the rows.
+    as an object of ``columns``.  The text around the cells is one json.dumps of the envelope with two blank rows
+    in their place, each cell ``"\0"`` (an edge's representative a pair), cut at the last quoted NULs: the rows are
+    the envelope's last value, so a NUL elsewhere is never cut.  No column name may be a NUL.  An ``OrbitRows``
+    writes its rows from the pieces (``OrbitRows.texts``): a representative is 0s and 1s, an edge's a pair of
+    them, and a size is digits, each of which JSON quotes with two quote marks.  A list's rows are tuples of
+    strings in the order of ``columns``, each quoted as json.dumps quotes strings by default (``ensure_ascii``);
+    a cell that is not a string raises TypeError.  The first row, or batch, goes out with the text before the rows.
     """
     out = sys.stdout
     result = envelope["result"]
     key = list(result)[-1]
     rows = result[key]
     listing = isinstance(rows, (list, OrbitRows))
-    text = json.dumps({**envelope, "result": {**result, key: []}} if listing else envelope, indent=2)
     if not (listing and rows):
-        out.write(text)
+        out.write(json.dumps({**envelope, "result": {**result, key: []}} if listing else envelope, indent=2))
         out.write("\n")
         return
-    head, tail = text.rsplit("[]", 1)
-    # every row is led by the separator from the row before it, which the first row drops
+    edges = isinstance(rows, OrbitRows) and rows.edges
+    blank = {**dict.fromkeys(columns, "\0"), columns[0]: ["\0", "\0"] if edges else "\0"}
+    cells = len(columns) + edges
+    text = json.dumps({**envelope, "result": {**result, key: [blank, blank]}}, indent=2)
+    head, *pieces, tail = text.rsplit('"\\u0000"', 2 * cells)
+    # between the rows: one row's end, only whitespace and brackets, then ",\n" and the next row's lead
+    end, lead = pieces[cells - 1].split(",\n", 1)
+    parts = [",\n" + lead, *pieces[:cells - 1], end]
     if isinstance(rows, OrbitRows):
-        template = ",\n" + _row_template(columns, (("", "") if rows.edges else "", ""))
-        # json.dumps escapes every NUL it writes, so a quoted NUL in each cell's place marks where the template
-        # splits, and each piece keeps the cell's quote marks; a vertex row has one inner part, before the size
-        lead, *inner, end = (template % (('"\0"',) * (3 if rows.edges else 2))).split("\0")
-        filled = _batched(rows.texts(lead, inner[0], inner[-1], end))
+        # each cell's quote marks go with the pieces around it; a vertex row has one inner piece, before the size
+        filled = _batched(rows.texts(parts[0] + '"', f'"{parts[1]}"', f'"{parts[-2]}"', '"' + end))
     else:
-        template = ",\n" + _row_template(columns, rows[0])
+        template = "%s".join(part.replace("%", "%%") for part in parts)
         filled = (template % tuple(map(_quote, row)) for row in rows)
-    out.write(head + "[\n" + next(filled)[2:])
+    # every row is led by the separator from the row before it; the first drops it, and the head holds its lead
+    out.write(head[:-len(lead)] + next(filled)[2:])
     out.writelines(filled)
-    # the list closes one level (two spaces) left of its rows
-    out.write(f"\n{_ROW_PAD[2:]}]{tail}\n")
+    out.write(tail[len(end):] + "\n")
 
 
 def _emit(

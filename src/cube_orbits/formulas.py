@@ -23,8 +23,7 @@ them by ``inspect.isfunction``.  The bounds keep memory in step with output: ``t
 3000 --format csv`` peaks at 1.330 times the characters it writes on Python 3.11 (1.294-1.332 on
 3.10-3.13), as the first command of a fresh process and as any later one alike, since the CLI's
 parser imports and caches nothing on its first use; ``test_table_holds_each_cell_once`` bounds the
-ratio by 1.4.  Cold readings with argparse, whose first use added its imports, were 1.387 (1.35
-uncached; with an LRU cache of terms, 1.391 at 256, 1.50 at 1,024 and 1.64 unbounded).
+ratio by 1.4.
 """
 
 from __future__ import annotations

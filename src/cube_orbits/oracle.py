@@ -57,9 +57,7 @@ from .strings import enumerate_strings, FIBONACCI
 # (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a 2-CPU machine (README
 # "Bounds"). Each listing's rows are made from per-format tables of half strings (cli.OrbitRows.texts) and written
 # 256 to a write, and an edge listing holds three ints per run of orbits (orbit_walk); gamma n = 30 edges, the
-# slowest, took 4.2-6.4 s in the three formats at 116 MB, the vertex tuple and the runs, against 4.0-6.9 s for the
-# walk with one _reverse call per table entry, run alternately; one write per row took 9.0-13.2 s, and three ints
-# per orbit 9.5-13.1 s at 209 MB, up to 23.3 s in slow phases.
+# slowest, took 4.2-6.4 s in the three formats at 116 MB, the vertex tuple and the runs.
 BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
 

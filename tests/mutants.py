@@ -296,6 +296,18 @@ MUTANTS = (
         "orbits gamma 2 edges prints its header but not its one row, a partial batch",
     ),
     Mutant(
+        "JSON listing cut at the first quoted NULs, not the last", "cli.py",
+        "head, *pieces, tail = text.rsplit(", "head, *pieces, tail = text.split(",
+        "tests/test_cli.py::test_json_writer_escapes_as_json_dumps",
+        'cli._json of a listing whose parameters hold the string "\\0" cuts the parameters as if they were rows',
+    ),
+    Mutant(
+        "JSON listing's first row keeps its separator", "cli.py",
+        "out.write(head[:-len(lead)] + next(filled)[2:])", "out.write(head[:-len(lead)] + next(filled))",
+        "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format json]",
+        'orbits gamma 2 edges --format json opens its rows with "[\\n,\\n      {", not "[\\n      {"',
+    ),
+    Mutant(
         "cli imports argparse again", "cli.py",
         "from types import SimpleNamespace\n", "import argparse  # noqa: F401\nfrom types import SimpleNamespace\n",
         "tests/test_cli.py::test_a_command_loads_no_argparse",

@@ -7,9 +7,11 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,9 +157,12 @@ def test_json_writer_escapes_as_json_dumps():
     rows = [
         ('"quoted"', "a\\b", "%s %d 100%", "one\ntwo", ""),
         ("ε", "\t\u0007\x00\x1f", "%", "", "null"),
+        ("\0", "", "\0\0", '"\0"', "\0"),
     ]
-    parameters = {"n": 7, "k": None, "text": 'back\\slash "and" ε %s 100%\n\x1f'}
-    envelope = {"command": "orbits", "parameters": parameters, "result": {"count": "2", "rows": rows}}
+    # a parameter that is a quoted NUL, as a blank cell is, lies before the rows: a cut counted from the front
+    # would split there
+    parameters = {"n": 7, "k": None, "text": 'back\\slash "and" ε %s 100%\n\x1f', "nul": "\0", "nuls": ["\0", "\0"]}
+    envelope = {"command": "orbits", "parameters": parameters, "result": {"count": "3", "rows": rows}}
     assert written(envelope, columns) == json.dumps(as_records(envelope, columns), indent=2) + "\n"
     empty = {"command": "orbits", "parameters": parameters, "result": {"count": "0", "rows": []}}
     assert written(empty, columns) == json.dumps(empty, indent=2) + "\n"
@@ -213,10 +218,9 @@ def test_table_holds_each_cell_once(monkeypatch):
     # a table's cells are held as strings only, made column by column: held also as ints, and transposed
     # twice, they peaked at 1.88 (CSV) and 1.67 (JSON) times the characters written; plain text, with each
     # line built whole, peaked at 1.53, and it writes each padded cell as it is made; the parser is used once
-    # first, so the figure never counts what a parser's first use in a process imports and caches: argparse's
-    # took a cold CSV reading from 1.339 to 1.387, and with the CLI's own parser the cold and warm readings
-    # are the same, 1.330 (CSV), 1.221 (JSON) and 0.948 (plain) on Python 3.11, 1.294-1.332, 1.189-1.225 and
-    # 0.922-0.950 on 3.10-3.13
+    # first, so the figure never counts what a parser's first use in a process imports and caches; the cold
+    # and warm readings are the same, 1.330 (CSV), 1.221 (JSON) and 0.948 (plain) on Python 3.11, 1.294-1.332,
+    # 1.189-1.225 and 0.922-0.950 on 3.10-3.13
     parse(["table", "gamma-v", "--max", "3000", "--format", "csv"])
     for fmt, bound in (("csv", 1.4), ("json", 1.4), ("plain", 1.2)):
         sink = CountingSink()
@@ -314,22 +318,27 @@ def test_listings_equal_decoded_orbits(capsys, cube, ground):
 
 
 @pytest.mark.parametrize("cube", ["gamma", "lambda"])
-def test_json_listing_rows_are_json_dumps(cube):
-    # a JSON listing's rows, joined from the pieces of the row template split at its cells, which keep
-    # the cells' quote marks, are the row template filled with json.dumps of each row's cells
+def test_json_listing_rows_are_json_dumps(monkeypatch, cube):
+    # a JSON listing's rows, joined from the pieces cut from json.dumps of the envelope, which keep the cells'
+    # quote marks, are json.dumps of each row, indented to the rows' depth and led by the separator; each
+    # listing calls json.dumps once
+    pieces, dumps = [], []
+    texts = cli.OrbitRows.texts
+    monkeypatch.setattr(cli.OrbitRows, "texts", lambda rows, *args: pieces.append(args) or texts(rows, *args))
+    counted = SimpleNamespace(dumps=lambda *args, **kw: dumps.append(args) or json.dumps(*args, **kw))
+    monkeypatch.setattr(cli, "json", counted)
     for n in range(15):
         for ground in (oracle.VERTICES, oracle.EDGES):
-            vertices = ground == oracle.VERTICES
             rows = cli._orbit_rows(cube, n, ground)
-            shape = ("", "") if vertices else (("", ""), "")
-            template = ",\n" + cli._row_template(["representative", "size"], shape)
-            lead, *inner, end = (template % (('"\0"',) * (2 if vertices else 3))).split("\0")
-            texts = list(rows.texts(lead, inner[0], inner[-1], end))
-            quoted = [
-                template % tuple(json.dumps(s) for s in ((rep,) if vertices else rep) + (size,))
+            written({"command": "orbits", "parameters": {}, "result": {"orbits": rows}}, ["representative", "size"])
+            assert len(dumps) == 1, (n, ground)
+            dumps.clear()
+            found = list(texts(rows, *pieces.pop())) if len(rows) else []
+            dumped = [
+                ",\n" + textwrap.indent(json.dumps({"representative": rep, "size": size}, indent=2), " " * 6)
                 for rep, size in decoded_rows(cube, n, ground)
             ]
-            assert texts == quoted and len(texts) == len(rows), (n, ground)
+            assert found == dumped and len(found) == len(rows) and not pieces, (n, ground)
 
 
 def test_output_is_deterministic(capsys):
