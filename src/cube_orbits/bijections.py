@@ -109,13 +109,11 @@ def lambda_edge_to_gamma_vertex(edge: tuple[str, str]) -> str:
     # int(..., 2) would also read a "0b" prefix, "_" and spaces: only 0s and 1s may pass
     if u.strip("01") or v.strip("01") or not (is_lucas(u) and is_lucas(v)):
         raise ValueError("endpoints must be Lucas strings")
-    x = int(u, 2)
-    flips = x ^ int(v, 2)
+    flips = int(u, 2) ^ int(v, 2)
     if flips.bit_count() != 1:
         raise ValueError(f"endpoints differ in {flips.bit_count()} positions, not 1")
     i = n - flips.bit_length()
-    src = u if x & flips else v
-    doubled = src + src
+    doubled = u + u
     start = (i + 2) % n
     image = doubled[start : start + n - 3]
     if not is_fibonacci(image):

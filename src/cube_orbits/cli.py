@@ -317,43 +317,27 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return code
 
 
-def _integer(least: int) -> Callable[[str], int]:
-    """A reader of integers >= least (0 or 1); every other text gets the same message."""
-    what = ("nonnegative", "positive")[least]
-
-    def read(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = least - 1  # not an integer: refused with the message of an out-of-range one
-        if value < least:
-            raise ValueError(f"expected a {what} integer, got {text}")
-        return value
-
-    return read
-
-
 class Command(NamedTuple):
-    """A command's help line, its positionals and its options, each named with its choices or the reader of its
-    value.  The positionals past the first ``required`` may be left out and read None; an option left out reads
+    """A command's help line, its positionals and its options, each named with its choices or the least integer
+    it takes.  The positionals past the first ``required`` may be left out and read None; an option left out reads
     None, and ``--format`` plain."""
 
     help: str
-    positionals: tuple[tuple[str, tuple[str, ...] | Callable[[str], int]], ...]
-    options: dict[str, tuple[str, ...] | Callable[[str], int]]
+    positionals: tuple[tuple[str, tuple[str, ...] | int], ...]
+    options: dict[str, tuple[str, ...] | int]
     required: int
 
 
 COMMANDS = {
     "table": Command("reproduce a published count table", (("which", tuple(sorted(TABLES))),),
-                     {"--max": _integer(1), "--format": (PLAIN, CSV, JSON)}, 1),
+                     {"--max": 1, "--format": (PLAIN, CSV, JSON)}, 1),
     "verify": Command("run a verification suite", (("suite", (*sorted(verify.SUITES), "all")),),
-                      {"--max": _integer(1)}, 1),
+                      {"--max": 1}, 1),
     "orbits": Command("list orbits computed by enumeration",
-                      (("cube", (GAMMA, LAMBDA)), ("n", _integer(0)), ("ground", (oracle.VERTICES, oracle.EDGES))),
+                      (("cube", (GAMMA, LAMBDA)), ("n", 0), ("ground", (oracle.VERTICES, oracle.EDGES))),
                       {"--format": (PLAIN, CSV, JSON)}, 3),
     "witness": Command("construct a string with prescribed orbit size",
-                       (("kind", ("asymmetric", "vertex-orbit-size")), ("n", _integer(1)), ("k", _integer(1))),
+                       (("kind", ("asymmetric", "vertex-orbit-size")), ("n", 1), ("k", 1)),
                        {"--format": (PLAIN, JSON)}, 2),
 }
 
@@ -366,7 +350,7 @@ _NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 def _usage() -> str:
     """The text of ``--help``: each command of ``COMMANDS`` with its arguments and its help line."""
 
-    def shown(name: str, read: tuple[str, ...] | Callable[[str], int]) -> str:
+    def shown(name: str, read: tuple[str, ...] | int) -> str:
         return "{" + ",".join(read) + "}" if isinstance(read, tuple) else name
 
     lines = ["usage: cube-orbits <command> [args] [--max N] [--format plain|csv|json]", "", "commands:"]
@@ -378,15 +362,19 @@ def _usage() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read(name: str, read: tuple[str, ...] | Callable[[str], int], text: str) -> str | int:
+def _read(name: str, read: tuple[str, ...] | int, text: str) -> str | int:
+    """``text`` as the argument ``name`` takes it: one of the choices ``read``, or an integer at least ``read``."""
     if isinstance(read, tuple):
         if text not in read:
             raise ValueError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, read))})")
         return text
     try:
-        return read(text)
-    except ValueError as exc:
-        raise ValueError(f"argument {name}: {exc}") from None
+        value = int(text)
+    except ValueError:
+        value = read - 1  # not an integer: refused with the message of an out-of-range one
+    if value < read:
+        raise ValueError(f"argument {name}: expected a {('nonnegative', 'positive')[read]} integer, got {text}")
+    return value
 
 
 def _option(token: str, names: Sequence[str]) -> tuple[str | None, str | None] | None:

@@ -2,9 +2,9 @@
 
 Each row of ``MUTANTS`` names a file of ``src/cube_orbits``, an exact old text that occurs in it once, the new
 text, the test expected to kill the mutant, and an input on which the mutant's output differs from the
-program's, which is why the mutant is not equivalent.  For each row the runner copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, plants the mutant there, and runs the row's test; when that
-passes, it runs tier-1 with ``-x``.  A failing run kills the mutant.  Each row prints killed or survived and
+program's, which is why the mutant is not equivalent.  For each row the runner copies ``src/``, ``tests/``,
+``perfbench/`` (whose pools and digests a tier-1 test reads) and ``pyproject.toml`` to a temporary directory,
+plants the mutant there, and runs the row's test; when that passes, it runs tier-1 with ``-x``.  A failing run kills the mutant.  Each row prints killed or survived and
 the seconds taken.  The runner exits 1 when a mutant survives, when only some other test kills it, or when a
 row's old text does not occur exactly once.  It is not named ``test_*.py``, so tier-1 does not collect it.
 
@@ -338,6 +338,19 @@ MUTANTS = (
         "witness asymmetric 9 refuses with the following arguments are required: k, not k = None",
     ),
     Mutant(
+        "a non-integer read as the least value", "cli.py",
+        "value = read - 1", "value = read",
+        "tests/test_cli.py::test_integer_arguments_name_no_private_function",
+        "table gamma-v --max x prints the table at max 1 and exits 0, not the refusal argument --max: expected a "
+        "positive integer, got x",
+    ),
+    Mutant(
+        "an integer's lower bound off by one", "cli.py",
+        "if value < read:", "if value <= read:",
+        "tests/test_cli.py::test_read_takes_every_integer_spelling_of_int",
+        "orbits gamma 0 vertices refuses with argument n: expected a nonnegative integer, got 0, not n = 0",
+    ),
+    Mutant(
         "edge map reads from the position after the flip", "bijections.py",
         "start = (i + 2) % n", "start = (i + 1) % n",
         "tests/test_bijections.py::test_edge_map_examples",
@@ -399,7 +412,7 @@ def run(mutant: Mutant) -> tuple[bool, str]:
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch)
         ignore = shutil.ignore_patterns("__pycache__")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
         target = copy / "src" / "cube_orbits" / mutant.file

@@ -491,6 +491,30 @@ def test_integer_arguments_name_no_private_function(capsys):
         assert "_positive" not in err and "_nonnegative" not in err, argv
 
 
+# the parity test in test_parse.py reads integers with this same reader, so it cannot see how one is converted
+@pytest.mark.parametrize("read, text, value", [
+    # every spelling int() takes is taken: padded, signed, with digit groups, and a negative zero
+    (1, " 3", 3), (1, "+3", 3), (1, "1_0", 10), (0, "-0", 0), (0, "0", 0), (("gamma", "lambda"), "gamma", "gamma"),
+])
+def test_read_takes_every_integer_spelling_of_int(read, text, value):
+    assert cli._read("n", read, text) == value
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (0, "x", "argument n: expected a nonnegative integer, got x"),
+    (0, "", "argument n: expected a nonnegative integer, got "),
+    (0, "1.5", "argument n: expected a nonnegative integer, got 1.5"),
+    (0, "0x3", "argument n: expected a nonnegative integer, got 0x3"),
+    (0, "-2", "argument n: expected a nonnegative integer, got -2"),
+    (1, "0", "argument n: expected a positive integer, got 0"),
+    (("gamma", "lambda"), "delta", "argument n: invalid choice: 'delta' (choose from 'gamma', 'lambda')"),
+])
+def test_read_refuses_with_the_whole_message(read, text, message):
+    with pytest.raises(ValueError) as refused:
+        cli._read("n", read, text)
+    assert str(refused.value) == message
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "formulas", "--max", "60")
     assert code == 0
