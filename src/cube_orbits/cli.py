@@ -92,17 +92,17 @@ def table_rows(which: str, max_n: int) -> tuple[list[str], list[tuple[str, ...]]
     return ["n", *labels], [(str(n), *map(str, column(n))) for n in range(1, max_n + 1)]
 
 
-def _batched(rows: Iterator[str]) -> Iterator[str]:
-    """The texts of ``rows`` joined 256 at a time, for one ``write`` each; the last batch holds the rows left over.
-    A row's text is never empty, so only the end of the rows makes an empty batch.
+def _batched(texts: Iterator[str], size: int) -> Iterator[str]:
+    """The ``texts`` joined ``size`` at a time, for one ``write`` each; the last batch holds the texts left over.
+    A text is never empty, so only the end of the texts makes an empty batch.
     """
-    while batch := "".join(islice(rows, 256)):
+    while batch := "".join(islice(texts, size)):
         yield batch
 
 
 def _json(envelope: dict, columns: list[str] | None = None) -> None:
     """Write ``json.dumps(envelope, indent=2)`` and a newline to stdout, a table's rows one by one and an orbit
-    listing's 256 to a write (``_batched``).
+    listing's in batches (``OrbitRows.batches``).
 
     When the last value of ``envelope["result"]`` is a list or an ``OrbitRows``, it holds the rows, each written
     as an object of ``columns``.  The text around the cells is one json.dumps of the envelope with two blank rows
@@ -132,7 +132,7 @@ def _json(envelope: dict, columns: list[str] | None = None) -> None:
     parts = [",\n" + lead, *pieces[:cells - 1], end]
     if isinstance(rows, OrbitRows):
         # each cell's quote marks go with the pieces around it; a vertex row has one inner piece, before the size
-        filled = _batched(rows.texts(parts[0] + '"', f'"{parts[1]}"', f'"{parts[-2]}"', '"' + end))
+        filled = rows.batches(parts[0] + '"', f'"{parts[1]}"', f'"{parts[-2]}"', '"' + end)
     else:
         template = "%s".join(part.replace("%", "%%") for part in parts)
         filled = (template % tuple(map(_quote, row)) for row in rows)
@@ -153,10 +153,9 @@ def _emit(
 
     The last value of ``result``, when it is a list or an ``OrbitRows``, holds the rows: a list holds tuples of
     strings in the order of ``columns``, written as they are, one per write, and an orbit listing writes its
-    rows' texts (``OrbitRows.texts``) 256 to a write in every format (``_batched``); a table row grows with n,
-    to about 1 KB in CSV at M = 3000, so a batch of them would hold hundreds of KB at once.  ``plain`` gives the
-    plain text in pieces, a table's cell by cell; it is called only for plain output, so JSON and CSV do not pay
-    for its layout.
+    texts in batches in every format (``OrbitRows.batches``); a table row grows with n, to about 1 KB in CSV at
+    M = 3000, so a batch of them would hold hundreds of KB at once.  ``plain`` gives the plain text in pieces, a
+    table's cell by cell; it is called only for plain output, so JSON and CSV do not pay for its layout.
     """
     out = sys.stdout
     if args.format == JSON:
@@ -166,7 +165,7 @@ def _emit(
         rows = list(result.values())[-1]
         if isinstance(rows, OrbitRows):
             # an edge is one cell, u-v
-            out.writelines(_batched(rows.texts("", "-", ",", "\n")))
+            out.writelines(rows.batches("", "-", ",", "\n"))
         else:
             out.writelines(",".join(row) + "\n" for row in rows)
     else:
@@ -198,10 +197,10 @@ class OrbitRows:
 
     ``ints`` is one flat array: (x, size) for each vertex orbit, or (u, bits, size) for each run of edge orbits
     (``oracle.orbit_walk``), one row for each bit b of ``bits``, the edge (u, u | b).  Every format writes the
-    rows through ``texts``, which yields one text per row, joining a vertex's string from its high and low
-    halves, read from ``halves`` or from tables of them that also hold the format's fixed text; the writer joins
-    the texts in batches (``_batched``).  ``len()`` is the number of rows; ``texts`` can be called again, and
-    reads the rows anew.
+    rows through ``texts``, which yields one text per vertex row or per run, joining a vertex's string from its
+    high and low halves, read from ``halves`` or from tables of them that also hold the format's fixed text; the
+    writer joins the texts in batches (``batches``).  ``len()`` is the number of rows; ``texts`` can be called
+    again, and reads the rows anew.
     """
 
     def __init__(self, ints: Sequence[int], n: int, edges: bool) -> None:
@@ -217,10 +216,12 @@ class OrbitRows:
         return self.count
 
     def texts(self, lead: str, join: str, mid: str, end: str, empty: str = "") -> Iterator[str]:
-        """Each row's finished text, in order.  An edge row joins five table entries: ``lead`` and u's high half,
-        u's low half and ``join``, v's high half, v's low half, then ``mid``, the size and ``end``; the rows of a
-        run share one head, its first two entries, and one tail, its last.  A vertex row reads the first, fourth
-        and last.  The empty string of n = 0 is ``empty``.
+        """Each vertex row's finished text, or each run's rows as one text, in order.  An edge row joins five table
+        entries: ``lead`` and u's high half, u's low half and ``join``, v's high half, v's low half, then ``mid``,
+        the size and ``end``; the rows of a run share their head, the first two, and their tail, the last, and v
+        differs from u in one half, so the run's rows whose v differ in the low half are one join of v's low
+        halves, and those whose v differ in the high half the mirror of that.  A vertex row reads the first,
+        fourth and last entry.  The empty string of n = 0 is ``empty``.
         """
         high, low = self.halves
         # only n = 0 has an empty high half: every other one is at least one bit long
@@ -231,27 +232,48 @@ class OrbitRows:
         # an f-string joins the entries in one step; + would make a string of each partial sum
         if not self.edges:
             return (f"{first[x >> shift]}{low[x & mask]}{sizes[k]}" for x, k in zip(ints, ints))
+        width = len(high).bit_length()  # above every high half's value, so a key below names its half
 
-        def edge_rows() -> Iterator[str]:
+        def edge_runs() -> Iterator[str]:
+            # v's half strings for each (half value, bit mask) met: a half meets few masks, so the lists are few
+            lows: dict[int, list[str]] = {}
+            highs: dict[int, list[str]] = {}
             for u, bits, k in zip(ints, ints, ints):
-                head, tail = first[u >> shift] + joined[u & mask], sizes[k]
-                # the bits are taken here, not from oracle._bits: a generator per run made listings a tenth slower
-                while bits:
-                    b = bits & -bits
-                    v = u | b
-                    yield f"{head}{high[v >> shift]}{low[v & mask]}{tail}"
-                    bits ^= b
+                x, y = u >> shift, u & mask
+                head, tail = first[x] + joined[y], sizes[k]
+                text = ""
+                if b := bits & mask:
+                    key = b << shift | y
+                    ends = lows.get(key)
+                    if ends is None:
+                        ends = lows[key] = [low[y | c] for c in oracle._bits(b)]
+                    pre = head + high[x]
+                    text = f"{pre}{(tail + pre).join(ends)}{tail}"
+                if b := bits >> shift:
+                    key = b << width | x
+                    ends = highs.get(key)
+                    if ends is None:
+                        ends = highs[key] = [high[x | c] for c in oracle._bits(b)]
+                    post = low[y] + tail
+                    text += f"{head}{(post + head).join(ends)}{post}"
+                yield text
 
-        return edge_rows()
+        return edge_runs()
+
+    def batches(self, lead: str, join: str, mid: str, end: str, empty: str = "") -> Iterator[str]:
+        """The texts of ``texts``, with the same arguments, joined for one write each (``_batched``): 256 vertex
+        rows, or 32 runs of edge rows; a run holds at most n rows, one for each free position of its u."""
+        return _batched(self.texts(lead, join, mid, end, empty), 32 if self.edges else 256)
 
 
 def _orbit_rows(cube: str, n: int, ground: str) -> OrbitRows:
     """The rows of an orbit listing, from one orbit pass made before any output is written.
 
     A refusal or an internal error raised by the pass therefore leaves stdout empty; one raised while the rows
-    are written leaves the header, or the JSON text before the rows, and the whole batches of 256 rows written
-    before it (``_batched``); the rows made since the last batch are lost.  Each vertex orbit and each run of
-    edge orbits that the walk yields is kept as ints, 4 bytes each, and the graph is freed before the rows are read.
+    are written leaves the header, or the JSON text before the rows, and the whole batches written before it, of
+    256 vertex rows or 32 runs of edge rows (``OrbitRows.batches``); the rows made since the last batch are lost.
+    Each vertex orbit and each run of edge orbits that the walk yields is kept as ints, 4 bytes each, and the graph
+    is freed before the rows are read.
     """
     from array import array  # here, not at the top: only orbit listings need it
 
@@ -269,7 +291,7 @@ def cmd_orbits(args: SimpleNamespace) -> int:
 
     def plain() -> Iterable[str]:
         # a row is the representative, u-v for an edge, two spaces and the size; the empty string is ε
-        return chain([header], _batched(rows.texts("", "-", "  ", "\n", "ε")))
+        return chain([header], rows.batches("", "-", "  ", "\n", "ε"))
 
     return _emit(args, parameters, result, plain, ["representative", "size"])
 

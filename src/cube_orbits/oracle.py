@@ -7,9 +7,13 @@ automorphism group by exhaustive backtracking, to a measured bound of
 
 A vertex is an int whose bit n-1 holds string position 1, so numeric order is
 lexicographic order; ``CubeGraph.decode`` gives the string back where a caller
-prints or compares strings.  An edge is a pair (u, v) where v is u with one
-more 1, so |E| is the total weight of the vertices; edges are made on demand
-and never stored.
+prints or compares strings.  With s = n // 2, u is x << s | y, a high half x
+of n - s bits and a low half y of s bits, and the vertices are held as their
+halves (``Vertices``): each high half with the list of low halves it may be
+joined to, so the vertices are joined on each pass, ascending, and never
+stored.  An edge is a pair (u, v) where v is u with one more 1, so |E| is the
+total weight of the vertices, counted from the halves; edges are made on
+demand and never stored.
 
 The images of an element are taken under bit maps: the rotations of
 ``_turns``, each also after reversal (``_reverse``).  The one exception is the
@@ -25,12 +29,13 @@ vertices that keeps no orbit and no record of reached elements
 McKay, J. Algorithms 26, 1998).  A vertex u is kept iff no rotation of u or of
 its reversal r is smaller, the rotations taken one at a time up to the first
 smaller one; the Fibonacci cubes and Λ0-Λ2 have no rotations, so there u is
-tested against r alone.  With s = n // 2, r is read as low[u & (2^s - 1)] |
-high[u >> s] from two tables of 2^s and 2^(n-s) entries, made once per walk
-from the n reversals of single bits by ``_reverse`` (``_half_reversals``).
-Where there are rotations, the turn by one maps an even u > 0 to u >> 1,
-below u, so only 0 and the odd vertices are tested, 17,712 of Λ23's 64,079;
-u and r are doubled once, u << n | u, and each turn right by j is the doubled
+tested against r alone.  The walk goes over the high halves x, and r is read
+as low[y] | high[x] from two tables of 2^s and 2^(n-s) entries, made once per
+walk from the n reversals of single bits by ``_reverse`` (``_half_reversals``),
+high[x] once for each x.  Where there are rotations, the turn by one maps an
+even u > 0 to u >> 1, below u, so only 0 and the odd vertices are tested,
+17,712 of Λ23's 64,079: the odd low halves under each x, and 0 under x = 0, so
+no even vertex is made; u and r are doubled once, u << n | u, and each turn right by j is the doubled
 bits shifted by j, read through n bits.  Neither the filter nor the doubling
 runs on a cube without rotations.  The elements whose image is u, met on the
 way, are its stabilizer, and its orbit's size is the group's order over
@@ -47,6 +52,7 @@ vertex and edge whole, by its orbit from ``members``.  No closed form is used.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 from . import formulas
@@ -55,9 +61,10 @@ from .strings import enumerate_strings, FIBONACCI
 
 # Every `orbits` listing up to this n, of either cube and ground and in every format, answered within 22.5 s
 # (30 s with a quarter in hand) and 1 GB peak RSS in each of three fresh runs on a 2-CPU machine (README
-# "Bounds"). Each listing's rows are made from per-format tables of half strings (cli.OrbitRows.texts) and written
-# 256 to a write, and an edge listing holds three ints per run of orbits (orbit_walk); gamma n = 30 edges, the
-# slowest, took 4.2-6.4 s in the three formats at 116 MB, the vertex tuple and the runs.
+# "Bounds"). Each listing's rows are made from per-format tables of half strings (cli.OrbitRows.texts), an edge
+# run's rows as one text, and written 256 vertex rows or 32 edge runs to a write; the graph holds only the halves
+# of its vertices (Vertices), and an edge listing holds three ints per run of orbits (orbit_walk); gamma n = 30
+# edges, the slowest, took TIMES in the three formats at PEAK, most of it the runs.
 BUILD_LIMIT = 30
 NAMED_SIZE_LIMIT = 100
 
@@ -72,7 +79,7 @@ class CubeGraph(NamedTuple):
 
     kind: str
     n: int
-    vertices: tuple[int, ...]
+    vertices: Vertices
     edge_count: int
 
     @property
@@ -82,6 +89,32 @@ class CubeGraph(NamedTuple):
     def decode(self, x: int) -> str:
         """The string of vertex x; the one vertex of dimension 0 is the empty string, not "0"."""
         return bin(x)[2:].zfill(self.n) if self.n else ""
+
+
+class Vertices:
+    """The vertices of a cube, ascending, joined from its halves on each pass and never stored; len() is |V|.
+
+    ``highs`` holds (x, i) for each high half x, ascending: x, shifted up by n // 2, is joined to each low half
+    of the ascending list ``lows[i]``.  Its length is counted from the lists.  A view equals, and hashes as, any
+    view of the same cube, so two builds of one graph key one entry of a cache (``verify._once``).
+    """
+
+    def __init__(self, kind: str, n: int, highs: list[tuple[int, int]], lows: list[list[int]]) -> None:
+        self.kind, self.n, self.highs, self.lows = kind, n, highs, lows
+        self.count = sum(len(lows[i]) for _, i in highs)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[int]:
+        s, lows = self.n // 2, self.lows
+        return chain.from_iterable(map((x << s).__or__, lows[i]) for x, i in self.highs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Vertices) and (self.kind, self.n) == (other.kind, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n))
 
 
 class EdgeView:
@@ -122,7 +155,8 @@ def build(n: int, kind: str) -> CubeGraph:
     """Construct the cube graph; refuses n > BUILD_LIMIT, naming the size it would build up to NAMED_SIZE_LIMIT.
 
     The closed forms give only that size and the check of the built graph's size;
-    the vertices come from string enumeration at half length (``_joined_halves``) and |E| from their weights.
+    the vertices are a view over the halves enumerated as strings of half length (``_halves``), and |V| and |E|
+    are counted from the halves without joining them.
     """
     if n < 0:
         raise ValueError(f"dimension must be nonnegative, got {n}")
@@ -139,10 +173,13 @@ def build(n: int, kind: str) -> CubeGraph:
     expected = formulas.graph_counts(n, kind)
     if n <= 1:
         # the one position of a Lucas string of length 1 is beside itself, so "1" is not a vertex of Λ1
-        vertices = (0, 1) if n == 1 and kind == GAMMA else (0,)
+        vertices = Vertices(kind, n, [(0, 0), (1, 0)] if n == 1 and kind == GAMMA else [(0, 0)], [[0]])
     else:
-        vertices = _joined_halves(n, kind == LAMBDA)
-    edge_count = sum(map(int.bit_count, vertices))
+        vertices = Vertices(kind, n, *_halves(n, kind == LAMBDA))
+    # an edge goes up from u by each free position, so |E| is the vertices' total weight: each high half's
+    # weight once for each low half joined to it, and each low list's weight once for each high half it serves
+    weights = [sum(map(int.bit_count, lows)) for lows in vertices.lows]
+    edge_count = sum(x.bit_count() * len(vertices.lows[i]) + weights[i] for x, i in vertices.highs)
     if (len(vertices), edge_count) != (expected.vertices, expected.edges):
         raise AssertionError(
             f"graph construction mismatch for {kind} n={n}: "
@@ -151,23 +188,22 @@ def build(n: int, kind: str) -> CubeGraph:
     return CubeGraph(kind=kind, n=n, vertices=vertices, edge_count=edge_count)
 
 
-def _joined_halves(n: int, cyclic: bool) -> tuple[int, ...]:
-    """The valid strings of length n >= 2 as ints, ascending, each a high half joined to a low half.
+def _halves(n: int, cyclic: bool) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The valid strings of length n >= 2 as halves: each high half x with the index of its list of low halves.
 
     Both halves are Fibonacci strings, of lengths ceil(n/2) and floor(n/2), enumerated once each, so no
     string of length n is made.  A low half may not start with a 1 where the high half ends in one, nor,
-    on a Lucas cube, end with a 1 where the high half starts with one.  The high halves ascend, so the
-    joined vertices do.
+    on a Lucas cube, end with a 1 where the high half starts with one, so there are four lists, each
+    ascending, indexed 2 * (x ends in 1) + (x starts with 1 on a Lucas cube).  The high halves ascend.
     """
     shift = n // 2
     highs = [int(u, 2) for u in enumerate_strings(n - shift, FIBONACCI)]
     lows = [int(u, 2) for u in enumerate_strings(shift, FIBONACCI)]
     low_first, high_first = 1 << (shift - 1), 1 << (n - shift - 1)  # the bit of each half's first position
-    # allowed[ends in 1][starts with 1 on a Lucas cube]: the low halves a high half may be joined to
     allowed = [
-        [[y for y in lows if not (end and y & low_first or wrap and y & 1)] for wrap in (0, 1)] for end in (0, 1)
+        [y for y in lows if not (end and y & low_first or wrap and y & 1)] for end in (0, 1) for wrap in (0, 1)
     ]
-    return tuple(x << shift | y for x in highs for y in allowed[x & 1][cyclic and x >= high_first])
+    return [(x, 2 * (x & 1) + (cyclic and x >= high_first)) for x in highs], allowed
 
 
 def _reverse(x: int, n: int) -> int:
@@ -231,56 +267,64 @@ def orbit_walk(graph: CubeGraph, ground: str) -> Iterator[tuple[int, int] | tupl
             if orbit[0] == x:
                 yield (x, len(orbit)) if vertices else (x[0], x[0] ^ x[1], len(orbit))
         return
-    # rev(x) is the reversal of x's low s bits, moved to the top, joined to that of its high n - s bits
+    # rev(u) is the reversal of u's low s bits, moved to the top, joined to that of its high n - s bits
     s, full = n // 2, (1 << n) - 1
     mask = (1 << s) - 1
     low, high = _half_reversals(n)
     turns = _turns(graph)
     order, rotations = 2 * len(turns), turns[1:]  # every turn but the identity, which fixes each u
     free = _free_positions(n, graph.kind)
-    # the turn by one maps an even u > 0 to u >> 1, below u, so where there are turns only 0 and the odd u can
-    # be least; an edge is kept only if its lower end is, so no edge up from a skipped u is lost
-    tested = (u for u in graph.vertices if u & 1 or not u) if rotations else graph.vertices
-    for u in tested:
-        r = low[u & mask] | high[u >> s]
-        # where there are turns a tested u > 0 is odd, so it starts with a 0 and r with a 1, above u: there r
-        # serves the turns and u = 0, and the test stays so that every cube takes this one path
-        if r < u:
-            continue
-        # the elements (turn, reflected) that fix u: the identity, reversal if r is u, then the turns
-        stabilizer = ((0, 0), (0, 1)) if r == u else ((0, 0),)
-        if rotations:
-            # u and r doubled, each turn right by j is the doubled bits shifted by j, read through n bits
-            du, dr = u << n | u, r << n | r
-        for j in rotations:
-            a = du >> j & full
-            b = dr >> j & full
-            if a <= u or b <= u:
-                # most turns move u and r above u, so this one test passes them
-                if a < u or b < u:
-                    break
-                if a == u:
-                    stabilizer += ((j, 0),)
-                if b == u:
-                    stabilizer += ((j, 1),)
-        else:
-            if vertices:
-                yield u, order // len(stabilizer)
-            elif len(stabilizer) == 1:
-                # the identity alone fixes u: each edge up from u is least in an orbit of `order` edges
-                bits = free(u)
-                if bits:
-                    yield u, bits, order
+    lows = graph.vertices.lows
+    if rotations:
+        # the turn by one maps an even u > 0 to u >> 1, below u, so where there are turns only 0 and the odd u
+        # can be least: the odd low halves, and 0 under x = 0; an edge is kept only if its lower end is, so no
+        # edge up from a skipped u is lost
+        odd = [[y for y in ys if y & 1] for ys in lows]
+        tested = [(x, odd[i] if x else [0, *odd[i]]) for x, i in graph.vertices.highs]
+    else:
+        tested = [(x, lows[i]) for x, i in graph.vertices.highs]
+    for x, ys in tested:
+        top, hx = x << s, high[x]
+        for y in ys:
+            u, r = top | y, low[y] | hx
+            # where there are turns a tested u > 0 is odd, so it starts with a 0 and r with a 1, above u: there
+            # r serves the turns and u = 0, and the test stays so that every cube takes this one path
+            if r < u:
+                continue
+            # the elements (turn, reflected) that fix u: the identity, reversal if r is u, then the turns
+            stabilizer = ((0, 0), (0, 1)) if r == u else ((0, 0),)
+            if rotations:
+                # u and r doubled, each turn right by j is the doubled bits shifted by j, read through n bits
+                du, dr = u << n | u, r << n | r
+            for j in rotations:
+                a = du >> j & full
+                b = dr >> j & full
+                if a <= u or b <= u:
+                    # most turns move u and r above u, so this one test passes them
+                    if a < u or b < u:
+                        break
+                    if a == u:
+                        stabilizer += ((j, 0),)
+                    if b == u:
+                        stabilizer += ((j, 1),)
             else:
-                # the group preserves weight, so an image of an edge (u, v) has lower end g(u): the edge is
-                # least in its orbit iff no element of u's stabilizer maps v below v
-                for b in _bits(free(u)):
-                    v = u | b
-                    rv = low[v & mask] | high[v >> s]
-                    w = (v << n | v, rv << n | rv)
-                    image = [w[t] >> j & full for j, t in stabilizer]
-                    if min(image) == v:
-                        yield u, b, order // image.count(v)
+                if vertices:
+                    yield u, order // len(stabilizer)
+                elif len(stabilizer) == 1:
+                    # the identity alone fixes u: each edge up from u is least in an orbit of `order` edges
+                    bits = free(u)
+                    if bits:
+                        yield u, bits, order
+                else:
+                    # the group preserves weight, so an image of an edge (u, v) has lower end g(u): the edge is
+                    # least in its orbit iff no element of u's stabilizer maps v below v
+                    for b in _bits(free(u)):
+                        v = u | b
+                        rv = low[v & mask] | high[v >> s]
+                        w = (v << n | v, rv << n | rv)
+                        image = [w[t] >> j & full for j, t in stabilizer]
+                        if min(image) == v:
+                            yield u, b, order // image.count(v)
 
 
 def members(graph: CubeGraph, element: int | Edge) -> list:
@@ -295,20 +339,21 @@ def members(graph: CubeGraph, element: int | Edge) -> list:
 def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, found by backtracking, each as the images of the vertices.
 
-    The search maps vertex indices (positions in ``graph.vertices``) and reads each map through the vertices once,
-    as it records it.  The cube is an induced subgraph of Q_n, so the neighbours of a vertex are the vertices one
-    bit away from it, listed ascending; the search shares no adjacency rule with orbit enumeration.  Vertices are
-    mapped in ascending order.  Every x > 0 is adjacent to x & (x - 1), which precedes it, so every vertex v but 0
-    has a mapped neighbour: v goes to a neighbour of the image of its lowest one, and vertex 0, with none, to any
-    vertex.  A candidate must have v's degree, be unused and neighbour the images of v's mapped neighbours.
-    Non-edges need no test: a one-to-one map of a finite graph sending edges to edges sends the edge set onto
-    itself, and so non-edges to non-edges.  The search is one loop over a stack of frames, one per vertex being
-    mapped, each holding its candidates left and the images they must neighbour.  Candidates are tried ascending and
-    the vertices ascend, so the maps come out sorted.
+    The search maps vertex indices (positions in one tuple of ``graph.vertices``) and reads each map through that
+    tuple once, as it records it.  The cube is an induced subgraph of Q_n, so the neighbours of a vertex are the
+    vertices one bit away from it, listed ascending; the search shares no adjacency rule with orbit enumeration.
+    Vertices are mapped in ascending order.  Every x > 0 is adjacent to x & (x - 1), which precedes it, so every
+    vertex v but 0 has a mapped neighbour: v goes to a neighbour of the image of its lowest one, and vertex 0, with
+    none, to any vertex.  A candidate must have v's degree, be unused and neighbour the images of v's mapped
+    neighbours.  Non-edges need no test: a one-to-one map of a finite graph sending edges to edges sends the edge
+    set onto itself, and so non-edges to non-edges.  The search is one loop over a stack of frames, one per vertex
+    being mapped, each holding its candidates left and the images they must neighbour.  Candidates are tried
+    ascending and the vertices ascend, so the maps come out sorted.
     """
-    count = len(graph.vertices)
-    index = {x: i for i, x in enumerate(graph.vertices)}
-    near = [[index[y] for y in sorted(x ^ 1 << k for k in range(graph.n)) if y in index] for x in graph.vertices]
+    vertices = tuple(graph.vertices)
+    count = len(vertices)
+    index = {x: i for i, x in enumerate(vertices)}
+    near = [[index[y] for y in sorted(x ^ 1 << k for k in range(graph.n)) if y in index] for x in vertices]
     adjacent = [frozenset(js) for js in near]
 
     results: list[tuple[int, ...]] = []
@@ -329,7 +374,7 @@ def automorphism_group(graph: CubeGraph) -> list[tuple[int, ...]]:
             frames.pop()
             continue
         if v + 1 == count:
-            results.append(tuple(map(graph.vertices.__getitem__, mapping)))
+            results.append(tuple(map(vertices.__getitem__, mapping)))
         else:
             # the vertices up to v are the mapped ones
             images = [mapping[u] for u in near[v + 1] if u <= v]

@@ -77,10 +77,22 @@ MUTANTS = (
         "orbits lambda 6 vertices gives the orbit of 001001 size 4, not 3",
     ),
     Mutant(
-        "orbit walk skips vertex 0", "oracle.py",
-        "if u & 1 or not u)", "if u & 1)",
+        "odd-half filter drops y = 0 under x = 0", "oracle.py",
+        "odd[i] if x else [0, *odd[i]]", "odd[i]",
         "tests/test_oracle.py::test_the_walk_tests_only_0_and_the_odd_lucas_vertices",
         "orbits lambda 3 vertices lists the one orbit of 001, not also the orbit of 000",
+    ),
+    Mutant(
+        "vertex view counts one vertex too many", "oracle.py",
+        "self.count = sum(len(lows[i]) for _, i in highs)", "self.count = sum(len(lows[i]) for _, i in highs) + 1",
+        "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format plain]",
+        "orbits gamma 2 edges exits 3: graph construction mismatch for gamma n=2: got (4, 2), expected (3, 2)",
+    ),
+    Mutant(
+        "edge count leaves out the low halves' weight", "oracle.py",
+        "x.bit_count() * len(vertices.lows[i]) + weights[i]", "x.bit_count() * len(vertices.lows[i])",
+        "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format plain]",
+        "orbits gamma 2 edges exits 3: graph construction mismatch for gamma n=2: got (3, 1), expected (3, 2)",
     ),
     Mutant(
         "half tables with s and n - s swapped", "oracle.py",
@@ -211,8 +223,8 @@ MUTANTS = (
     ),
     Mutant(
         "search drops the last vertex's image from a result", "oracle.py",
-        "results.append(tuple(map(graph.vertices.__getitem__, mapping)))",
-        "results.append(tuple(map(graph.vertices.__getitem__, mapping[:-1])))",
+        "results.append(tuple(map(vertices.__getitem__, mapping)))",
+        "results.append(tuple(map(vertices.__getitem__, mapping[:-1])))",
         "tests/test_oracle.py::test_automorphism_search_nests_no_call_per_vertex",
         "each map of automorphism_group(build(12, 'lambda')) holds 321 images, not 322",
     ),
@@ -278,7 +290,7 @@ MUTANTS = (
     ),
     Mutant(
         "CSV edge cells joined by two dashes", "cli.py",
-        'rows.texts("", "-", ",", "\\n")', 'rows.texts("", "--", ",", "\\n")',
+        'rows.batches("", "-", ",", "\\n")', 'rows.batches("", "--", ",", "\\n")',
         "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format csv]",
         "orbits gamma 2 edges --format csv prints the row 00--01,2, not 00-01,2",
     ),
@@ -290,10 +302,24 @@ MUTANTS = (
     ),
     Mutant(
         "a listing drops its last partial batch", "cli.py",
-        'while batch := "".join(islice(rows, 256)):\n        yield batch',
-        'while len(batch := list(islice(rows, 256))) == 256:\n        yield "".join(batch)',
+        'while batch := "".join(islice(texts, size)):\n        yield batch',
+        'while len(batch := list(islice(texts, size))) == size:\n        yield "".join(batch)',
         "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format plain]",
         "orbits gamma 2 edges prints its header but not its one row, a partial batch",
+    ),
+    Mutant(
+        "edge run strings cached by the bit mask alone", "cli.py",
+        "key = b << shift | y", "key = b",
+        "tests/test_cli.py::test_each_run_of_edge_orbits_is_written_as_its_rows[gamma]",
+        "orbits gamma 6 edges prints the row 000001-000100  2, not 000001-000101  2: the run of 000001 reads the "
+        "low halves cached for the run of 000000",
+    ),
+    Mutant(
+        "edge listings write 256 runs to a write", "cli.py",
+        "32 if self.edges else 256", "256",
+        "tests/test_cli.py::test_a_fault_partway_through_an_edge_listing_keeps_whole_batches_of_runs[plain]",
+        "with a fault at the 40th run of orbits gamma 15 edges, stdout ends after the header, not after the first "
+        "32 runs' rows",
     ),
     Mutant(
         "JSON listing cut at the first quoted NULs, not the last", "cli.py",

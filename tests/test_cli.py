@@ -284,6 +284,16 @@ def decoded_rows(cube, n, ground):
     ]
 
 
+def per_run(texts, cube, n, ground):
+    """Row texts in order as ``OrbitRows.texts`` yields them: one per vertex row, or the rows of each run of edge
+    orbits that the walk yields, joined."""
+    if ground == oracle.VERTICES:
+        return list(texts)
+    texts = iter(texts)
+    runs = oracle.orbit_walk(oracle.build(n, cube), ground)
+    return ["".join(next(texts) for _ in range(bits.bit_count())) for _, bits, _ in runs]
+
+
 def decoded_listing(cube, n, ground):
     """The listing of ``orbits cube n ground`` in every format, from the engine's orbits decoded by the graph."""
     rows = decoded_rows(cube, n, ground)
@@ -338,7 +348,27 @@ def test_json_listing_rows_are_json_dumps(monkeypatch, cube):
                 ",\n" + textwrap.indent(json.dumps({"representative": rep, "size": size}, indent=2), " " * 6)
                 for rep, size in decoded_rows(cube, n, ground)
             ]
-            assert found == dumped and len(found) == len(rows) and not pieces, (n, ground)
+            assert found == per_run(dumped, cube, n, ground) and len(dumped) == len(rows) and not pieces, (n, ground)
+
+
+@pytest.mark.parametrize("cube", ["gamma", "lambda"])
+def test_each_run_of_edge_orbits_is_written_as_its_rows(capsys, monkeypatch, cube):
+    # a run's rows are written as one text, v's half strings joined once for the half that v differs in; here
+    # each row is written alone from the runs that tests/orbits.py expands, with every format's pieces
+    pieces = []
+    texts = cli.OrbitRows.texts
+    monkeypatch.setattr(cli.OrbitRows, "texts", lambda rows, *args: pieces.append(args) or texts(rows, *args))
+    for n in range(17):
+        graph, rows = oracle.build(n, cube), cli._orbit_rows(cube, n, oracle.EDGES)
+        for fmt in ("plain", "csv", "json"):
+            assert run_cli(capsys, "orbits", cube, str(n), "edges", "--format", fmt)[0] == 0
+            # a JSON listing without rows reads no pieces
+            assert len(pieces) == (1 if len(rows) or fmt != "json" else 0), (n, fmt)
+            for lead, join, mid, end, *_ in pieces:
+                alone = [f"{lead}{graph.decode(u)}{join}{graph.decode(v)}{mid}{size}{end}"
+                         for (u, v), size in canonical_orbits(graph, oracle.EDGES)]
+                assert list(texts(rows, lead, join, mid, end)) == per_run(alone, cube, n, oracle.EDGES), (n, fmt)
+            pieces.clear()
 
 
 def test_output_is_deterministic(capsys):
@@ -836,3 +866,25 @@ def test_a_fault_partway_through_a_listing_keeps_whole_batches(capsys, monkeypat
     assert code == 3
     assert re.fullmatch(internal_error("IndexError: list index out of range", "cli.py", "<genexpr>"), err)
     assert out == mark.join(whole.split(mark)[:before + 256]) + mark
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_a_fault_partway_through_an_edge_listing_keeps_whole_batches_of_runs(capsys, monkeypatch, fmt):
+    # an edge listing's runs go out 32 to a write, each run's rows one text: a size past the size table from the
+    # 40th run on ends the second batch unwritten, so stdout is the text before the rows and the first 32 runs'
+    # rows, whole; each run holds at most n rows, so a write holds at most 32 n
+    argv = ("orbits", "gamma", "15", "edges", "--format", fmt)
+    code, whole, _ = run_cli(capsys, *argv)
+    runs = list(oracle.orbit_walk(oracle.build(15, "gamma"), oracle.EDGES))
+    rows = sum(bits.bit_count() for _, bits, _ in runs[:32])
+    assert 32 < rows < sum(bits.bit_count() for _, bits, _ in runs[:39])
+    # as above, a row ends a line in plain text and CSV, and JSON's inner lists close at a deeper indent
+    mark, before = ("\n      }", 0) if fmt == "json" else ("\n", 1)
+    assert code == 0 and whole.count(mark) == before + sum(bits.bit_count() for _, bits, _ in runs)
+    walk = oracle.orbit_walk
+    monkeypatch.setattr(oracle, "orbit_walk", lambda graph, ground: (
+        (u, bits, 99 if i >= 39 else size) for i, (u, bits, size) in enumerate(walk(graph, ground))))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert re.fullmatch(internal_error("IndexError: list index out of range", "cli.py", "edge_runs"), err)
+    assert out == mark.join(whole.split(mark)[:before + rows]) + mark

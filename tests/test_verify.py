@@ -56,7 +56,7 @@ def _swap_first_two(search):
     """The search with one more map, which swaps the first two vertices, of weights 0 and 1."""
 
     def wrong(graph):
-        vertices = graph.vertices
+        vertices = tuple(graph.vertices)
         return search(graph) + [(vertices[1], vertices[0], *vertices[2:])] if len(vertices) > 1 else search(graph)
 
     return wrong
