@@ -92,14 +92,6 @@ def table_rows(which: str, max_n: int) -> tuple[list[str], list[tuple[str, ...]]
     return ["n", *labels], [(str(n), *map(str, column(n))) for n in range(1, max_n + 1)]
 
 
-def _batched(texts: Iterator[str], size: int) -> Iterator[str]:
-    """The ``texts`` joined ``size`` at a time, for one ``write`` each; the last batch holds the texts left over.
-    A text is never empty, so only the end of the texts makes an empty batch.
-    """
-    while batch := "".join(islice(texts, size)):
-        yield batch
-
-
 def _json(envelope: dict, columns: list[str] | None = None) -> None:
     """Write ``json.dumps(envelope, indent=2)`` and a newline to stdout, a table's rows one by one and an orbit
     listing's in batches (``OrbitRows.batches``).
@@ -261,9 +253,13 @@ class OrbitRows:
         return edge_runs()
 
     def batches(self, lead: str, join: str, mid: str, end: str, empty: str = "") -> Iterator[str]:
-        """The texts of ``texts``, with the same arguments, joined for one write each (``_batched``): 256 vertex
-        rows, or 32 runs of edge rows; a run holds at most n rows, one for each free position of its u."""
-        return _batched(self.texts(lead, join, mid, end, empty), 32 if self.edges else 256)
+        """The texts of ``texts``, with the same arguments, joined for one ``write`` each: 256 vertex rows, or 32
+        runs of edge rows, a run at most n rows, one for each free position of its u; the last batch holds the
+        texts left over.  A text is never empty, so only the end of the texts makes an empty batch.
+        """
+        texts, size = self.texts(lead, join, mid, end, empty), 32 if self.edges else 256
+        while batch := "".join(islice(texts, size)):
+            yield batch
 
 
 def _orbit_rows(cube: str, n: int, ground: str) -> OrbitRows:

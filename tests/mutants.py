@@ -243,8 +243,8 @@ MUTANTS = (
     ),
     Mutant(
         "stabilizer reflected flags swapped", "oracle.py",
-        "stabilizer += ((j, 0),)\n                if b == u:\n                    stabilizer += ((j, 1),)",
-        "stabilizer += ((j, 1),)\n                if b == u:\n                    stabilizer += ((j, 0),)",
+        "stabilizer += ((j, 0),)\n                    if b == u:\n                        stabilizer += ((j, 1),)",
+        "stabilizer += ((j, 1),)\n                    if b == u:\n                        stabilizer += ((j, 0),)",
         "tests/test_oracle.py::test_engine_equals_brute_force_closures[lambda]",
         "orbits lambda 4 edges gives the orbit of 0001-0101 size 8, not 4",
     ),
@@ -302,8 +302,8 @@ MUTANTS = (
     ),
     Mutant(
         "a listing drops its last partial batch", "cli.py",
-        'while batch := "".join(islice(texts, size)):\n        yield batch',
-        'while len(batch := list(islice(texts, size))) == size:\n        yield "".join(batch)',
+        'while batch := "".join(islice(texts, size)):\n            yield batch',
+        'while len(batch := list(islice(texts, size))) == size:\n            yield "".join(batch)',
         "tests/test_golden_cli.py::test_golden_cli[orbits gamma 2 edges --format plain]",
         "orbits gamma 2 edges prints its header but not its one row, a partial batch",
     ),
