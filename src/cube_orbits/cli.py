@@ -224,7 +224,7 @@ class OrbitRows:
         # an f-string joins the entries in one step; + would make a string of each partial sum
         if not self.edges:
             return (f"{first[x >> shift]}{low[x & mask]}{sizes[k]}" for x, k in zip(ints, ints))
-        width = len(high).bit_length()  # above every high half's value, so a key below names its half
+        width = len(high).bit_length()  # more bits than a high half's value takes: b << width | x keeps both apart
 
         def edge_runs() -> Iterator[str]:
             # v's half strings for each (half value, bit mask) met: a half meets few masks, so the lists are few

@@ -35,9 +35,9 @@ walk from the n reversals of single bits by ``_reverse`` (``_half_reversals``),
 high[x] once for each x.  Where there are rotations, the turn by one maps an
 even u > 0 to u >> 1, below u, so only 0 and the odd vertices are tested,
 17,712 of Λ23's 64,079: the odd low halves under each x, and 0 under x = 0, so
-no even vertex is made; u and r are doubled once, u << n | u, and each turn right by j is the doubled
-bits shifted by j, read through n bits.  Neither the filter nor the doubling
-runs on a cube without rotations.  The elements whose image is u, met on the
+no even vertex is made; u and r are doubled once, u << n | u, and each turn
+right by j is the doubled bits shifted by j, read through n bits.  Neither the
+filter nor the doubling runs on a cube without rotations.  The elements whose image is u, met on the
 way, are its stabilizer, and its orbit's size is the group's order over
 their count.  The group preserves weight, so an image of an edge (u, v)
 going up from u has lower end g(u): the edge is least in its orbit iff u is
