@@ -5,12 +5,13 @@ so all counts stay exact at any index.  Divisions that occur inside the
 closed forms are mathematically exact; they are checked at runtime and never
 truncated.
 
-``_recurrence``, shared by ``fib`` and ``lucas``, holds the last 256 terms it made in ``_terms``,
-oldest first.  A table's columns ask for terms with n going up, so a term not held is mostly the sum of
-two held ones, and only the rest come from ``_fast_doubling``: ``table lambda-v --max 1500``
-makes 1,085 fast-doubling evaluations, against 6,950 with an LRU cache of 256 terms and 51,356
-uncached.  Three private functions hold values under ``functools.lru_cache(maxsize=256)``:
-``_factor`` (the one trial-division walk, read by ``euler_phi``, ``_classes`` and ``_divisors``),
+``fib`` and ``lucas`` each answer from a window of the last 128 terms they made, keyed by n and oldest
+first (``_fibs`` and ``_lucases``), so a held term costs one dict lookup.  ``_term`` makes a term not held:
+a table's columns ask for terms with n going up, so it is mostly the sum of two held ones, and only the rest
+come from ``_fast_doubling``: ``table lambda-v --max 1500`` makes 1,346 fast-doubling evaluations, against
+6,950 with an LRU cache of 256 terms and 51,356 uncached.  Three private functions hold values under
+``functools.lru_cache(maxsize=256)``: ``_factor`` (the one trial-division walk, read by ``_classes``,
+``_divisors`` and ``necklace_count``, which makes each divisor together with its totient from it),
 ``_divisors``, which ``divisors`` copies, and ``_classes``, the Moebius sums of
 ``lucas_string_classes``, keyed on n and on the ``lucas`` and ``fib`` read at call time, so that a
 patched or traced sequence is a new key and never meets a count made from another.  ``_classes``
@@ -20,7 +21,7 @@ asks 3,750 times and makes 2,080, and ``verify formulas --max 330`` asks 5,802 t
 ``strings.period`` asks for the divisors of one n once per string.  The public names stay plain
 functions, since the benchmark's tracer and the test that enumeration needs no closed form select
 them by ``inspect.isfunction``.  The bounds keep memory in step with output: ``table gamma-v --max
-3000 --format csv`` peaks at 1.330 times the characters it writes on Python 3.11 (1.294-1.332 on
+3000 --format csv`` peaks at 1.313 times the characters it writes on Python 3.11 (1.277-1.315 on
 3.10-3.13), as the first command of a fresh process and as any later one alike, since the CLI's
 parser imports and caches nothing on its first use; ``test_table_holds_each_cell_once`` bounds the
 ratio by 1.4.
@@ -58,28 +59,24 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-_TERMS_HELD = 256
-# the terms of ``_recurrence``, keyed (first, second, n), oldest first
-_terms: dict[tuple[int, int, int], int] = {}
+_TERMS_HELD = 128  # terms held per sequence, 256 in all
+# the last terms of F and of L that ``_term`` made, keyed by n, oldest first
+_fibs: dict[int, int] = {}
+_lucases: dict[int, int] = {}
 
 
-def _recurrence(first: int, second: int, n: int) -> int:
-    """Term n >= -1 of the sequence first, second, first + second, ... (term 0 is first).
+def _term(window: dict[int, int], first: int, second: int, n: int) -> int:
+    """Term n >= -1 of the sequence first, second, first + second, ... (term 0 is first), not held in ``window``.
 
-    A held term is returned as held; a term whose two predecessors are held is their sum;
-    any other term comes from ``_fast_doubling``.  The term is then held, and the oldest
-    term goes when ``_TERMS_HELD`` are held.
+    A term whose two predecessors are held is their sum; any other term comes from ``_fast_doubling``.
+    The term is then held, and the oldest term goes when ``_TERMS_HELD`` are held.
     """
-    key = (first, second, n)
-    term = _terms.get(key)
-    if term is not None:
-        return term
-    before = _terms.get((first, second, n - 2))
-    last = _terms.get((first, second, n - 1))
+    before = window.get(n - 2)
+    last = window.get(n - 1)
     term = _fast_doubling(first, second, n) if before is None or last is None else before + last
-    if len(_terms) >= _TERMS_HELD:
-        del _terms[next(iter(_terms))]
-    _terms[key] = term
+    if len(window) >= _TERMS_HELD:
+        del window[next(iter(window))]
+    window[n] = term
     return term
 
 
@@ -102,16 +99,22 @@ def _fast_doubling(first: int, second: int, n: int) -> int:
 
 def fib(n: int) -> int:
     """n-th Fibonacci number; F(0)=0, F(1)=1, and F(-1)=1 by the recurrence."""
-    if n < -1:
-        raise ValueError(f"fib requires n >= -1, got {n}")
-    return _recurrence(0, 1, n)
+    term = _fibs.get(n)
+    if term is None:
+        if n < -1:
+            raise ValueError(f"fib requires n >= -1, got {n}")
+        term = _term(_fibs, 0, 1, n)
+    return term
 
 
 def lucas(n: int) -> int:
     """n-th Lucas number; L(0)=2, L(1)=1."""
-    if n < 0:
-        raise ValueError(f"lucas requires n >= 0, got {n}")
-    return _recurrence(2, 1, n)
+    term = _lucases.get(n)
+    if term is None:
+        if n < 0:
+            raise ValueError(f"lucas requires n >= 0, got {n}")
+        term = _term(_lucases, 2, 1, n)
+    return term
 
 
 def divisors(n: int) -> list[int]:
@@ -147,16 +150,6 @@ def _divisors(n: int) -> tuple[int, ...]:
     for p, e in _factor(n):
         found += [d * p**k for k in range(1, e + 1) for d in found]
     return tuple(sorted(found))
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient."""
-    if n < 1:
-        raise ValueError(f"euler_phi requires n >= 1, got {n}")
-    result = n
-    for p, _ in _factor(n):
-        result -= result // p
-    return result
 
 
 def graph_counts(n: int, kind: str) -> GraphCounts:
@@ -211,10 +204,14 @@ def gamma_edge_orbits(n: int) -> OrbitSummary:
 
 
 def necklace_count(n: int) -> int:
-    """Binary necklaces of length n with no two cyclically adjacent 1s."""
+    """Binary necklaces of length n with no two cyclically adjacent 1s: the sum of phi(m) L(n/m) over m | n, over n."""
     if n < 1:
         raise ValueError(f"necklace_count requires n >= 1, got {n}")
-    return _exact_div(sum(euler_phi(n // d) * lucas(d) for d in divisors(n)), n)
+    # each divisor m of n with its totient phi(m), as products of the prime powers in ``_factor(n)``
+    totients = [(1, 1)]
+    for p, e in _factor(n):
+        totients += [(m * p**k, phi * (p - 1) * p ** (k - 1)) for k in range(1, e + 1) for m, phi in totients]
+    return _exact_div(sum(phi * lucas(n // m) for m, phi in totients), n)
 
 
 def lambda_vertex_orbit_total(n: int) -> int:

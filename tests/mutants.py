@@ -122,15 +122,33 @@ MUTANTS = (
     ),
     Mutant(
         "term memo sums the wrong predecessor", "formulas.py",
-        "(first, second, n - 2)", "(first, second, n - 3)",
+        "window.get(n - 2)", "window.get(n - 3)",
         "tests/test_formulas.py::test_term_memo_matches_the_recurrence_loop_in_any_order",
         "fib(0), fib(1), ..., asked in turn, give fib(3) = 1, not 2",
     ),
     Mutant(
         "term memo is never trimmed", "formulas.py",
-        "del _terms[next(iter(_terms))]", "pass",
+        "del window[next(iter(window))]", "pass",
         "tests/test_formulas.py::test_term_memo_matches_the_recurrence_loop_in_any_order",
-        "fib of 301 distinct n leaves 301 terms held, past the bound of 256",
+        "fib and lucas of 129 distinct n each leave 258 terms held, past the bound of 256",
+    ),
+    Mutant(
+        "fib reads past its window", "formulas.py",
+        "term = _fibs.get(n)", "term = None",
+        "tests/test_formulas.py::test_fib_and_lucas_answer_from_their_windows",
+        "fib(5), asked twice from empty windows, calls fast doubling twice, not once",
+    ),
+    Mutant(
+        "totient walk drops the factor p - 1", "formulas.py",
+        "phi * (p - 1) * p ** (k - 1)", "phi * p * p ** (k - 1)",
+        "tests/test_formulas.py::test_necklace_count_is_the_totient_sum",
+        "necklace_count(2) raises ArithmeticError: division 5/2 is not exact",
+    ),
+    Mutant(
+        "totient walk takes p^k for p^(k - 1)", "formulas.py",
+        "p ** (k - 1)", "p ** k",
+        "tests/test_formulas.py::test_necklace_count_is_the_totient_sum",
+        "necklace_count(2) raises ArithmeticError: division 5/2 is not exact",
     ),
     Mutant(
         "fast doubling reads the bits inverted", "formulas.py",
@@ -416,6 +434,30 @@ MUTANTS = (
         "tests/test_verify.py::test_edge_map_check_maps_a_pair_that_is_no_edge_afresh",
         "with a generator that writes the last letter over the first, verify bijections --max 5 prints result: PASS "
         "and exits 0, not an internal error and 3",
+    ),
+    Mutant(
+        "table bound refuses the bound itself", "cli.py",
+        "if max_n > TABLE_LIMIT:", "if max_n >= TABLE_LIMIT:",
+        "tests/test_cli.py::test_a_table_answers_at_its_lowered_bound_and_refuses_one_past[gamma-v]",
+        "table gamma-v --max 20000 is refused with exit 2, not printed",
+    ),
+    Mutant(
+        "witness bound refuses the bound itself", "cli.py",
+        "if args.n > WITNESS_LIMIT:", "if args.n >= WITNESS_LIMIT:",
+        "tests/test_cli.py::test_a_witness_answers_at_its_lowered_bound_and_refuses_one_past",
+        "witness asymmetric 200000000 is refused with exit 2, not printed",
+    ),
+    Mutant(
+        "suite bound refuses the bound itself", "verify.py",
+        "if effective > bound:", "if effective >= bound:",
+        "tests/test_cli.py::test_a_suite_answers_at_its_lowered_bound_and_refuses_one_past[formulas]",
+        "verify formulas --max 3400 prints REFUSED and exits 2, not PASS and 0",
+    ),
+    Mutant(
+        "graph size unnamed at the named-size bound", "oracle.py",
+        "if n <= NAMED_SIZE_LIMIT:", "if n < NAMED_SIZE_LIMIT:",
+        "tests/test_cli.py::test_a_listing_answers_at_its_lowered_bound_and_refuses_one_past[gamma]",
+        "orbits gamma 100 edges is refused without the size of the graph it would build",
     ),
 )
 

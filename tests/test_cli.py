@@ -219,8 +219,8 @@ def test_table_holds_each_cell_once(monkeypatch):
     # twice, they peaked at 1.88 (CSV) and 1.67 (JSON) times the characters written; plain text, with each
     # line built whole, peaked at 1.53, and it writes each padded cell as it is made; the parser is used once
     # first, so the figure never counts what a parser's first use in a process imports and caches; the cold
-    # and warm readings are the same, 1.330 (CSV), 1.221 (JSON) and 0.948 (plain) on Python 3.11, 1.294-1.332,
-    # 1.189-1.225 and 0.922-0.950 on 3.10-3.13
+    # and warm readings are the same, 1.313 (CSV), 1.205 (JSON) and 0.935 (plain) on Python 3.11, 1.277-1.315,
+    # 1.173-1.209 and 0.910-0.937 on 3.10-3.13
     parse(["table", "gamma-v", "--max", "3000", "--format", "csv"])
     for fmt, bound in (("csv", 1.4), ("json", 1.4), ("plain", 1.2)):
         sink = CountingSink()
@@ -238,8 +238,9 @@ def test_table_holds_each_cell_once(monkeypatch):
 def test_table_columns_share_bounded_caches(monkeypatch):
     # the columns of a table ask for terms with n going up, so most terms are the sum of two held ones, and
     # take the same factorizations and string class counts again; `table lambda-v --max 1500` made 51,356
-    # fast-doubling calls uncached and 6,950 with 256 terms in a least-recently-used cache; it asks for 3,750
-    # class counts, of which 2,080 miss their bounded cache
+    # fast-doubling calls uncached, 6,950 with 256 terms in a least-recently-used cache and 1,346 with 128
+    # terms of each sequence in its own window; it asks for 3,750 class counts, of which 2,080 miss their
+    # bounded cache
     calls = []
     fast_doubling = formulas._fast_doubling
 
@@ -248,12 +249,13 @@ def test_table_columns_share_bounded_caches(monkeypatch):
         return fast_doubling(*args)
 
     monkeypatch.setattr(formulas, "_fast_doubling", counting)
-    formulas._terms.clear()
+    formulas._fibs.clear()
+    formulas._lucases.clear()
     formulas._factor.cache_clear()
     formulas._classes.cache_clear()
     table_rows("lambda-v", 1500)
     assert len(calls) <= 1500
-    assert len(formulas._terms) <= 256
+    assert len(formulas._fibs) + len(formulas._lucases) <= 256
     assert formulas._classes.cache_info().misses <= 2100
     for cached in (formulas._factor, formulas._divisors, formulas._classes):
         assert cached.cache_info().currsize <= 256
@@ -586,6 +588,61 @@ def test_verify_bound_refusal_is_immediate(capsys, suite):
         "result: REFUSED (0 checks run, some suites skipped)\n"
     )
     assert elapsed < 0.1
+
+
+# tier-1 cannot run a command at its real bound, which takes seconds, so each test below lowers one bound
+# constant and runs its command at the bound, which must answer, and one past it, which must be refused
+
+
+@pytest.mark.parametrize("which", TABLES)
+def test_a_table_answers_at_its_lowered_bound_and_refuses_one_past(capsys, monkeypatch, which):
+    monkeypatch.setattr(cli, "TABLE_LIMIT", 7)
+    code, out, err = run_cli(capsys, "table", which, "--max", "7", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(n) for n in range(1, 8)]
+    code, out, err = run_cli(capsys, "table", which, "--max", "8", "--format", "csv")
+    assert (code, out, err) == (2, "", "error: max 8 exceeds the table bound 7\n")
+
+
+def test_a_witness_answers_at_its_lowered_bound_and_refuses_one_past(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "WITNESS_LIMIT", 12)
+    for argv, witness in ((["asymmetric"], "101001000000"), (["vertex-orbit-size", "1"], "0" * 12)):
+        code, out, err = run_cli(capsys, "witness", argv[0], "12", *argv[1:])
+        assert (code, out.splitlines()[0], err) == (0, f"witness: {witness}", ""), argv
+        code, out, err = run_cli(capsys, "witness", argv[0], "13", *argv[1:])
+        assert (code, out, err) == (2, "", "error: length 13 exceeds the witness bound 12\n"), argv
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_HARD_BOUND)
+def test_a_suite_answers_at_its_lowered_bound_and_refuses_one_past(capsys, monkeypatch, suite):
+    monkeypatch.setitem(verify.SUITE_HARD_BOUND, suite, 6)
+    code, out, err = run_cli(capsys, "verify", suite, "--max", "6")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"suite {suite} (max n = 6)\n") and out.splitlines()[-1].startswith("result: PASS")
+    code, out, err = run_cli(capsys, "verify", suite, "--max", "7")
+    what = "closed-form" if suite == verify.FORMULAS else "enumeration"
+    assert (code, err) == (2, "")
+    assert f"  REFUSED  max 7 exceeds the {what} bound 6 for this suite\n" in out
+
+
+@pytest.mark.parametrize("cube", ["gamma", "lambda"])
+def test_a_listing_answers_at_its_lowered_bound_and_refuses_one_past(capsys, monkeypatch, cube):
+    monkeypatch.setattr(oracle, "BUILD_LIMIT", 6)
+    monkeypatch.setattr(oracle, "NAMED_SIZE_LIMIT", 8)
+    for ground in ("vertices", "edges"):
+        code, out, err = run_cli(capsys, "orbits", cube, "6", ground)
+        assert (code, err) == (0, ""), ground
+        assert out.startswith(f"{cube} n=6 {ground}: "), ground
+    # the refusal names the size of the graph up to NAMED_SIZE_LIMIT, and no size past it
+    for n in (7, 8):
+        counts = formulas.graph_counts(n, cube)
+        code, out, err = run_cli(capsys, "orbits", cube, str(n), "edges")
+        assert (code, out) == (2, ""), n
+        assert err == (
+            f"error: dimension {n} exceeds the enumeration bound 6 ({counts.vertices} vertices, {counts.edges} edges)\n"
+        ), n
+    code, out, err = run_cli(capsys, "orbits", cube, "9", "edges")
+    assert (code, out, err) == (2, "", "error: dimension 9 exceeds the enumeration bound 6\n")
 
 
 def test_usage_errors(capsys):

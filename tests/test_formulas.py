@@ -11,7 +11,6 @@ from cube_orbits.formulas import (
     GAMMA,
     LAMBDA,
     divisors,
-    euler_phi,
     fib,
     fib_palindrome_fix,
     gamma_edge_orbits,
@@ -44,12 +43,15 @@ def test_lucas_values():
 def test_fast_doubling_matches_the_recurrence_loop():
     # each term against a running loop over the sequence, for both seed pairs;
     # lucas is undefined at -1, where the sequence 2, 1, ... has term -1
-    for (first, second), closed_form in (((0, 1), fib), ((2, 1), lucas)):
-        # after two terms the memo only adds held terms, so fast doubling is also called at every n
+    for (first, second), closed_form, window in (((0, 1), fib, formulas._fibs), ((2, 1), lucas, formulas._lucases)):
+        # from empty, after two terms the window only adds held terms, so fast doubling is also called at every n
+        window.clear()
         previous, term = second - first, first  # terms -1 and 0
-        assert formulas._recurrence(first, second, -1) == formulas._fast_doubling(first, second, -1) == previous
+        assert formulas._fast_doubling(first, second, -1) == previous
+        if closed_form is fib:
+            assert fib(-1) == previous
         for n in range(0, 5001):
-            assert formulas._recurrence(first, second, n) == closed_form(n) == term, (first, second, n)
+            assert closed_form(n) == term, (first, second, n)
             assert formulas._fast_doubling(first, second, n) == term, (first, second, n)
             previous, term = term, previous + term
 
@@ -71,33 +73,35 @@ def test_fast_doubling_at_powers_of_two():
 
 
 def test_term_memo_matches_the_recurrence_loop_in_any_order(monkeypatch):
-    # the memo adds two held terms or falls back to fast doubling; asked in any order, with jumps, repeats,
-    # descending runs, both sequences interleaved and more terms than it holds, it answers as the loop does,
-    # and it calls fast doubling exactly for the terms it neither holds nor can add
+    # each window adds two held terms or falls back to fast doubling; asked in any order, with jumps, repeats,
+    # descending runs, both sequences interleaved and more terms than they hold, fib and lucas answer as the loop
+    # does, and call fast doubling exactly for the terms their window neither holds nor can add
     top = 1200
+    sequences = {fib: (formulas._fibs, 0, 1), lucas: (formulas._lucases, 2, 1)}
     loops = {}
-    for seeds in ((0, 1), (2, 1)):
-        column = [seeds[1] - seeds[0], seeds[0]]  # term n at index n + 1
+    for closed_form, (_, first, second) in sequences.items():
+        column = [second - first, first]  # term n at index n + 1
         while len(column) <= top + 1:
             column.append(column[-2] + column[-1])
-        loops[seeds] = column
+        loops[closed_form] = column
+    lowest = {fib: -1, lucas: 0}  # lucas is undefined at -1
     rng = random.Random(24)
-    queries = [(seeds, n) for n in (-1, 0, 1) for seeds in loops]
+    queries = [(each, n) for n in (-1, 0, 1) for each in sequences if n >= lowest[each]]
     while len(queries) < 4000:
-        seeds = rng.choice(list(loops))
-        start = rng.randrange(-1, top + 1)
+        each = rng.choice(list(sequences))
+        start = rng.randrange(lowest[each], top + 1)
         up = range(start, min(start + rng.randrange(2, 40), top + 1))
         shape = rng.randrange(5)
         if shape == 0:  # ascending run
-            queries += [(seeds, n) for n in up]
+            queries += [(each, n) for n in up]
         elif shape == 1:  # ascending run, both sequences in turn
-            queries += [(each, n) for n in up for each in loops]
+            queries += [(other, n) for n in up for other in sequences if n >= lowest[other]]
         elif shape == 2:  # descending run
-            queries += [(seeds, n) for n in range(start, max(start - rng.randrange(2, 40), -2), -1)]
+            queries += [(each, n) for n in range(start, max(start - rng.randrange(2, 40), lowest[each] - 1), -1)]
         elif shape == 3:  # repeats
-            queries += [(seeds, start)] * rng.randrange(2, 5)
+            queries += [(each, start)] * rng.randrange(2, 5)
         else:  # jump
-            queries.append((seeds, start))
+            queries.append((each, start))
     assert len(set(queries)) > 256
     calls = []
     fast_doubling = formulas._fast_doubling
@@ -107,27 +111,39 @@ def test_term_memo_matches_the_recurrence_loop_in_any_order(monkeypatch):
         return fast_doubling(*args)
 
     monkeypatch.setattr(formulas, "_fast_doubling", counting)
-    formulas._terms.clear()
+    for window, _, _ in sequences.values():
+        window.clear()
     added = 0
-    for seeds, n in queries:
-        held = (*seeds, n) in formulas._terms
-        adds = not held and (*seeds, n - 2) in formulas._terms and (*seeds, n - 1) in formulas._terms
+    for each, n in queries:
+        window = sequences[each][0]
+        held = n in window
+        adds = not held and n - 2 in window and n - 1 in window
         doubled = len(calls) + (not held and not adds)
-        assert formulas._recurrence(*seeds, n) == loops[seeds][n + 1], (seeds, n)
-        assert len(calls) == doubled, (seeds, n)
-        assert len(formulas._terms) <= 256
+        assert each(n) == loops[each][n + 1], (each.__name__, n)
+        assert len(calls) == doubled, (each.__name__, n)
+        assert len(formulas._fibs) + len(formulas._lucases) <= 256
         added += adds
     assert added > len(calls) > 0
 
 
+def test_fib_and_lucas_answer_from_their_windows(monkeypatch):
+    # a held term is the answer as held, with no sum and no fast doubling: a value planted in a window is returned
+    def fail(*args):
+        raise AssertionError(f"fast doubling called for {args}")
+
+    monkeypatch.setattr(formulas, "_fast_doubling", fail)
+    monkeypatch.setitem(formulas._fibs, 10**6, -1)
+    monkeypatch.setitem(formulas._lucases, 10**6, -2)
+    monkeypatch.setitem(formulas._fibs, 10**6 + 1, -3)
+    monkeypatch.setitem(formulas._lucases, 10**6 + 1, -4)
+    assert (fib(10**6), lucas(10**6), fib(10**6 + 1), lucas(10**6 + 1)) == (-1, -2, -3, -4)
+
+
 def test_number_theory_helpers():
-    assert euler_phi(12) == 4
-    assert euler_phi(1) == 1
     assert divisors(18) == [1, 2, 3, 6, 9, 18]
     assert divisors(1) == [1]
-    for bad in (euler_phi, divisors):
-        with pytest.raises(ValueError):
-            bad(0)
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_divisors_returns_a_fresh_list():
@@ -209,6 +225,16 @@ def test_necklace_count_examples():
     assert necklace_count(5) == 3
     with pytest.raises(ValueError):
         necklace_count(0)
+
+
+def test_necklace_count_is_the_totient_sum():
+    # sum of phi(n / d) L(d) over the divisors d of n, over n (Burnside over the n rotations), with phi counted
+    # by gcd, apart from the factorization from which necklace_count makes each divisor with its totient
+    phi = [0] + [sum(math.gcd(j, m) == 1 for j in range(1, m + 1)) for m in range(1, 601)]
+    assert (phi[1], phi[12], phi[16], phi[600]) == (1, 4, 8, 160)
+    for n in range(1, 601):
+        total = sum(phi[n // d] * lucas(d) for d in range(1, n + 1) if n % d == 0)
+        assert total % n == 0 and necklace_count(n) == total // n, n
 
 
 def test_lucas_string_classes_examples():

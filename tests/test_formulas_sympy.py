@@ -2,7 +2,7 @@
 
 import sympy
 
-from cube_orbits.formulas import divisors, euler_phi, fib, lucas, lucas_string_classes
+from cube_orbits.formulas import divisors, fib, lucas, lucas_string_classes, necklace_count
 
 LARGE = (2**40, 999999999989, 10**12)  # a power of two, a prime, a smooth composite
 
@@ -22,7 +22,12 @@ def test_fib_and_lucas_match_sympy_at_large_n():
 def test_divisor_functions_match_sympy():
     for n in [*range(1, 5001), *LARGE]:
         assert divisors(n) == sympy.divisors(n), n
-        assert euler_phi(n) == sympy.totient(n), n
+
+
+def test_necklace_count_matches_the_totient_sum():
+    for n in range(1, 3001):
+        total = sum(sympy.totient(n // d) * sympy.lucas(d) for d in sympy.divisors(n))
+        assert necklace_count(n) * n == total, n
 
 
 def test_lucas_string_classes_match_mobius_sums():
