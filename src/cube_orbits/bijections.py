@@ -2,8 +2,9 @@
 
 Three bijections: Fibonacci strings of length n and domino tilings of the
 2 x (n+1) rectangle, Fibonacci strings and ordered {1,2}-partitions of n+1,
-and the map sending a Lucas-cube edge to a Fibonacci string three dimensions
-down that matches edge orbits with vertex orbits.
+and the map sending a Lucas-cube edge to a Fibonacci-cube vertex three
+dimensions down that matches edge orbits with vertex orbits; that map reads
+and returns the oracle's bitmasks.
 
 A tiling is serialized as a string over {V, H}: V is a vertical domino
 covering one column, H is a pair of horizontal dominoes covering two columns.
@@ -14,10 +15,12 @@ acts for m >= 3.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from . import oracle
 from .formulas import GAMMA, LAMBDA
 from .oracle import EDGES, VERTICES
-from .strings import is_fibonacci, is_lucas
+from .strings import is_fibonacci
 
 
 def string_to_tiling(u: str) -> str:
@@ -92,32 +95,31 @@ def distinct_tilings(m: int) -> int:
     return len({min(t, t[::-1], turn.get(t, t)) for t in enumerate_tilings(m)})
 
 
-def lambda_edge_to_gamma_vertex(edge: tuple[str, str]) -> str:
-    """The Fibonacci string of length n-3 read around a Lucas-cube edge.
+def lambda_edge_to_gamma_vertex(n: int, edge: tuple[int, int]) -> int:
+    """The vertex of the Fibonacci cube of dimension n-3 read around an edge of the Lucas cube of dimension n.
 
-    The endpoints differ in one position i, and both neighborhoods of i hold
-    0s; the image is the cyclic substring covering the remaining n-3
-    positions, read from position i+2 onward.  Either endpoint gives the
-    same result.
+    A vertex is an int whose bit n-1 holds string position 1, as in ``oracle``.  The endpoints differ in one
+    position i, and both neighbours of i hold 0s; the image is the cyclic substring covering the remaining
+    n-3 positions, read from position i+2 onward: an (n-3)-bit int whose bit n-4 holds position i+2.  On u
+    doubled, u << n | u, that window ends one bit above the flipped bit, so it is the doubled bits shifted
+    right past that bit and read through n-3 bits.  Either endpoint gives the same result.
     """
     u, v = edge
-    n = len(u)
     if n < 5:
         raise ValueError(f"edge map requires length >= 5, got {n}")
-    if len(v) != n:
-        raise ValueError("endpoints differ in length")
-    # int(..., 2) would also read a "0b" prefix, "_" and spaces: only 0s and 1s may pass
-    if u.strip("01") or v.strip("01") or not (is_lucas(u) and is_lucas(v)):
+    # a negative int shifted right stays negative, so this also refuses an end below 0
+    if u >> n or v >> n:
+        raise ValueError(f"endpoints must be nonnegative ints of at most {n} bits, got {u} and {v}")
+    # x >> 1 meets each 1 with its right neighbour, and x << n - 1 puts position n beside position 1; each end
+    # is below 2^n, so the and of it needs no mask
+    if u & (u >> 1 | u << n - 1) or v & (v >> 1 | v << n - 1):
         raise ValueError("endpoints must be Lucas strings")
-    flips = int(u, 2) ^ int(v, 2)
+    flips = u ^ v
     if flips.bit_count() != 1:
         raise ValueError(f"endpoints differ in {flips.bit_count()} positions, not 1")
-    i = n - flips.bit_length()
-    doubled = u + u
-    start = (i + 2) % n
-    image = doubled[start : start + n - 3]
-    if not is_fibonacci(image):
-        raise AssertionError(f"edge image {image} is not fibonacci-valid")
+    image = (u << n | u) >> flips.bit_length() + 1 & (1 << n - 3) - 1
+    if image & image >> 1:
+        raise AssertionError(f"edge image {image:0{n - 3}b} is not fibonacci-valid")
     return image
 
 
@@ -131,21 +133,22 @@ def verify_edge_orbit_bijection(n: int) -> str | None:
     """
     lucas_cube, fibonacci_cube = oracle.build(n, LAMBDA), oracle.build(n - 3, GAMMA)
     vertex_reps = [x for x, _ in oracle.orbit_walk(fibonacci_cube, VERTICES)]
-    edge_reps = [(u, u | b) for u, bits, _ in oracle.orbit_walk(lucas_cube, EDGES) for b in oracle._bits(bits)]
-    orbit_of = {fibonacci_cube.decode(y): k for k, x in enumerate(vertex_reps)
-                for y in oracle.members(fibonacci_cube, x)}
-    name = {x: lucas_cube.decode(x) for x in lucas_cube.vertices}
+    orbit_of = {y: k for k, x in enumerate(vertex_reps) for y in oracle.members(fibonacci_cube, x)}
     turned = oracle._images(lucas_cube)
-    images = set()
-    for u, v in edge_reps:
-        # the group preserves weight on Λn, n >= 5, so each image of the edge has its lower end first
-        edges = set(zip(turned(u), turned(v)))
-        # the edge map stays a global looked up per edge, so a map set on the module attribute is the one checked
-        targets = {orbit_of.get(lambda_edge_to_gamma_vertex((name[a], name[b]))) for a, b in edges}
-        if len(targets) != 1 or None in targets:
-            a, b = min(edges)
-            return f"n={n}: the edge orbit of {name[a]}-{name[b]} does not map into one vertex orbit"
-        images |= targets
-    if not len(images) == len(edge_reps) == len(vertex_reps):
-        return f"n={n}: {len(edge_reps)} edge orbits map onto {len(images)} of {len(vertex_reps)} vertex orbits"
+    # read once per n, so a map set on the module attribute, a patch or a wrapper, is the one checked
+    edge_map = lambda_edge_to_gamma_vertex
+    images, edge_orbits = set(), 0
+    for u, bits, _ in oracle.orbit_walk(lucas_cube, EDGES):
+        lower = turned(u)
+        for b in oracle._bits(bits):
+            # the group preserves weight on Λn, n >= 5, so each image of the edge has its lower end first
+            edges = set(zip(lower, turned(u | b)))
+            targets = set(map(orbit_of.get, map(edge_map, repeat(n), edges)))
+            if len(targets) != 1 or None in targets:
+                ends = "-".join(map(lucas_cube.decode, min(edges)))
+                return f"n={n}: the edge orbit of {ends} does not map into one vertex orbit"
+            images |= targets
+            edge_orbits += 1
+    if not len(images) == edge_orbits == len(vertex_reps):
+        return f"n={n}: {edge_orbits} edge orbits map onto {len(images)} of {len(vertex_reps)} vertex orbits"
     return None

@@ -338,21 +338,22 @@ def _edge_map_well_defined(n: int) -> str | None:
     """
     graph = oracle.build(n, LAMBDA)
     name = {x: graph.decode(x) for x in graph.vertices}
-    kept = {}
-    for a, b in graph.edges:
-        edge = name[a], name[b]
-        image = bijections.lambda_edge_to_gamma_vertex(edge)
-        kept[edge] = min(image, image[::-1])
+    kept = {(name[a], name[b]): _reversal_class(n, (a, b)) for a, b in graph.edges}
     for (u, v), base_rep in kept.items():
         for label, g in GENERATORS:
             pair = g(u), g(v)
             rep = kept.get(pair)
             if rep is None:
-                image = bijections.lambda_edge_to_gamma_vertex(pair)
-                rep = min(image, image[::-1])
+                rep = _reversal_class(n, (int(pair[0], 2), int(pair[1], 2)))
             if rep != base_rep:
                 return f"n={n}: edge ({u}, {v}) under {label}"
     return None
+
+
+def _reversal_class(n: int, edge: oracle.Edge) -> str:
+    """The least of the edge map's image of an edge of Λn and its reversal, as strings of length n - 3."""
+    image = format(bijections.lambda_edge_to_gamma_vertex(n, edge), f"0{n - 3}b")
+    return min(image, image[::-1])
 
 
 def _edge_map_surjective(n: int) -> str | None:
@@ -360,7 +361,7 @@ def _edge_map_surjective(n: int) -> str | None:
         edge = ("010" + w, "000" + w)
         if not (strings.is_lucas(edge[0]) and strings.is_lucas(edge[1])):
             return f"n={n}: constructed pair for {w} is not an edge"
-        if bijections.lambda_edge_to_gamma_vertex(edge) != w:
+        if bijections.lambda_edge_to_gamma_vertex(n, (int(edge[0], 2), int(edge[1], 2))) != int(w, 2):
             return f"n={n}: preimage construction fails for {w}"
     return None
 

@@ -396,13 +396,31 @@ MUTANTS = (
     ),
     Mutant(
         "edge map reads from the position after the flip", "bijections.py",
-        "start = (i + 2) % n", "start = (i + 1) % n",
+        ">> flips.bit_length() + 1 &", ">> flips.bit_length() &",
         "tests/test_bijections.py::test_edge_map_examples",
-        "lambda_edge_to_gamma_vertex(('010001', '000001')) is '000', not '001'",
+        "lambda_edge_to_gamma_vertex(6, (0b010001, 0b000001)) is 0b010, not 0b001",
+    ),
+    Mutant(
+        "edge map admits an end of n + 1 bits", "bijections.py",
+        "if u >> n or v >> n:", "if u >> n + 1 or v >> n + 1:",
+        "tests/test_bijections.py::test_edge_map_rejections",
+        "lambda_edge_to_gamma_vertex(5, (0b100000, 0b000000)) is 0b00, not a ValueError",
+    ),
+    Mutant(
+        "edge map lets a 1 at position n sit beside one at position 1", "bijections.py",
+        "u & (u >> 1 | u << n - 1)", "u & u >> 1",
+        "tests/test_bijections.py::test_edge_map_rejections",
+        "lambda_edge_to_gamma_vertex(5, (0b10001, 0b10000)) is 0b00, not a ValueError",
+    ),
+    Mutant(
+        "edge map admits ends that differ in several positions", "bijections.py",
+        "if flips.bit_count() != 1:", "if not flips:",
+        "tests/test_bijections.py::test_edge_map_rejections",
+        "lambda_edge_to_gamma_vertex(5, (0b01000, 0b00001)) is 0b00, not a ValueError",
     ),
     Mutant(
         "bijection check expands only each run's lowest bit", "bijections.py",
-        "for b in oracle._bits(bits)]", "for b in [bits & -bits]]",
+        "for b in oracle._bits(bits):", "for b in [bits & -bits]:",
         "tests/test_bijections.py::test_verify_edge_orbit_bijection",
         "verify_edge_orbit_bijection(10) is n=10: 20 edge orbits map onto 20 of 21 vertex orbits, not None; Λ10 is "
         "the first Lucas cube whose walk yields a run of more than one edge orbit",

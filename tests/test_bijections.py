@@ -1,8 +1,10 @@
 """Tilings, ordered partitions, and the edge-to-vertex orbit correspondence."""
 
+from collections import Counter
+
 import pytest
 
-from cube_orbits import bijections, formulas, oracle
+from cube_orbits import bijections, formulas, oracle, verify
 from cube_orbits.bijections import (
     distinct_partitions,
     distinct_tilings,
@@ -112,50 +114,69 @@ def test_counts_equal_orbit_totals():
         assert distinct_partitions(m) == expected
 
 
+def string_edge_map(u, v):
+    """The reference reading of the edge map on strings: the n - 3 positions of u cyclically from i + 2 on,
+    where i is the one index at which u and v differ."""
+    n = len(u)
+    i = next(p for p in range(n) if u[p] != v[p])
+    start = (i + 2) % n
+    return (u + u)[start : start + n - 3]
+
+
 def test_edge_map_examples():
-    assert lambda_edge_to_gamma_vertex(("01000", "00000")) == "00"
-    assert lambda_edge_to_gamma_vertex(("010001", "000001")) == "001"
-    assert lambda_edge_to_gamma_vertex(("10000", "10100")) == "01"
+    assert lambda_edge_to_gamma_vertex(5, (0b01000, 0b00000)) == 0b00
+    assert lambda_edge_to_gamma_vertex(6, (0b010001, 0b000001)) == 0b001
+    assert lambda_edge_to_gamma_vertex(5, (0b10000, 0b10100)) == 0b01
+    # windows that wrap: a flip at position 5 of 5 reads positions 2 and 3, and one at position 5 of 7 reads
+    # positions 7, 1, 2 and 3
+    assert lambda_edge_to_gamma_vertex(5, (0b01000, 0b01001)) == 0b10
+    assert lambda_edge_to_gamma_vertex(7, (0b0100100, 0b0100000)) == 0b0010
 
 
 def test_edge_map_rejections():
-    with pytest.raises(ValueError):
-        lambda_edge_to_gamma_vertex(("0100", "0000"))  # too short
-    with pytest.raises(ValueError):
-        lambda_edge_to_gamma_vertex(("01000", "00001"))  # two positions differ
-    with pytest.raises(ValueError):
-        lambda_edge_to_gamma_vertex(("01000", "01000"))  # no position differs
-    with pytest.raises(ValueError):
-        lambda_edge_to_gamma_vertex(("10001", "10000"))  # endpoint not a Lucas string
-    with pytest.raises(ValueError):
-        lambda_edge_to_gamma_vertex(("01000", "0000"))  # length mismatch
-    # a character other than 0 and 1, some of which int(..., 2) would read
-    for edge in [("01000", "0_000"), ("0b000", "0b100"), ("00100", " 0100"), ("01000", "02000")]:
-        with pytest.raises(ValueError, match="must be Lucas strings"):
-            lambda_edge_to_gamma_vertex(edge)
+    def rejects(n, edge, message):
+        # each end is tested, so the case is refused with its ends in either order
+        for ends in (edge, edge[::-1]):
+            with pytest.raises(ValueError, match=message):
+                lambda_edge_to_gamma_vertex(n, ends)
+
+    rejects(4, (0b0100, 0b0000), r"^edge map requires length >= 5, got 4$")  # too short
+    rejects(5, (0b01000, 0b00001), r"^endpoints differ in 2 positions, not 1$")
+    rejects(5, (0b01000, 0b01000), r"^endpoints differ in 0 positions, not 1$")
+    rejects(5, (0b10001, 0b10000), r"^endpoints must be Lucas strings$")  # positions 5 and 1 are beside each other
+    rejects(5, (0b01100, 0b01000), r"^endpoints must be Lucas strings$")  # positions 2 and 3
+    # an end wider than n bits, and one below 0: each would pass every other test, the first mapped to 00
+    rejects(5, (0b100000, 0b000000), r"^endpoints must be nonnegative ints of at most 5 bits, got ")
+    rejects(5, (-32, 0b00000), r"^endpoints must be nonnegative ints of at most 5 bits, got ")
 
 
 def test_edge_map_is_endpoint_independent():
     for n in range(5, 15):
         for u, v in lucas_edge_strings(n):
-            i = next(p for p in range(n) if u[p] != v[p])
-            reads = set()
-            for src in (u, v):
-                doubled = src + src
-                start = (i + 2) % n
-                reads.add(doubled[start : start + n - 3])
-            assert len(reads) == 1
-            read = reads.pop()
-            assert read == lambda_edge_to_gamma_vertex((u, v)) == lambda_edge_to_gamma_vertex((v, u))
+            read = string_edge_map(u, v)
+            assert read == string_edge_map(v, u)
+            x, y = int(u, 2), int(v, 2)
+            assert lambda_edge_to_gamma_vertex(n, (x, y)) == lambda_edge_to_gamma_vertex(n, (y, x)) == int(read, 2)
+
+
+def test_edge_map_equals_the_string_reading():
+    # the bit convention: position 1 is bit n - 1, and the image's first position is its bit n - 4
+    for n in range(5, 17):
+        graph = oracle.build(n, LAMBDA)
+        for x, y in graph.edges:
+            u, v = graph.decode(x), graph.decode(y)
+            for edge, read in (((x, y), string_edge_map(u, v)), ((y, x), string_edge_map(v, u))):
+                image = lambda_edge_to_gamma_vertex(n, edge)
+                assert f"{image:0{n - 3}b}" == read, (n, u, v)
 
 
 def test_edge_map_constant_on_orbits():
     for n in range(5, 10):
         for u, v in lucas_edge_strings(n):
-            base = lambda_edge_to_gamma_vertex((u, v))
+            base = f"{lambda_edge_to_gamma_vertex(n, (int(u, 2), int(v, 2))):0{n - 3}b}"
             rep = min(base, base[::-1])
             for g in Dihedral.full_group(n):
-                image = lambda_edge_to_gamma_vertex((apply(g, u), apply(g, v)))
+                image = f"{lambda_edge_to_gamma_vertex(n, (int(apply(g, u), 2), int(apply(g, v), 2))):0{n - 3}b}"
                 assert min(image, image[::-1]) == rep
 
 
@@ -165,7 +186,7 @@ def test_edge_map_surjective():
         for w in enumerate_strings(n - 3, FIBONACCI):
             edge = tuple(sorted(("010" + w, "000" + w)))
             assert edge in edges
-            assert lambda_edge_to_gamma_vertex(edge) == w
+            assert lambda_edge_to_gamma_vertex(n, (int(edge[0], 2), int(edge[1], 2))) == int(w, 2)
 
 
 def test_verify_edge_orbit_bijection():
@@ -184,11 +205,26 @@ def test_verify_edge_orbit_bijection():
 
 def test_verify_edge_orbit_bijection_counterexamples(monkeypatch):
     # the first two positions of the lower endpoint: constant on the orbit of 00000-00001 only
-    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda edge: edge[0][:2])
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda n, edge: edge[0] >> n - 2)
     assert verify_edge_orbit_bijection(5) == "n=5: the edge orbit of 00001-00101 does not map into one vertex orbit"
-    # a string outside the Fibonacci cube of dimension n - 3
-    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda edge: "11")
+    # 11, outside the Fibonacci cube of dimension n - 3
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda n, edge: 0b11)
     assert verify_edge_orbit_bijection(5) == "n=5: the edge orbit of 00000-00001 does not map into one vertex orbit"
     # constant on orbits but not injective
-    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda edge: "0" * (len(edge[0]) - 3))
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", lambda n, edge: 0)
     assert verify_edge_orbit_bijection(6) == "n=6: 4 edge orbits map onto 1 of 4 vertex orbits"
+
+
+def test_bijection_row_maps_every_edge(monkeypatch):
+    # the row checks every edge of each orbit, not one representative: the map runs |E(Λn)| times for each n
+    calls = Counter()
+    edge_map = bijections.lambda_edge_to_gamma_vertex
+
+    def counted(n, edge):
+        calls[n] += 1
+        return edge_map(n, edge)
+
+    monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", counted)
+    row = next(check for check in verify.CHECKS if check.name == "edge orbit bijection holds")
+    assert verify.run_check(row, 14).status == verify.PASS
+    assert calls == {n: len(oracle.build(n, LAMBDA).edges) for n in range(row.lo, 15)}

@@ -749,7 +749,7 @@ def test_verify_bijection_counterexample(capsys, monkeypatch):
     # an edge map that sends every edge of the 5-dimensional Lucas cube to one string
     edge_map = bijections.lambda_edge_to_gamma_vertex
     monkeypatch.setattr(
-        bijections, "lambda_edge_to_gamma_vertex", lambda edge: "00" if len(edge[0]) == 5 else edge_map(edge)
+        bijections, "lambda_edge_to_gamma_vertex", lambda n, edge: 0b00 if n == 5 else edge_map(n, edge)
     )
     code, out, _ = run_cli(capsys, "verify", "bijections", "--max", "5")
     assert code == 1
@@ -842,7 +842,7 @@ def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
 
 def test_a_value_error_inside_verify_is_an_internal_error(capsys, monkeypatch):
     # verify refuses only through REFUSED results, so a ValueError raised by a check is a bug, not a usage error
-    def refuse(edge):
+    def refuse(n, edge):
         raise ValueError("endpoints must be Lucas strings")
 
     monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", refuse)
@@ -879,7 +879,7 @@ def test_an_inexact_rotation_class_count_is_an_internal_error(capsys, monkeypatc
 
 def test_a_fault_of_any_other_type_is_an_internal_error(capsys, monkeypatch):
     # exit 1 is the verdict of a failed check, so a lookup that fails inside the program must not end with it
-    def unknown(edge):
+    def unknown(n, edge):
         raise KeyError("0101")
 
     with monkeypatch.context() as patch:

@@ -213,9 +213,9 @@ def _first_full_group_failure(edge_map):
         graph = oracle.build(n, LAMBDA)
         for edge in graph.edges:
             u, v = map(graph.decode, edge)
-            base = edge_map((u, v))
+            base = f"{edge_map(n, edge):0{n - 3}b}"
             for g in Dihedral.full_group(n):
-                image = edge_map((apply(g, u), apply(g, v)))
+                image = f"{edge_map(n, (int(apply(g, u), 2), int(apply(g, v), 2))):0{n - 3}b}"
                 if min(image, image[::-1]) != min(base, base[::-1]):
                     return n
     return None
@@ -224,18 +224,17 @@ def _first_full_group_failure(edge_map):
 _true_edge_map = bijections.lambda_edge_to_gamma_vertex
 
 
-def _fixed_window(edge):
-    # reads the same indices whichever position the edge flips
-    return max(edge)[2:-1]
+def _fixed_window(n, edge):
+    # reads the same positions, 3 to n - 1, whichever position the edge flips
+    return max(edge) >> 1 & (1 << n - 3) - 1
 
 
-def _wrong_at_one_flip(edge):
-    # wrong only where the flipped index is n - 1 and index 2 (position 3) holds a 1
+def _wrong_at_one_flip(n, edge):
+    # wrong only where the flipped position is n (bit 0) and position 3 (bit n - 3) holds a 1
     u, v = edge
-    n = len(u)
-    if u[-1] != v[-1] and max(edge)[2] == "1":
-        return "0" * (n - 3)
-    return _true_edge_map(edge)
+    if u ^ v == 1 and max(edge) >> n - 3 & 1:
+        return 0
+    return _true_edge_map(n, edge)
 
 
 # the whole counterexample, with the repr of the generator as `verify bijections` prints it
@@ -260,9 +259,9 @@ def test_edge_map_check_maps_each_edge_once(monkeypatch):
     # each generator's image of an edge is an edge whose class was kept, so the map runs once per edge of Λn
     calls = Counter()
 
-    def edge_map(edge):
-        calls[len(edge[0])] += 1
-        return _true_edge_map(edge)
+    def edge_map(n, edge):
+        calls[n] += 1
+        return _true_edge_map(n, edge)
 
     monkeypatch.setattr(bijections, "lambda_edge_to_gamma_vertex", edge_map)
     check = CHECK["edge map constant on orbits"]
