@@ -95,12 +95,11 @@ class Vertices:
     """The vertices of a cube, ascending, joined from its halves on each pass and never stored; len() is |V|.
 
     ``highs`` holds (x, i) for each high half x, ascending: x, shifted up by n // 2, is joined to each low half
-    of the ascending list ``lows[i]``.  Its length is counted from the lists.  A view equals, and hashes as, any
-    view of the same cube, so two builds of one graph key one entry of a cache (``verify._once``).
+    of the ascending list ``lows[i]``.  Its length is counted from the lists.
     """
 
-    def __init__(self, kind: str, n: int, highs: list[tuple[int, int]], lows: list[list[int]]) -> None:
-        self.kind, self.n, self.highs, self.lows = kind, n, highs, lows
+    def __init__(self, n: int, highs: list[tuple[int, int]], lows: list[list[int]]) -> None:
+        self.n, self.highs, self.lows = n, highs, lows
         self.count = sum(len(lows[i]) for _, i in highs)
 
     def __len__(self) -> int:
@@ -109,12 +108,6 @@ class Vertices:
     def __iter__(self) -> Iterator[int]:
         s, lows = self.n // 2, self.lows
         return chain.from_iterable(map((x << s).__or__, lows[i]) for x, i in self.highs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Vertices) and (self.kind, self.n) == (other.kind, other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n))
 
 
 class EdgeView:
@@ -173,9 +166,9 @@ def build(n: int, kind: str) -> CubeGraph:
     expected = formulas.graph_counts(n, kind)
     if n <= 1:
         # the one position of a Lucas string of length 1 is beside itself, so "1" is not a vertex of Λ1
-        vertices = Vertices(kind, n, [(0, 0), (1, 0)] if n == 1 and kind == GAMMA else [(0, 0)], [[0]])
+        vertices = Vertices(n, [(0, 0), (1, 0)] if n == 1 and kind == GAMMA else [(0, 0)], [[0]])
     else:
-        vertices = Vertices(kind, n, *_halves(n, kind == LAMBDA))
+        vertices = Vertices(n, *_halves(n, kind == LAMBDA))
     # an edge goes up from u by each free position, so |E| is the vertices' total weight: each high half's
     # weight once for each low half joined to it, and each low list's weight once for each high half it serves
     weights = [sum(map(int.bit_count, lows)) for lows in vertices.lows]

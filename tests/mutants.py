@@ -222,6 +222,13 @@ MUTANTS = (
         "after run_suite('oracle-vs-formula', 6) returns, verify._once is still its memo, holding its values",
     ),
     Mutant(
+        "group rows build their cube afresh", "verify.py",
+        "    graph = _once(oracle.build, n, kind)\n    autos = ",
+        "    graph = oracle.build(n, kind)\n    autos = ",
+        "tests/test_cli.py::test_verify_searches_each_cube_once",
+        "verify automorphisms --max 8 searches Γ2-Γ8 and Λ1-Λ8 twice, 33 searches, not 18",
+    ),
+    Mutant(
         "neighbour flips stop short of the top bit", "oracle.py",
         "for k in range(graph.n))", "for k in range(graph.n - 1))",
         "tests/test_oracle.py::test_automorphism_group_sizes",

@@ -813,6 +813,24 @@ def test_verify_searches_each_cube_once(capsys, monkeypatch):
         assert sorted(searched) == sorted(cubes * runs)
 
 
+def test_verify_builds_each_cube_once(capsys, monkeypatch):
+    # the group rows and the weight row share one build per cube, so they hand the search one graph: 18 cubes,
+    # 9 of each kind, n in [0, 8]; the builds live for one suite run, so a second run builds every cube again
+    built = []
+    build = oracle.build
+
+    def counted(n, kind):
+        built.append((kind, n))
+        return build(n, kind)
+
+    monkeypatch.setattr(oracle, "build", counted)
+    cubes = [(kind, n) for kind in ("gamma", "lambda") for n in range(9)]
+    for runs in (1, 2):
+        code, out, _ = run_cli(capsys, "verify", "automorphisms", "--max", "8")
+        assert (code, out.splitlines()[-1]) == (0, "result: PASS (4 checks)")
+        assert sorted(built) == sorted(cubes * runs)
+
+
 def internal_error(fault, file, function):
     """The pattern of an internal error's one stderr line: ``fault``, a pattern of its type and message, raised
     in ``function`` of ``file`` at any line."""
